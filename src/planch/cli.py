@@ -415,7 +415,7 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     from .forms import DegenerateFormError, NotInGroupError, NotRegularError
-    from .limitcheck import BudgetExceeded, NonGenericPoint, NotWeylInvariant
+    from .limitcheck import NonGenericPoint, NotWeylInvariant
     from .spectral import OrderMismatchError, PoleError, RegularizationError
     from .tempered import CentralCharacterMismatch
 
@@ -424,9 +424,6 @@ def main(argv=None) -> int:
     except (InputError, KeyError, TypeError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT
-    except BudgetExceeded as e:
-        print(f"budget exhausted: {e}", file=sys.stderr)
-        return EXIT_BUDGET
     except (CentralCharacterMismatch, DegenerateFormError, NotInGroupError,
             NotRegularError, NonGenericPoint, NotWeylInvariant, PoleError,
             RegularizationError, OrderMismatchError, ValueError) as e:

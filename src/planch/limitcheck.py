@@ -5,8 +5,11 @@ density integrals over a component of the tempered dual; the right-hand side
 is an exterior-square integral over the mirrored subtorus of its orthogonal
 locus.  This module compiles both integrands once per component (angles of
 every atom become affine forms in the free torus coordinates, with exact
-detection of identically-vanishing factors) and evaluates them on midpoint
-grids with local subdivision in bands around the singular hyperplanes.
+detection of identically-vanishing factors).  Factors are grouped by their
+integer coefficient vectors, so that evaluation on a grid takes one complex
+exponential per free coordinate and builds every factor from phasor
+products.  Both sides are integrated on uniform offset midpoint grids whose
+size grows like 1/s; the s -> 0 limit is taken by Richardson extrapolation.
 """
 
 from __future__ import annotations
@@ -22,10 +25,6 @@ from .field import LocalFieldSpec, gamma_trivial, gamma_star_trivial
 from .spectral import mod1
 from .tempered import OrthTriple, TripleConstants, appendix_constants
 from .wdrep import (WDRep, ad_atoms, gamma_parts, sym2_atoms, wedge2_atoms)
-
-
-class BudgetExceeded(RuntimeError):
-    pass
 
 
 class NonGenericPoint(ValueError):
@@ -80,29 +79,82 @@ def _as_affine(x, nfree: int) -> AffineAngle:
 
 @dataclass
 class _Factor:
-    const: float       # constant angle part, in turns
-    coeffs: np.ndarray  # integer coefficients over free coordinates
+    const: Fraction    # constant angle part, in turns
+    coeffs: tuple      # integer coefficients over free coordinates
     shift: float
     sdir: int
     in_num: bool
 
 
+def _int_coeffs(a: AffineAngle) -> tuple:
+    if any(c != int(c) for c in a.coeffs):
+        raise ValueError(f"angle coefficients {a.coeffs} are not integers")
+    return tuple(int(c) for c in a.coeffs)
+
+
+def _phasor_power(e: np.ndarray, k: int) -> np.ndarray:
+    """e**k for unit-modulus e and a nonzero integer k, by repeated squaring;
+    a negative power is the conjugate of the positive one."""
+    n = abs(k)
+    out, base = None, e
+    while True:
+        if n & 1:
+            out = base if out is None else out * base
+        n >>= 1
+        if not n:
+            break
+        base = base * base
+    return np.conj(out) if k < 0 else out
+
+
 @dataclass
 class FactorProgram:
     """A gamma factor of a family of representations, ready for grid
-    evaluation.  ``dropped`` counts identically-vanishing numerator factors
-    removed by regularization (each contributes exactly 1 after pairing with
-    a zeta factor)."""
+    evaluation.  Every factor is 1 - e(const + c.t) q^{-(sdir s + shift)}
+    with an integer vector c, so the factors are grouped by c at compile
+    time: on a grid, ``eval`` takes one exp per free coordinate,
+    E_r = e(t_r), builds each group's phasor P_c = prod_r E_r^{c_r} by
+    multiplication, and costs each factor 1 - a_f P_c with the scalar
+    a_f = e(const_f) q^{-(sdir s + shift)}.  Factors with c = 0 and the
+    constant part of the monomial fold into one scalar.  ``factors`` keeps
+    one entry per kept factor.  ``dropped`` counts identically-vanishing
+    numerator factors removed by regularization (each contributes exactly 1
+    after pairing with a zeta factor)."""
 
     q: int
     nfree: int
-    unit_const: float
-    unit_coeffs: np.ndarray
+    unit_const: Fraction
+    unit_coeffs: tuple
     qpow: float
     exponent: float
     factors: list
     dropped: int = 0
     vanishing_kept: int = 0  # identically-vanishing factors kept (plain eval)
+
+    # nodes per pass of ``eval``: its temporaries stay in cache
+    BLOCK = 1 << 13
+
+    def __post_init__(self):
+        groups = {}
+        for i, f in enumerate(self.factors):
+            groups.setdefault(f.coeffs, ([], []))[0 if f.in_num else 1].append(i)
+        zero = (0,) * self.nfree
+        if self.unit_coeffs != zero:
+            groups.setdefault(self.unit_coeffs, ([], []))
+        scalar = groups.pop(zero, ([], []))
+        self._scalar_num, self._scalar_den = scalar
+        # (c, whether the monomial's phasor is P_c, numerator and
+        # denominator factor indices) for each group sharing P_c = e(c.t)
+        self._groups = [(c, c == self.unit_coeffs, nu, de)
+                        for c, (nu, de) in groups.items()]
+        # the phasor powers E_r^k the groups need; E_r^k before E_r^-k
+        self._powers = sorted({(r, k) for c, *_ in self._groups
+                               for r, k in enumerate(c) if k},
+                              key=lambda rk: (rk[0], abs(rk[1]), rk[1] < 0))
+        self._rot = np.exp(2j * np.pi * np.array(
+            [float(f.const) for f in self.factors], dtype=float))
+        self._shift = np.array([f.shift for f in self.factors], dtype=float)
+        self._sdir = np.array([f.sdir for f in self.factors], dtype=float)
 
     @classmethod
     def compile(cls, atoms, spec: LocalFieldSpec, nfree: int,
@@ -118,34 +170,58 @@ class FactorProgram:
                     dropped += 1
                     continue
                 kept += 1
-            factors.append(_Factor(float(a.const), np.array(a.coeffs, dtype=float),
-                                   float(r), sd, True))
+            factors.append(_Factor(mod1(a.const), _int_coeffs(a), float(r), sd,
+                                   True))
         for (a, r, sd) in den:
             a = _as_affine(a, nfree)
             if r == 0 and a.is_identically_zero():
                 raise ArithmeticError("denominator factor vanishes identically")
-            factors.append(_Factor(float(a.const), np.array(a.coeffs, dtype=float),
-                                   float(r), sd, False))
-        return cls(q=spec.q, nfree=nfree, unit_const=float(unit.const),
-                   unit_coeffs=np.array(unit.coeffs, dtype=float),
+            factors.append(_Factor(mod1(a.const), _int_coeffs(a), float(r), sd,
+                                   False))
+        return cls(q=spec.q, nfree=nfree, unit_const=mod1(unit.const),
+                   unit_coeffs=_int_coeffs(unit),
                    qpow=float(qpow), exponent=float(exponent),
                    factors=factors, dropped=dropped, vanishing_kept=kept)
 
     def eval(self, t: np.ndarray, s: complex) -> np.ndarray:
         """Evaluate at the grid ``t`` of shape (nfree, M) and the point s."""
+        a = self._rot * self.q ** (-(self._sdir * s + self._shift))
+        scalar = (np.exp(2j * np.pi * float(self.unit_const))
+                  * (self.q ** self.qpow) * self.q ** (-self.exponent * s))
+        scalar = scalar * np.prod(1.0 - a[self._scalar_num]) \
+            / np.prod(1.0 - a[self._scalar_den])
         m = t.shape[1] if self.nfree else 1
-        phase = self.unit_const + (self.unit_coeffs @ t if self.nfree else 0.0)
-        val = np.exp(2j * np.pi * phase) * (self.q ** self.qpow) \
-            * self.q ** (-self.exponent * s)
-        val = val * np.ones(m, dtype=complex)
-        for f in self.factors:
-            ang = f.const + (f.coeffs @ t if self.nfree else 0.0)
-            g = 1.0 - np.exp(2j * np.pi * ang) * self.q ** (-(f.sdir * s + f.shift))
-            if f.in_num:
-                val = val * g
-            else:
-                val = val / g
-        return val
+        if not self._groups:
+            return np.full(m, scalar, dtype=complex)
+        out = np.empty(m, dtype=complex)
+        for i in range(0, m, self.BLOCK):
+            out[i:i + self.BLOCK] = self._eval_block(t[:, i:i + self.BLOCK], a,
+                                                     scalar)
+        return out
+
+    def _eval_block(self, t: np.ndarray, a: np.ndarray,
+                    scalar: complex) -> np.ndarray:
+        e = np.exp(2j * np.pi * t)
+        power = {}
+        for r, k in self._powers:
+            power[r, k] = (np.conj(power[r, -k]) if (r, -k) in power
+                           else _phasor_power(e[r], k))
+        num = np.full(t.shape[1], scalar, dtype=complex)
+        den = np.ones(t.shape[1], dtype=complex)
+        tmp = np.empty_like(num)
+        for c, unit, num_idx, den_idx in self._groups:
+            terms = [power[r, k] for r, k in enumerate(c) if k]
+            phasor = terms[0]
+            for p in terms[1:]:
+                phasor = phasor * p
+            if unit:
+                num *= phasor
+            for acc, idx in ((num, num_idx), (den, den_idx)):
+                for i in idx:
+                    np.multiply(phasor, -a[i], out=tmp)
+                    tmp += 1.0
+                    acc *= tmp
+        return num / den
 
     def eval_regularized(self, t: np.ndarray) -> np.ndarray:
         """The regularized value at s = 0 (compile with regularize=True)."""
@@ -190,11 +266,17 @@ class TrigPhi(TestFunction):
     def values(self, dims, angles):
         out = np.full(angles.shape[1], self.const, dtype=complex)
         dims = np.array(dims)
+        phasors = {}  # block size k -> e(angles) on the blocks of size k
         for (h, k, c) in self.terms:
             rows = np.nonzero(dims == k)[0]
             if len(rows) == 0:
                 continue
-            ps = np.exp(2j * np.pi * h * angles[rows, :]).sum(axis=0)
+            if h == 0:
+                ps = len(rows)
+            else:
+                if k not in phasors:
+                    phasors[k] = np.exp(2j * np.pi * angles[rows, :])
+                ps = _phasor_power(phasors[k], h).sum(axis=0)
             out = out + (c * ps).real
         return out
 
@@ -291,7 +373,9 @@ def _kernel_lattice_basis(k: Sequence[int]) -> list:
         for j in range(i + 1):
             v[j] = scale * bez[i][j]
         v[i + 1] = -gs[i] // gs[i + 1]
-        assert sum(a * b for a, b in zip(k, v)) == 0
+        if sum(a * b for a, b in zip(k, v)) != 0:
+            raise ArithmeticError(f"kernel basis vector {v} is not orthogonal "
+                                  f"to the block sizes {list(k)}")
         basis.append(v)
     return basis
 
@@ -362,7 +446,6 @@ class QuadConfig:
     s0: float = 0.1
     s_count: int = 6
     tol: float = 1e-3
-    quad_tol: float = 1e-6
     max_nodes: int = 2 ** 22
     resolution: float = 40.0  # e-folding target: n(s) ~ resolution / (s log q)
     offset: float = 0.5 * (math.sqrt(5) - 1)  # golden offset, dodges exact hits
@@ -416,6 +499,21 @@ class ComponentModel:
         self.chi_minus_one = int(chi_minus_one)
         self.consts: TripleConstants = appendix_constants(triple)
         self.d = triple.d
+        c = self.consts
+        self.dprime = 1
+        for a, m in triple.dual_pairs:
+            self.dprime *= a.sp ** m
+        for a, p in triple.symplectic:
+            self.dprime *= a.sp ** (p // 2)
+        for a, q in triple.orthogonal:
+            self.dprime *= a.sp ** (q // 2)
+        # Jacobian chain: the free-coordinate fundamental domain of the
+        # mirrored subtorus has exactly the normalized subtorus volume
+        if c.D * self.dprime != c.P or 2 * c.N != c.S + c.c:
+            raise ArithmeticError(
+                f"appendix constants are inconsistent with the triple: "
+                f"D d' = {c.D * self.dprime} vs P = {c.P}, "
+                f"2N = {2 * c.N} vs S + c = {c.S + c.c}")
         self.F_lhs = lhs_covering_order(triple)
         self.F_rhs = rhs_covering_order(triple)
 
@@ -423,6 +521,7 @@ class ComponentModel:
         self.blocks = blocks
         self.dims = tuple(k for k, _ in blocks)
         self.S = len(blocks)
+        self.base_angles = np.array([float(u) for _, u in blocks])[:, None]
 
         # LHS torus: kernel-lattice basis of the block-dimension vector
         kvec = [k for k, _ in blocks]
@@ -453,7 +552,8 @@ class ComponentModel:
         self.R_rhs, struct = mirror_structure(triple)
         rows = [(0,) * self.R_rhs if rw is None
                 else _unit_row(self.R_rhs, rw[0], rw[1]) for rw in struct]
-        self.mirror_rows = rows
+        self.mirror_rows = np.array(rows, dtype=float).reshape(self.S,
+                                                               self.R_rhs)
         rhs_atoms = [(AffineAngle(u, rows[b]), k)
                      for b, (k, u) in enumerate(blocks)]
         self.rhs_atoms = rhs_atoms
@@ -465,13 +565,10 @@ class ComponentModel:
     # -- angle grids --------------------------------------------------------
 
     def lhs_angles(self, t: np.ndarray) -> np.ndarray:
-        base = np.array([float(u) for _, u in self.blocks])[:, None]
-        return base + (self.V @ t if self.R_lhs else 0.0)
+        return self.base_angles + (self.V @ t if self.R_lhs else 0.0)
 
     def rhs_angles(self, t: np.ndarray) -> np.ndarray:
-        base = np.array([float(u) for _, u in self.blocks])[:, None]
-        rows = np.array(self.mirror_rows, dtype=float)
-        return base + (rows @ t if self.R_rhs else 0.0)
+        return self.base_angles + (self.mirror_rows @ t if self.R_rhs else 0.0)
 
     # -- integrands ------------------------------------------------------------
 
@@ -544,19 +641,9 @@ class ComponentModel:
         else:
             t = _midpoint_grid(dim, cfg.rhs_n, cfg.offset)
             mean = complex(np.mean(self.rhs_integrand(phi, t)))
-        dprime = 1
-        for a, m in self.triple.dual_pairs:
-            dprime *= a.sp ** m
-        for a, p in self.triple.symplectic:
-            dprime *= a.sp ** (p // 2)
-        for a, q in self.triple.orthogonal:
-            dprime *= a.sp ** (q // 2)
-        # Jacobian chain sanity: the free-coordinate fundamental domain has
-        # exactly the normalized subtorus volume
-        assert c.D * dprime == c.P and 2 * c.N == c.S + c.c
         two_pi_over_logq = 2 * math.pi / math.log(self.spec.q)
         const = (2 * (self.chi_minus_one ** (self.d - 1))
-                 * (c.D * dprime / c.P)
+                 * (c.D * self.dprime / c.P)
                  * two_pi_over_logq ** (2 * c.N - c.S - c.c)
                  / (self.F_rhs * 2 ** c.c))
         return const * mean

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction as F
@@ -5,8 +6,10 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+import planch.limitcheck as limitcheck
 from planch.field import LocalFieldSpec
-from planch.limitcheck import (ComponentModel, ConstantPhi, GaussianPhi,
+from planch.limitcheck import (AffineAngle, ComponentModel, ConstantPhi,
+                               FactorProgram, GaussianPhi,
                                NonGenericPoint, NotWeylInvariant, QuadConfig,
                                TestFunction, TrigPhi, check_weyl_invariance,
                                component_blocks, eq13_check, eq13_values,
@@ -16,7 +19,7 @@ from planch.limitcheck import (ComponentModel, ConstantPhi, GaussianPhi,
                                singular_exponent, singular_exponent_engine,
                                subtorus_twists, verify)
 from planch.tempered import OrthTriple
-from planch.wdrep import WDAtom
+from planch.wdrep import WDAtom, gamma_parts
 
 SPEC3 = LocalFieldSpec(3, 3, 0)
 
@@ -234,3 +237,103 @@ def test_report_serialization():
     assert d["passed"] is True
     assert len(d["lhs_values"]) == len(d["s_values"])
     assert isinstance(d["rhs"], list) and len(d["rhs"]) == 2
+
+
+def _per_factor_eval(atoms, spec, nfree, regularize, t, s):
+    """The gamma factor as a product of one exponential per factor and node:
+    e(unit) q^{qpow - exponent s} prod_num g / prod_den g with
+    g = 1 - e(const + c.t) q^{-(sdir s + shift)}.  Returns the values and,
+    per node, the smallest |g| and sum 1/|g| over the kept factors."""
+    unit, qpow, exponent, num, den = gamma_parts(atoms, spec.psi_level)
+    q = spec.q
+
+    def e(a):
+        return np.exp(2j * np.pi * (float(a.const)
+                                    + np.array(a.coeffs, dtype=float) @ t))
+
+    val = e(unit) * q ** float(qpow) * q ** (-float(exponent) * s)
+    smallest = np.full(t.shape[1], np.inf)
+    cond = np.zeros(t.shape[1])
+    kept = 0
+    for factors, in_num in ((num, True), (den, False)):
+        for (a, r, sd) in factors:
+            if regularize and in_num and r == 0 and a.is_identically_zero():
+                continue
+            g = 1.0 - e(a) * q ** (-(sd * s + float(r)))
+            val = val * g if in_num else val / g
+            smallest = np.minimum(smallest, np.abs(g))
+            with np.errstate(divide="ignore"):  # kept factors vanishing at s = 0
+                cond = cond + 1.0 / np.abs(g)
+            kept += 1
+    return val, smallest, cond, kept
+
+
+def test_phasor_evaluator_matches_per_factor_formula(monkeypatch):
+    # blocks of 100 nodes: every grid below spans several, the last ragged
+    monkeypatch.setattr(FactorProgram, "BLOCK", 100)
+    rng = random.Random(515)
+    compared = 0
+    unit_groups = 0
+    for case in range(160):
+        nfree = case % 4
+        p, q = rng.choice(((3, 3), (2, 4), (5, 5), (3, 9)))
+        spec = LocalFieldSpec(p, q, case // 4 % 2)
+        atoms = []
+        for _ in range(rng.randint(1, 5)):
+            coeffs = tuple(rng.randint(-3, 3) for _ in range(nfree))
+            if rng.random() < 0.25:
+                coeffs = (0,) * nfree
+            const = F(0) if rng.random() < 0.3 else F(rng.randint(0, 59), 60)
+            atoms.append((AffineAngle(const, coeffs), rng.randint(1, 3)))
+        regularize = case // 8 % 2 == 1
+        prog = FactorProgram.compile(atoms, spec, nfree, regularize)
+        unit_groups += any(prog.unit_coeffs)
+        t = np.array([[rng.random() for _ in range(257)]
+                      for _ in range(nfree)]).reshape(nfree, 257)
+        for s in (0.0, 0.37, 0.05 - 0.4j):
+            want, smallest, cond, kept = _per_factor_eval(
+                atoms, spec, nfree, regularize, t, s)
+            got = prog.eval(t, s)
+            assert got.shape == (t.shape[1] if nfree else 1,)
+            assert len(prog.factors) == kept
+            ok = smallest >= 1e-6
+            compared += int(ok.sum())
+            # each factor's rounding is a few 1e-16 in both formulas, so
+            # the relative difference may grow like 1e-15 times sum 1/|g|
+            rel = np.abs(got - want)[ok] / np.abs(want)[ok]
+            assert np.all(rel <= 1e-12 + 1e-14 * cond[ok]), \
+                (case, s, float(rel.max()))
+    assert compared > 50000 and unit_groups > 20
+
+
+def test_trig_phi_matches_direct_sum():
+    rng = np.random.default_rng(7)
+    dims = (1, 2, 1, 3, 2, 1)
+    angles = rng.random((len(dims), 301)) * 3 - 1
+    terms = [(1, 1, 0.3 + 0.1j), (2, 1, -0.2 + 0j), (-3, 2, 0.1 - 0.4j),
+             (0, 3, 0.5 + 0j), (-1, 1, 0.05j), (4, 5, 1.0 + 0j)]
+    want = np.full(angles.shape[1], 0.8, dtype=complex)
+    for h, k, c in terms:
+        rows = [b for b, kb in enumerate(dims) if kb == k]
+        ps = np.exp(2j * np.pi * h * angles[rows, :]).sum(axis=0)
+        want = want + (c * ps).real
+    got = TrigPhi(terms, const=0.8).values(dims, angles)
+    assert np.max(np.abs(got - want)) < 1e-13
+
+
+def test_inconsistent_constants_raise(monkeypatch):
+    good = limitcheck.appendix_constants(T_D3)
+    ComponentModel(T_D3, SPEC3)
+    for field in ("D", "N"):
+        bad = dataclasses.replace(good, **{field: getattr(good, field) + 1})
+        monkeypatch.setattr(limitcheck, "appendix_constants",
+                            lambda triple, bad=bad: bad)
+        with pytest.raises(ArithmeticError):
+            ComponentModel(T_D3, SPEC3)
+
+
+def test_kernel_basis_check_raises(monkeypatch):
+    assert limitcheck._kernel_lattice_basis([2, 3, 1])
+    monkeypatch.setattr(limitcheck, "_ext_gcd", lambda a, b: (1, 1, 1))
+    with pytest.raises(ArithmeticError):
+        limitcheck._kernel_lattice_basis([2, 3, 1])

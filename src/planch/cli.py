@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -24,14 +23,6 @@ EXIT_BUDGET = 4
 
 class InputError(ValueError):
     pass
-
-
-def _apply_thread_cap():
-    cap = os.environ.get("PLANCH_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
 
 
 def _load_json(path: str):
@@ -411,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     ap = build_parser()
     args = ap.parse_args(argv)
     from .forms import DegenerateFormError, NotInGroupError, NotRegularError

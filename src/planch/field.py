@@ -227,10 +227,6 @@ class QuadraticCharacter:
     def value_at_minus_one(self) -> int:
         return self(-1)
 
-    def is_unramified(self) -> bool:
-        return all(self.on_class(c) == 1 for c in all_square_classes(self.p)
-                   if c.val_parity == 0)
-
     def unramified_angle(self) -> Fraction:
         """Turn angle of the unramified part: 0 if chi(pi) = 1 else 1/2."""
         pi_cls = square_class(self.p, self.p)

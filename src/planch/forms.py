@@ -557,11 +557,6 @@ class OddSOEmbedding:
         self.check_in_group(gm)
         return gm
 
-    def linear_form_of_nbar(self, g: Matrix) -> list:
-        """The V -> L component of an element of the lower unipotent radical."""
-        d = self.d
-        return [g[d][i] for i in range(d)]
-
 
 @lru_cache(maxsize=None)
 def _odd_so_gram(d: int) -> Matrix:

@@ -3,17 +3,21 @@
 The left-hand side is a singular s -> 0 limit of symmetric-square-weighted
 density integrals over a component of the tempered dual; the right-hand side
 is an exterior-square integral over the mirrored subtorus of its orthogonal
-locus.  This module compiles both integrands once per component (angles of
-every atom become affine forms in the free torus coordinates, with exact
-detection of identically-vanishing factors).  Factors are grouped by their
-integer coefficient vectors, so that evaluation on a grid takes one complex
-exponential per free coordinate and builds every factor from phasor
-products.  Both sides are integrated on uniform offset midpoint grids whose
-size grows like 1/s; the s -> 0 limit is taken by Richardson extrapolation.
+locus.  Gamma factors are compiled once per component (``FactorProgram``:
+atom angles become affine forms in the free torus coordinates, with exact
+detection of identically-vanishing factors, and factors are grouped by
+integer coefficient vector, so that a block of nodes takes one complex
+exponential per free coordinate).  The left integrand Ad(t, 0) / Sym^2(t, s)
+is one such program, and the test function is evaluated from its phasors.
+Both sides are integrated on uniform offset midpoint grids, the left one of
+size growing like 1/s, generated and summed chunk by chunk; the s -> 0 limit
+is taken by Richardson extrapolation.
 """
 
 from __future__ import annotations
 
+import cmath
+import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,6 +26,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .field import LocalFieldSpec, gamma_trivial, gamma_star_trivial
+from .forms import det, mat
 from .spectral import mod1
 from .tempered import OrthTriple, TripleConstants, appendix_constants
 from .wdrep import (WDRep, ad_atoms, gamma_parts, sym2_atoms, wedge2_atoms)
@@ -64,9 +69,6 @@ class AffineAngle:
     def is_identically_zero(self) -> bool:
         return mod1(self.const) == 0 and all(c == 0 for c in self.coeffs)
 
-    def is_constant(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
 
 def _as_affine(x, nfree: int) -> AffineAngle:
     if isinstance(x, AffineAngle):
@@ -95,16 +97,40 @@ def _int_coeffs(a: AffineAngle) -> tuple:
 def _phasor_power(e: np.ndarray, k: int) -> np.ndarray:
     """e**k for unit-modulus e and a nonzero integer k, by repeated squaring;
     a negative power is the conjugate of the positive one."""
-    n = abs(k)
-    out, base = None, e
-    while True:
-        if n & 1:
-            out = base if out is None else out * base
-        n >>= 1
-        if not n:
-            break
-        base = base * base
-    return np.conj(out) if k < 0 else out
+    if k < 0:
+        return np.conj(_phasor_power(e, -k))
+    if k == 1:
+        return e
+    out = _phasor_power(e * e, k // 2)
+    return out * e if k % 2 else out
+
+
+class Phasors:
+    """The phasors of one block of m nodes t, shape (nfree, m): one exp per
+    free coordinate, E_r = e(t_r); each power E_r^k is built once, by
+    squaring or as the conjugate of E_r^-k, and kept for the block."""
+
+    def __init__(self, t: np.ndarray, m: int):
+        self.m = m
+        self._e = np.exp(2j * np.pi * t)
+        self._powers = {}
+
+    def power(self, r: int, k: int) -> np.ndarray:
+        p = self._powers.get((r, k))
+        if p is None:
+            neg = self._powers.get((r, -k))
+            p = np.conj(neg) if neg is not None else _phasor_power(self._e[r], k)
+            self._powers[r, k] = p
+        return p
+
+    def monomial(self, c: tuple, scale: Optional[complex] = None) -> np.ndarray:
+        """scale * prod_r E_r^{c_r}, for c != 0 when unscaled; then it may be
+        a kept power: read it, do not write to it."""
+        out = None if scale is None else np.full(self.m, scale, dtype=complex)
+        for r, k in enumerate(c):
+            if k:
+                out = self.power(r, k) if out is None else out * self.power(r, k)
+        return out
 
 
 @dataclass
@@ -112,14 +138,13 @@ class FactorProgram:
     """A gamma factor of a family of representations, ready for grid
     evaluation.  Every factor is 1 - e(const + c.t) q^{-(sdir s + shift)}
     with an integer vector c, so the factors are grouped by c at compile
-    time: on a grid, ``eval`` takes one exp per free coordinate,
-    E_r = e(t_r), builds each group's phasor P_c = prod_r E_r^{c_r} by
+    time: on a block of nodes, ``eval`` takes one exp per free coordinate
+    (``Phasors``), builds each group's phasor P_c = prod_r E_r^{c_r} by
     multiplication, and costs each factor 1 - a_f P_c with the scalar
     a_f = e(const_f) q^{-(sdir s + shift)}.  Factors with c = 0 and the
-    constant part of the monomial fold into one scalar.  ``factors`` keeps
-    one entry per kept factor.  ``dropped`` counts identically-vanishing
-    numerator factors removed by regularization (each contributes exactly 1
-    after pairing with a zeta factor)."""
+    monomial e(unit) q^{qpow - exponent s} fold into one scalar, except the
+    monomial's phasor, P_c with c = ``unit_coeffs``.  ``factors`` keeps one
+    entry per kept factor; ``quotient`` joins two programs into one."""
 
     q: int
     nfree: int
@@ -128,11 +153,10 @@ class FactorProgram:
     qpow: float
     exponent: float
     factors: list
-    dropped: int = 0
-    vanishing_kept: int = 0  # identically-vanishing factors kept (plain eval)
 
-    # nodes per pass of ``eval``: its temporaries stay in cache
-    BLOCK = 1 << 13
+    # nodes per pass of ``eval`` and per chunk of a streamed grid: the
+    # temporaries stay in cache and well below malloc's 128 KiB mmap threshold
+    BLOCK = 1 << 12
 
     def __post_init__(self):
         groups = {}
@@ -147,10 +171,6 @@ class FactorProgram:
         # denominator factor indices) for each group sharing P_c = e(c.t)
         self._groups = [(c, c == self.unit_coeffs, nu, de)
                         for c, (nu, de) in groups.items()]
-        # the phasor powers E_r^k the groups need; E_r^k before E_r^-k
-        self._powers = sorted({(r, k) for c, *_ in self._groups
-                               for r, k in enumerate(c) if k},
-                              key=lambda rk: (rk[0], abs(rk[1]), rk[1] < 0))
         self._rot = np.exp(2j * np.pi * np.array(
             [float(f.const) for f in self.factors], dtype=float))
         self._shift = np.array([f.shift for f in self.factors], dtype=float)
@@ -159,17 +179,16 @@ class FactorProgram:
     @classmethod
     def compile(cls, atoms, spec: LocalFieldSpec, nfree: int,
                 regularize: bool) -> "FactorProgram":
+        """With ``regularize``, identically-vanishing numerator factors are
+        left out: each gives exactly 1 after pairing with a zeta factor."""
         atoms = [(_as_affine(u, nfree), m) for (u, m) in atoms]
         unit, qpow, exponent, num, den = gamma_parts(atoms, spec.psi_level)
         unit = _as_affine(unit, nfree)
-        factors, dropped, kept = [], 0, 0
+        factors = []
         for (a, r, sd) in num:
             a = _as_affine(a, nfree)
-            if r == 0 and a.is_identically_zero():
-                if regularize:
-                    dropped += 1
-                    continue
-                kept += 1
+            if regularize and r == 0 and a.is_identically_zero():
+                continue
             factors.append(_Factor(mod1(a.const), _int_coeffs(a), float(r), sd,
                                    True))
         for (a, r, sd) in den:
@@ -180,74 +199,92 @@ class FactorProgram:
                                    False))
         return cls(q=spec.q, nfree=nfree, unit_const=mod1(unit.const),
                    unit_coeffs=_int_coeffs(unit),
-                   qpow=float(qpow), exponent=float(exponent),
-                   factors=factors, dropped=dropped, vanishing_kept=kept)
+                   qpow=float(qpow), exponent=float(exponent), factors=factors)
+
+    def quotient(self, den: "FactorProgram") -> "FactorProgram":
+        """self(t, 0) / den(t, s) as one program over the same torus: self's
+        factors are frozen at s = 0, den's cross the fraction bar and its
+        monomial is inverted.  Factors of both with one coefficient vector
+        share its phasor."""
+        return FactorProgram(
+            q=self.q, nfree=self.nfree,
+            unit_const=mod1(self.unit_const - den.unit_const),
+            unit_coeffs=tuple(a - b for a, b in zip(self.unit_coeffs,
+                                                    den.unit_coeffs)),
+            qpow=self.qpow - den.qpow, exponent=-den.exponent,
+            factors=([dataclasses.replace(f, sdir=0) for f in self.factors]
+                     + [dataclasses.replace(f, in_num=not f.in_num)
+                        for f in den.factors]))
 
     def eval(self, t: np.ndarray, s: complex) -> np.ndarray:
         """Evaluate at the grid ``t`` of shape (nfree, M) and the point s."""
+        return self.eval_weighted(t, s, None)
+
+    def eval_weighted(self, t: np.ndarray, s: complex,
+                      weight: Optional[Callable]) -> np.ndarray:
+        """``eval`` times ``weight(ph)`` on each block, ph its ``Phasors``."""
         a = self._rot * self.q ** (-(self._sdir * s + self._shift))
         scalar = (np.exp(2j * np.pi * float(self.unit_const))
                   * (self.q ** self.qpow) * self.q ** (-self.exponent * s))
         scalar = scalar * np.prod(1.0 - a[self._scalar_num]) \
             / np.prod(1.0 - a[self._scalar_den])
         m = t.shape[1] if self.nfree else 1
-        if not self._groups:
-            return np.full(m, scalar, dtype=complex)
         out = np.empty(m, dtype=complex)
         for i in range(0, m, self.BLOCK):
-            out[i:i + self.BLOCK] = self._eval_block(t[:, i:i + self.BLOCK], a,
-                                                     scalar)
+            ph = Phasors(t[:, i:i + self.BLOCK], min(m - i, self.BLOCK))
+            num, den = out[i:i + ph.m], np.ones(ph.m, dtype=complex)
+            np.multiply(1.0 if weight is None else weight(ph), scalar, out=num)
+            tmp = np.empty_like(den)
+            for c, unit, num_idx, den_idx in self._groups:
+                phasor = ph.monomial(c)
+                if unit:
+                    num *= phasor
+                for acc, idx in ((num, num_idx), (den, den_idx)):
+                    for f in idx:
+                        np.multiply(phasor, -a[f], out=tmp)
+                        tmp += 1.0
+                        acc *= tmp
+            num /= den
         return out
-
-    def _eval_block(self, t: np.ndarray, a: np.ndarray,
-                    scalar: complex) -> np.ndarray:
-        e = np.exp(2j * np.pi * t)
-        power = {}
-        for r, k in self._powers:
-            power[r, k] = (np.conj(power[r, -k]) if (r, -k) in power
-                           else _phasor_power(e[r], k))
-        num = np.full(t.shape[1], scalar, dtype=complex)
-        den = np.ones(t.shape[1], dtype=complex)
-        tmp = np.empty_like(num)
-        for c, unit, num_idx, den_idx in self._groups:
-            terms = [power[r, k] for r, k in enumerate(c) if k]
-            phasor = terms[0]
-            for p in terms[1:]:
-                phasor = phasor * p
-            if unit:
-                num *= phasor
-            for acc, idx in ((num, num_idx), (den, den_idx)):
-                for i in idx:
-                    np.multiply(phasor, -a[i], out=tmp)
-                    tmp += 1.0
-                    acc *= tmp
-        return num / den
-
-    def eval_regularized(self, t: np.ndarray) -> np.ndarray:
-        """The regularized value at s = 0 (compile with regularize=True)."""
-        return self.eval(t, 0.0)
 
 
 # -- test functions ----------------------------------------------------------------
 
 
 class TestFunction:
-    """A smooth Weyl-invariant function of a tempered point, evaluated on
-    arrays of per-block angles (shape (S, M))."""
+    """A smooth Weyl-invariant function Phi of a tempered point.  The
+    quadratures evaluate its phasor form, ``phasor_values``, from their own
+    phasors; ``values``, at per-block angles of shape (S, M), wraps it.  A
+    subclass may define ``values`` alone.  The classes below bind ``values``
+    themselves, so that each can be wrapped (traced) on its own."""
 
     def values(self, dims: tuple, angles: np.ndarray) -> np.ndarray:
+        vals = self.phasor_values(dims, np.exp(2j * np.pi * angles))
+        return np.broadcast_to(vals, angles.shape[1:]).astype(complex)
+
+    def phasor_values(self, dims: tuple, z) -> np.ndarray:
+        """Phi at block phasors z (S rows of M nodes), or one scalar."""
         raise NotImplementedError
 
     def describe(self) -> dict:
         raise NotImplementedError
 
 
+def _has_phasor_form(phi: TestFunction) -> bool:
+    """Whether phi's values wrap its phasor form: the class that defines
+    its ``values`` defines ``phasor_values`` too."""
+    owner = next(c for c in type(phi).__mro__ if "values" in vars(c))
+    return "phasor_values" in vars(owner)
+
+
 class ConstantPhi(TestFunction):
     def __init__(self, c: float = 1.0):
         self.c = float(c)
 
-    def values(self, dims, angles):
-        return np.full(angles.shape[1], self.c, dtype=complex)
+    values = TestFunction.values
+
+    def phasor_values(self, dims, z):
+        return self.c
 
     def describe(self):
         return {"kind": "constant", "c": self.c}
@@ -255,29 +292,24 @@ class ConstantPhi(TestFunction):
 
 class TrigPhi(TestFunction):
     """const + Re( sum of coeff * powersum_{h,k} ), where powersum_{h,k} is
-    the sum of e^{2 pi i h theta_b} over blocks of size k.  Invariant under
-    any permutation of equal-size blocks."""
+    the sum of z_b^h = e^{2 pi i h theta_b} over blocks of size k.
+    Invariant under any permutation of equal-size blocks."""
 
     def __init__(self, terms: Sequence[tuple], const: float = 1.0):
         # terms: (h, k, coeff)
         self.terms = [(int(h), int(k), complex(c)) for (h, k, c) in terms]
         self.const = float(const)
 
-    def values(self, dims, angles):
-        out = np.full(angles.shape[1], self.const, dtype=complex)
-        dims = np.array(dims)
-        phasors = {}  # block size k -> e(angles) on the blocks of size k
+    values = TestFunction.values
+
+    def phasor_values(self, dims, z):
+        out = np.full(len(z[0]), self.const)
         for (h, k, c) in self.terms:
-            rows = np.nonzero(dims == k)[0]
-            if len(rows) == 0:
-                continue
+            rows = [b for b, kb in enumerate(dims) if kb == k]
             if h == 0:
-                ps = len(rows)
+                out += (c * len(rows)).real
             else:
-                if k not in phasors:
-                    phasors[k] = np.exp(2j * np.pi * angles[rows, :])
-                ps = _phasor_power(phasors[k], h).sum(axis=0)
-            out = out + (c * ps).real
+                out += (c * sum(_phasor_power(z[b], h) for b in rows)).real
         return out
 
     def describe(self):
@@ -287,24 +319,25 @@ class TrigPhi(TestFunction):
 
 class GaussianPhi(TestFunction):
     """Product over blocks of a truncated-Fourier Gaussian bump on the
-    circle; multiset-invariant by construction."""
+    circle, 1 + sum_h 2 e^{-(width h)^2} cos 2 pi h (theta - center), whose
+    cosines are Re(e(-h center) z^h); multiset-invariant by construction."""
 
     def __init__(self, width: float = 0.35, center: float = 0.0, hmax: int = 8):
         self.width = float(width)
         self.center = float(center)
         self.hmax = int(hmax)
 
-    def _bump(self, theta):
-        val = np.ones_like(theta)
-        for h in range(1, self.hmax + 1):
-            val = val + 2 * math.exp(-(self.width * h) ** 2) * \
-                np.cos(2 * np.pi * h * (theta - self.center))
-        return val
+    values = TestFunction.values
 
-    def values(self, dims, angles):
-        out = np.ones(angles.shape[1], dtype=complex)
-        for b in range(angles.shape[0]):
-            out = out * self._bump(angles[b, :])
+    def phasor_values(self, dims, z):
+        out = 1.0
+        for zb in z:
+            bump, power = 1.0, 1.0
+            for h in range(1, self.hmax + 1):
+                power = power * zb
+                bump = bump + (2 * math.exp(-(self.width * h) ** 2) * cmath.exp(
+                    -2j * math.pi * h * self.center) * power).real
+            out = out * bump
         return out
 
     def describe(self):
@@ -385,11 +418,6 @@ def _ext_gcd(a: int, b: int):
         return a, 1, 0
     g, x, y = _ext_gcd(b, a % b)
     return g, y, x - (a // b) * y
-
-
-def _det_fraction(m) -> Fraction:
-    from .forms import det as _det, mat as _mat
-    return _det(_mat(m))
 
 
 def component_blocks(triple: OrthTriple) -> list:
@@ -521,20 +549,18 @@ class ComponentModel:
         self.blocks = blocks
         self.dims = tuple(k for k, _ in blocks)
         self.S = len(blocks)
-        self.base_angles = np.array([float(u) for _, u in blocks])[:, None]
 
         # LHS torus: kernel-lattice basis of the block-dimension vector
         kvec = [k for k, _ in blocks]
         basis = _kernel_lattice_basis(kvec)
         self.R_lhs = len(basis)
-        self.V = np.array(basis, dtype=float).T if basis else np.zeros((self.S, 0))
         if self.R_lhs:
             cols = [[kvec[b] * basis[r][b] for b in range(self.S)]
                     for r in range(self.R_lhs)]
             e0 = [1] + [0] * (self.S - 1)
             m = [[cols[r][b] for r in range(self.R_lhs)] + [e0[b]]
                  for b in range(self.S)]
-            self.J_k = abs(_det_fraction(m))
+            self.J_k = abs(det(mat(m)))
         else:
             self.J_k = Fraction(1)
 
@@ -547,13 +573,12 @@ class ComponentModel:
                                               self.R_lhs, regularize=False)
         self.ad_lhs = FactorProgram.compile(_ad_over_center(lhs_atoms), spec,
                                             self.R_lhs, regularize=True)
+        self.lhs_program = self.ad_lhs.quotient(self.sym2_lhs)
 
         # RHS subtorus: free coordinates per the mirror relations
         self.R_rhs, struct = mirror_structure(triple)
         rows = [(0,) * self.R_rhs if rw is None
                 else _unit_row(self.R_rhs, rw[0], rw[1]) for rw in struct]
-        self.mirror_rows = np.array(rows, dtype=float).reshape(self.S,
-                                                               self.R_rhs)
         rhs_atoms = [(AffineAngle(u, rows[b]), k)
                      for b, (k, u) in enumerate(blocks)]
         self.rhs_atoms = rhs_atoms
@@ -565,23 +590,29 @@ class ComponentModel:
     # -- angle grids --------------------------------------------------------
 
     def lhs_angles(self, t: np.ndarray) -> np.ndarray:
-        return self.base_angles + (self.V @ t if self.R_lhs else 0.0)
-
-    def rhs_angles(self, t: np.ndarray) -> np.ndarray:
-        return self.base_angles + (self.mirror_rows @ t if self.R_rhs else 0.0)
+        return _atom_angles(self.lhs_atoms, t)
 
     # -- integrands ------------------------------------------------------------
 
     def lhs_integrand(self, phi: TestFunction, t: np.ndarray,
                       s: float) -> np.ndarray:
-        vals = phi.values(self.dims, self.lhs_angles(t))
-        vals = vals / self.sym2_lhs.eval(t, s)
-        vals = vals * self.ad_lhs.eval_regularized(t)
-        return vals
+        """Phi Ad(t, 0) / Sym^2(t, s) at the nodes t, shape (R_lhs, M)."""
+        return self._times_phi(self.lhs_program, phi, t, s, self.lhs_atoms)
 
     def rhs_integrand(self, phi: TestFunction, t: np.ndarray) -> np.ndarray:
-        vals = phi.values(self.dims, self.rhs_angles(t))
-        return vals * self.wedge2_rhs.eval_regularized(t)
+        """Phi times the regularized wedge^2 gamma factor at the nodes t."""
+        return self._times_phi(self.wedge2_rhs, phi, t, 0.0, self.rhs_atoms)
+
+    def _times_phi(self, prog, phi, t, s, atoms) -> np.ndarray:
+        """prog(t, s) times phi.  With a phasor form, phi comes from the
+        program's own powers of E_r = e(t_r): block b's phasor, for its atom
+        angle base_b + c_b.t, is e(base_b) prod_r E_r^{c_br}."""
+        if not _has_phasor_form(phi):
+            return prog.eval_weighted(t, s, None) * phi.values(
+                self.dims, _atom_angles(atoms, t))
+        return prog.eval_weighted(t, s, lambda ph: phi.phasor_values(
+            self.dims, [ph.monomial(a.coeffs, cmath.exp(2j * math.pi * a.const))
+                        for a, _ in atoms]))
 
     # -- quadrature ---------------------------------------------------------------
 
@@ -603,23 +634,19 @@ class ComponentModel:
         """Mean of the LHS integrand over the component torus; returns
         (mean, error_estimate, nodes, budget_flag)."""
         dim = self.R_lhs
+
+        def integrand(t):
+            return self.lhs_integrand(phi, t, s)
+
         if dim == 0:
-            v = self.lhs_integrand(phi, np.zeros((0, 1)), s)[0]
-            return v, 0.0, 1, False
+            return _grid_mean(integrand, 0, 1, cfg.offset), 0.0, 1, False
         n, capped = self.lhs_grid_size(s, cfg)
-        mean = self._grid_mean(lambda t: self.lhs_integrand(phi, t, s), dim,
-                               n, cfg.offset)
+        mean = _grid_mean(integrand, dim, n, cfg.offset)
         # self-consistency estimate on a coarser incommensurate grid
         n2 = max(cfg.n_base // 2, int(n / math.sqrt(2)))
-        mean2 = self._grid_mean(lambda t: self.lhs_integrand(phi, t, s), dim,
-                                n2, cfg.offset)
+        mean2 = _grid_mean(integrand, dim, n2, cfg.offset)
         err = abs(mean - mean2)
         return mean, err, n ** dim + n2 ** dim, capped
-
-    def _grid_mean(self, fun, dim, n, offset) -> complex:
-        t = _midpoint_grid(dim, n, offset)
-        vals = _chunked(fun, t)
-        return complex(vals.sum() / vals.size)
 
     def lhs_value(self, phi: TestFunction, s: float, cfg: QuadConfig):
         """d * gamma(s, 1, psi) * (component constants) * mean."""
@@ -635,12 +662,8 @@ class ComponentModel:
 
     def rhs_value(self, phi: TestFunction, cfg: QuadConfig) -> complex:
         c = self.consts
-        dim = self.R_rhs
-        if dim == 0:
-            mean = self.rhs_integrand(phi, np.zeros((0, 1)))[0]
-        else:
-            t = _midpoint_grid(dim, cfg.rhs_n, cfg.offset)
-            mean = complex(np.mean(self.rhs_integrand(phi, t)))
+        mean = _grid_mean(lambda t: self.rhs_integrand(phi, t), self.R_rhs,
+                          cfg.rhs_n, cfg.offset)
         two_pi_over_logq = 2 * math.pi / math.log(self.spec.q)
         const = (2 * (self.chi_minus_one ** (self.d - 1))
                  * (c.D * self.dprime / c.P)
@@ -653,12 +676,8 @@ class ComponentModel:
         factors dropped: J_k / (P F) times the plain mean of phi, F the
         covering order (= |W(M, sigma)| for twist-inequivalent blocks)."""
         c = self.consts
-        if self.R_lhs == 0:
-            mean = complex(phi.values(self.dims, self.lhs_angles(
-                np.zeros((0, 1))))[0])
-        else:
-            t = _midpoint_grid(self.R_lhs, cfg.n_base, cfg.offset)
-            mean = complex(np.mean(phi.values(self.dims, self.lhs_angles(t))))
+        mean = _grid_mean(lambda t: phi.values(self.dims, self.lhs_angles(t)),
+                          self.R_lhs, cfg.n_base, cfg.offset)
         return float(self.J_k) / (c.P * self.F_lhs) * mean.real
 
 
@@ -672,6 +691,12 @@ def _ad_over_center(atoms):
     raise AssertionError("adjoint family lost its trivial atom")
 
 
+def _atom_angles(atoms, t: np.ndarray) -> np.ndarray:
+    """Each atom's angle const + c.t at the nodes t: shape (len(atoms), M)."""
+    return np.array([float(a.const) + np.array(a.coeffs, dtype=float) @ t
+                     for a, _ in atoms])
+
+
 def _unit_row(n: int, i: int, val: int) -> tuple:
     row = [0] * n
     row[i] = val
@@ -681,23 +706,24 @@ def _unit_row(n: int, i: int, val: int) -> tuple:
 # -- grids -----------------------------------------------------------------------
 
 
-def _midpoint_grid(dim: int, n: int, offset: float) -> np.ndarray:
-    """Uniform offset grid in lexicographic order; for periodic integrands
-    this is the trapezoid rule up to translation, hence spectrally accurate.
-    The golden offset keeps nodes off the exact singular loci."""
-    axes = [(np.arange(n) + 0.5 + offset) / n for _ in range(dim)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=0)
-
-
-def _chunked(fun: Callable, t: np.ndarray, chunk: int = 1 << 18) -> np.ndarray:
-    m = t.shape[1]
-    if m == 0:
-        return np.zeros(0, dtype=complex)
-    if m <= chunk:
-        return fun(t)
-    parts = [fun(t[:, i:i + chunk]) for i in range(0, m, chunk)]
-    return np.concatenate(parts)
+def _grid_mean(fun: Callable, dim: int, n: int, offset: float) -> complex:
+    """Mean of fun over the uniform offset grid of n^dim nodes (n^0 = 1: a
+    point), node (i_1..i_dim) at ((i_r + 1/2 + offset) / n)_r.  For periodic
+    integrands this is the trapezoid rule up to translation, hence
+    spectrally accurate; the golden offset keeps nodes off the exact
+    singular loci.  Each chunk of nodes is made from its index range and
+    summed at once, so memory does not grow with the grid."""
+    size = n ** dim
+    total = 0j
+    chunk = FactorProgram.BLOCK
+    for i in range(0, size, chunk):
+        idx = np.arange(i, min(size, i + chunk))
+        t = np.empty((dim, len(idx)))
+        for r in reversed(range(dim)):
+            idx, k = np.divmod(idx, n)
+            t[r] = (k + 0.5 + offset) / n
+        total += complex(fun(t).sum())
+    return total / size
 
 
 # -- extrapolation and the report ---------------------------------------------------

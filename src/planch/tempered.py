@@ -191,10 +191,6 @@ class OrthTriple:
             blocks += [TempBlock(a.sp, a.angle)] * q
         return TempPoint(tuple(blocks))
 
-    def chi_angle(self) -> Fraction:
-        """Determinant angle of the component: the unramified part of chi."""
-        return self.base_point().parameter().determinant()
-
     def weyl_orders(self) -> tuple[int, int]:
         """(|W|, |W'|): the full stabilizer and the mirrored-twist subgroup."""
         w = 1

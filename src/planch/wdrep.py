@@ -91,10 +91,6 @@ def ad_atoms(a: Sequence[Atom]) -> list[Atom]:
     return tensor_atoms(a, dual_atoms(a))
 
 
-def atoms_dim(a: Sequence[Atom]) -> int:
-    return sum(m for _, m in a)
-
-
 # -- local factors of an atom list -------------------------------------------
 
 def gamma_parts(atoms: Sequence[Atom], psi_level: int):

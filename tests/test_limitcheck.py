@@ -251,12 +251,14 @@ def _per_factor_eval(atoms, spec, nfree, regularize, t, s):
         return np.exp(2j * np.pi * (float(a.const)
                                     + np.array(a.coeffs, dtype=float) @ t))
 
-    val = e(unit) * q ** float(qpow) * q ** (-float(exponent) * s)
+    val = (e(limitcheck._as_affine(unit, nfree)) * q ** float(qpow)
+           * q ** (-float(exponent) * s))
     smallest = np.full(t.shape[1], np.inf)
     cond = np.zeros(t.shape[1])
     kept = 0
     for factors, in_num in ((num, True), (den, False)):
         for (a, r, sd) in factors:
+            a = limitcheck._as_affine(a, nfree)
             if regularize and in_num and r == 0 and a.is_identically_zero():
                 continue
             g = 1.0 - e(a) * q ** (-(sd * s + float(r)))
@@ -337,3 +339,168 @@ def test_kernel_basis_check_raises(monkeypatch):
     monkeypatch.setattr(limitcheck, "_ext_gcd", lambda a, b: (1, 1, 1))
     with pytest.raises(ArithmeticError):
         limitcheck._kernel_lattice_basis([2, 3, 1])
+
+
+def test_gaussian_phi_matches_cosine_sum():
+    rng = np.random.default_rng(11)
+    angles = rng.random((3, 401)) * 3 - 1
+    phi = GaussianPhi(width=0.45, center=0.3, hmax=7)
+    want = np.ones(angles.shape[1])
+    for theta in angles:
+        want = want * (1 + sum(2 * math.exp(-(0.45 * h) ** 2)
+                               * np.cos(2 * np.pi * h * (theta - 0.3))
+                               for h in range(1, 8)))
+    got = phi.values((1, 1, 1), angles)
+    assert got.dtype == complex
+    assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+
+
+class AngleOnlyPhi(TestFunction):
+    """Weyl-invariant, with ``values`` alone: no phasor form."""
+
+    def values(self, dims, angles):
+        return (1.0 + 0.3 * np.cos(2 * np.pi * angles).sum(axis=0)
+                + 0.1j * np.sin(4 * np.pi * angles).sum(axis=0))
+
+
+class ShiftedTrigPhi(TrigPhi):
+    """Overrides the inherited ``values`` only: TrigPhi's phasor form is no
+    longer its values, so the integrands must not use it."""
+
+    def values(self, dims, angles):
+        return super().values(dims, angles) + 0.5
+
+
+def test_fused_integrand_matches_separate_programs():
+    """lhs_integrand, one program with Phi from its phasors, against Phi at
+    the angles times Ad(t, 0) / Sym^2(t, s) from the two programs."""
+    rng = np.random.default_rng(606)
+    phis = (ConstantPhi(1.7), TrigPhi([(1, 1, 0.2 + 0.1j), (2, 2, -0.15 + 0j),
+                                       (-1, 1, 0.05j)], const=1.0),
+            GaussianPhi(width=1.0, center=0.2, hmax=3), AngleOnlyPhi(),
+            ShiftedTrigPhi([(1, 1, 0.3 + 0j)]))
+    compared = 0
+    for triple in (T_D1, T_IN, T_IS, T_IO3, T_D3):
+        model = ComponentModel(triple, SPEC3)
+        nfree = model.R_lhs
+        t = rng.random((nfree, 3000 if nfree else 1)) * 1.5 - 0.25
+        sym2 = limitcheck.sym2_atoms(model.lhs_atoms)
+        ad = limitcheck._ad_over_center(model.lhs_atoms)
+        _, small_ad, cond_ad, _ = _per_factor_eval(ad, SPEC3, nfree, True, t,
+                                                   0.0)
+        for s in (0.2, 0.0125):
+            _, small_sym, cond_sym, _ = _per_factor_eval(sym2, SPEC3, nfree,
+                                                         False, t, s)
+            ok = np.minimum(small_ad, small_sym) >= 1e-6
+            for phi in phis:
+                want = (phi.values(model.dims, model.lhs_angles(t))
+                        * model.ad_lhs.eval(t, 0.0)
+                        / model.sym2_lhs.eval(t, s))
+                got = model.lhs_integrand(phi, t, s)
+                assert got.shape == want.shape == (t.shape[1],)
+                rel = np.abs(got - want)[ok] / np.abs(want)[ok]
+                bound = 1e-12 + 1e-14 * (cond_ad + cond_sym)[ok]
+                assert np.all(rel <= bound), \
+                    (triple, s, type(phi).__name__, float(rel.max()))
+                compared += int(ok.sum())
+    assert compared > 100000
+
+
+def test_quotient_matches_ratio_of_programs():
+    """quotient(den) evaluates to self(t, 0) / den(t, s), unit phasors
+    included."""
+    rng = random.Random(77)
+    units = 0
+    for case in range(40):
+        nfree = 1 + case % 3
+        spec = LocalFieldSpec(3, 3, case % 2)
+        progs = []
+        for regularize in (True, False):
+            atoms = [(AffineAngle(F(rng.randint(0, 59), 60),
+                                  tuple(rng.randint(-2, 2)
+                                        for _ in range(nfree))),
+                      rng.randint(1, 3)) for _ in range(rng.randint(1, 4))]
+            progs.append(FactorProgram.compile(atoms, spec, nfree, regularize))
+        top, den = progs
+        quot = top.quotient(den)
+        units += any(quot.unit_coeffs)
+        t = np.array([[rng.random() for _ in range(200)]
+                      for _ in range(nfree)])
+        for s in (0.3, 0.02):
+            want = top.eval(t, 0.0) / den.eval(t, s)
+            got = quot.eval(t, s)
+            assert np.all(np.abs(got - want) <= 1e-11 * np.abs(want)), \
+                (case, s)
+    assert units > 10
+
+
+def _full_grid(dim, n, offset):
+    axes = [(np.arange(n) + 0.5 + offset) / n] * dim
+    return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")])
+
+
+def test_streamed_means_match_full_grid(monkeypatch):
+    """Small chunks, so that every grid spans several with a ragged last
+    one: the streamed means equal full-grid means."""
+    cfg = QuadConfig(n_base=16, rhs_n=40, resolution=6.0)
+    phi = TrigPhi([(1, 1, 0.25 + 0.1j), (2, 1, -0.1 + 0j)], const=1.0)
+    t_in2 = OrthTriple(dual_pairs=((WDAtom(F(1, 3), 1), 2),))
+    for triple, dim in ((T_IN, 1), (T_D3, 2), (t_in2, 3)):
+        model = ComponentModel(triple, SPEC3)
+        assert model.R_lhs == dim
+        s = 0.15
+        n, _ = model.lhs_grid_size(s, cfg)
+        n2 = max(cfg.n_base // 2, int(n / math.sqrt(2)))
+        chunk = n ** dim // 4 + 1
+        assert (n ** dim % chunk) and (n2 ** dim % chunk)
+        monkeypatch.setattr(FactorProgram, "BLOCK", chunk)
+        full = [np.mean(model.lhs_integrand(phi, _full_grid(dim, m, cfg.offset),
+                                            s)) for m in (n, n2)]
+        mean, err, nodes, _ = model.lhs_mean(phi, s, cfg)
+        assert abs(mean - full[0]) <= 1e-13 * abs(full[0])
+        assert abs(err - abs(full[0] - full[1])) <= 1e-13 * abs(full[0])
+        assert nodes == n ** dim + n2 ** dim
+
+        rhs = model.rhs_value(phi, cfg)
+        t = _full_grid(model.R_rhs, cfg.rhs_n, cfg.offset)
+        mean = np.mean(model.rhs_integrand(phi, t))
+        with monkeypatch.context() as m:
+            m.setattr(limitcheck, "_grid_mean", lambda *args: 1.0)
+            assert abs(rhs - model.rhs_value(phi, cfg) * mean) <= \
+                1e-13 * abs(rhs)
+
+
+def test_integrand_calls_cover_the_nodes_used(monkeypatch):
+    """Every node verify counts passes through lhs_integrand(phi, t, s) with
+    t as its third positional argument, and one call holds one chunk."""
+    seen = []
+    original = ComponentModel.lhs_integrand
+
+    def spy(self, phi, t, s, /):
+        seen.append(t.shape[1])
+        return original(self, phi, t, s)
+
+    monkeypatch.setattr(ComponentModel, "lhs_integrand", spy)
+    for triple in (T_D1, T_IN, T_D3):
+        seen.clear()
+        rep = verify(triple, TrigPhi([(1, 1, 0.2 + 0j)]), SPEC3, FAST)
+        assert sum(seen) == rep.nodes_used
+        assert max(seen) <= FactorProgram.BLOCK
+
+
+def test_lhs_mean_memory_does_not_grow_with_the_grid():
+    """One lhs_mean on T_D3 at s = 0.05 covers 729^2 + 515^2 nodes; the
+    streamed chunks keep its allocation peak to a few MB."""
+    import tracemalloc
+
+    model = ComponentModel(T_D3, SPEC3)
+    cfg = QuadConfig()
+    assert model.lhs_grid_size(0.05, cfg)[0] == 729
+    phi = TrigPhi([(1, 1, 0.3 + 0j)])
+    tracemalloc.start()
+    try:
+        model.lhs_mean(phi, 0.05, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20, peak

@@ -3,8 +3,10 @@
 planch <gamma|density|component-group|fd-rhs|limit-verify|classify-form|
         charpoly|so-embed> [flags]
 
-Exit codes: 0 success/pass, 1 verification fail, 2 input error,
-3 precondition violation, 4 budget exhaustion.
+Exit codes: 0 success/pass, 1 verification fail, 2 malformed input (bad
+flags, unreadable JSON, a missing key or a wrong type in it), 3 precondition
+violation, 4 budget exhaustion.  Any other exception is a fault of planch
+and ends in a traceback.
 """
 
 from __future__ import annotations
@@ -33,6 +35,15 @@ def _load_json(path: str):
         raise InputError(f"cannot read JSON from {path}: {e}") from e
 
 
+def _from_json(build, data):
+    """build(data) for data read from JSON: a missing key or a value of the
+    wrong type there is malformed input."""
+    try:
+        return build(data)
+    except (KeyError, TypeError, AttributeError) as e:
+        raise InputError(f"malformed input: {e!r}") from e
+
+
 def _field_spec(args):
     from .field import LocalFieldSpec
 
@@ -58,7 +69,7 @@ def _load_rep(args):
     from .wdrep import WDRep, parse_rep_text
 
     if args.rep_file:
-        return WDRep.from_dict(_load_json(args.rep_file))
+        return _from_json(WDRep.from_dict, _load_json(args.rep_file))
     if args.rep:
         try:
             return parse_rep_text(args.rep)
@@ -171,12 +182,11 @@ def cmd_gamma(args) -> int:
 
 
 def cmd_density(args) -> int:
-    from .field import QuadraticCharacter
     from .tempered import (TempPoint, central_quotient_relation_check,
                            plancherel_density, plancherel_density_chi)
 
     spec = _field_spec(args)
-    pt = TempPoint.from_dict(_load_json(args.point))
+    pt = _from_json(TempPoint.from_dict, _load_json(args.point))
     mu = plancherel_density(pt, spec)
     report = _base_report(args, "density", "regularized-adjoint-gamma-density")
     result = {"point": pt.to_dict(), "mu": [mu.real, mu.imag]}
@@ -200,10 +210,10 @@ def _parse_chi(text: str, p: int):
         return QuadraticCharacter.unramified_quadratic(p)
     try:
         spec = json.loads(text)
-        return QuadraticCharacter.from_dict(p, {int(k): int(v)
-                                                for k, v in spec.items()})
     except json.JSONDecodeError as e:
         raise InputError(f"cannot parse character {text!r}: {e}")
+    return _from_json(lambda d: QuadraticCharacter.from_dict(
+        p, {int(k): int(v) for k, v in d.items()}), spec)
 
 
 def cmd_component_group(args) -> int:
@@ -233,8 +243,9 @@ def cmd_limit_verify(args) -> int:
     from .tempered import OrthTriple
 
     spec = _field_spec(args)
-    triple = OrthTriple.from_dict(_load_json(args.triple))
-    phi = phi_from_dict(_load_json(args.phi)) if args.phi else ConstantPhi(1.0)
+    triple = _from_json(OrthTriple.from_dict, _load_json(args.triple))
+    phi = (_from_json(phi_from_dict, _load_json(args.phi)) if args.phi
+           else ConstantPhi(1.0))
     s0, count = _parse_s_seq(args.s_seq)
     cfg = QuadConfig(s0=s0, s_count=count, tol=args.tol,
                      n_base=args.grid if args.grid else 128,
@@ -266,7 +277,7 @@ def cmd_classify_form(args) -> int:
 
     if args.p is None:
         raise InputError("classify-form requires --p")
-    b = BilForm.from_dict(_load_json(args.matrix))
+    b = _from_json(BilForm.from_dict, _load_json(args.matrix))
     label = classify_sharp(b, args.p)
     report = _base_report(args, "classify-form", "twisted-orbit-classification")
     result = {"matrix": b.to_dict()["matrix"], "kind": label.kind}
@@ -281,7 +292,7 @@ def cmd_classify_form(args) -> int:
 def cmd_charpoly(args) -> int:
     from .forms import BilForm, char_poly_twisted
 
-    b = BilForm.from_dict(_load_json(args.matrix))
+    b = _from_json(BilForm.from_dict, _load_json(args.matrix))
     coeffs = char_poly_twisted(b)
     report = _base_report(args, "charpoly", "twisted-characteristic-polynomial")
     report["result"] = {"matrix": b.to_dict()["matrix"],
@@ -291,19 +302,18 @@ def cmd_charpoly(args) -> int:
 
 
 def cmd_so_embed(args) -> int:
-    from .forms import (b_of_g, bruhat_factor, build_odd_so, in_g_prime, mat)
+    from .forms import b_of_g, build_odd_so, m_tilde_of, mat
 
     emb = build_odd_so(args.d)
     report = _base_report(args, "so-embed", "odd-orthogonal-open-cell")
     if args.ubar:
-        g = mat([[Fraction(x) for x in row] for row in _load_json(args.ubar)])
-        emb.check_in_group(g)
+        g = _from_json(lambda rows: mat([[Fraction(x) for x in row]
+                                         for row in rows]), _load_json(args.ubar))
         bg = b_of_g(emb, g)
         result = {"d": args.d, "B_g": bg.to_dict()["matrix"],
-                  "in_open_cell": in_g_prime(emb, g)}
+                  "in_open_cell": bg.is_nondegenerate()}
         if result["in_open_cell"]:
-            u1, mt, u2 = bruhat_factor(emb, g)
-            result["m_tilde"] = b_of_g(emb, mt).to_dict()["matrix"]
+            result["m_tilde"] = m_tilde_of(emb, g).to_dict()["matrix"]
         report["result"] = result
     else:
         report["result"] = {"d": args.d, "dim": emb.dim,
@@ -411,7 +421,7 @@ def main(argv=None) -> int:
 
     try:
         return args.func(args)
-    except (InputError, KeyError, TypeError) as e:
+    except InputError as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except (CentralCharacterMismatch, DegenerateFormError, NotInGroupError,

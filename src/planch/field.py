@@ -239,18 +239,11 @@ def char_eval(chi: QuadraticCharacter, x: Rational) -> int:
 
 
 def gamma_trivial(spec: LocalFieldSpec):
-    """The trivial-character gamma factor q^{n(1/2-s)} (1-q^{-s}) / (1-q^{s-1})."""
-    from .spectral import SpectralFunction, GeometricFactor
+    """The gamma factor of the trivial atom (the trivial character),
+    q^{n(1/2-s)} (1-q^{-s}) / (1-q^{s-1})."""
+    from .wdrep import WDRep
 
-    n = spec.psi_level
-    return SpectralFunction(
-        unit_angle=Fraction(0),
-        qpow=Fraction(n, 2),
-        exponent=Fraction(n),
-        num=(GeometricFactor(Fraction(0), Fraction(0)),),
-        den=(GeometricFactor(Fraction(0), Fraction(1), sdir=-1),),
-        q=spec.q,
-    )
+    return WDRep.of((0, 1)).gamma_factor(spec)
 
 
 def gamma_star_trivial(spec: LocalFieldSpec):

@@ -32,9 +32,7 @@ class DegenerateFormError(ValueError):
 
 
 class NotRegularError(ValueError):
-    def __init__(self, msg, fixed_dim=None):
-        super().__init__(msg)
-        self.fixed_dim = fixed_dim
+    pass
 
 
 # -- exact matrix helpers ------------------------------------------------------
@@ -442,8 +440,7 @@ def weyl_discriminant_twisted(b: BilForm, p: int, q: int) -> float:
     # eigenvalue collisions of the twisted action enlarge the stabilizer
     # beyond a torus (every stabilizer element commutes with gram^{-T} gram)
     if not poly_is_squarefree(char_poly_twisted(b)):
-        raise NotRegularError("eigenvalue collision in the twisted action",
-                              fixed_dim=None)
+        raise NotRegularError("eigenvalue collision in the twisted action")
     th = _theta_matrix(b.gram)
     n2 = d * d
     one_minus = mat_add(identity(n2), th, sign=-1)
@@ -451,10 +448,10 @@ def weyl_discriminant_twisted(b: BilForm, p: int, q: int) -> float:
     k = len(fix)
     if k != d // 2:
         raise NotRegularError(
-            f"fixed space has dimension {k}, expected {d // 2}", fixed_dim=k)
+            f"fixed space has dimension {k}, expected {d // 2}")
     if rank(mat_mul(one_minus, one_minus)) != n2 - k:
         raise NotRegularError("transverse part of 1 - Ad(gamma) is not "
-                              "semisimple", fixed_dim=k)
+                              "semisimple")
     # abelian check on the fixed algebra
     mats = [tuple(tuple(v[i * d + j] for j in range(d)) for i in range(d))
             for v in fix]
@@ -463,8 +460,7 @@ def weyl_discriminant_twisted(b: BilForm, p: int, q: int) -> float:
             br = mat_add(mat_mul(mats[i], mats[j]), mat_mul(mats[j], mats[i]),
                          sign=-1)
             if any(x != 0 for row in br for x in row):
-                raise NotRegularError("twisted centralizer is not abelian",
-                                      fixed_dim=k)
+                raise NotRegularError("twisted centralizer is not abelian")
     cp = charpoly(one_minus)
     lead = next(c for c in cp if c != 0)  # T^k g(T): +- product of nonzero eigenvalues
     if d == 1:
@@ -489,6 +485,9 @@ class OddSOEmbedding:
         return _odd_so_gram(self.d)
 
     def is_in_group(self, g: Matrix) -> tuple[bool, str]:
+        n = self.dim
+        if len(g) != n or any(len(row) != n for row in g):
+            return False, f"g is not {n} x {n}"
         j = self.gram()
         if not mat_eq(mat_mul(transpose(g), mat_mul(j, g)), j):
             return False, "g^T Q g != Q"
@@ -515,7 +514,8 @@ class OddSOEmbedding:
 
     def n_bar_element(self, ell: Sequence, s: Matrix) -> Matrix:
         """The element of the lower unipotent radical with linear form ell
-        and V -> V* block S; requires S + S^T = -ell ell^T."""
+        and V -> V* block S; S + S^T = -ell ell^T is checked, and with it the
+        element is in the group."""
         d, n = self.d, self.dim
         ell = [Fraction(x) for x in ell]
         s = mat(s)
@@ -531,13 +531,11 @@ class OddSOEmbedding:
             for j in range(d):
                 g[d + 1 + i][j] = s[i][j]
         g[d][d] = Fraction(1)
-        gm = mat(g)
-        self.check_in_group(gm)
-        return gm
+        return mat(g)
 
     def n_element(self, w: Sequence, u: Matrix) -> Matrix:
         """Upper unipotent: V* -> V block U and column w with
-        U + U^T = -w w^T."""
+        U + U^T = -w w^T (checked; with it the element is in the group)."""
         d, n = self.d, self.dim
         w = [Fraction(x) for x in w]
         u = mat(u)
@@ -553,9 +551,7 @@ class OddSOEmbedding:
             for j in range(d):
                 g[i][d + 1 + j] = u[i][j]
         g[d][d] = Fraction(1)
-        gm = mat(g)
-        self.check_in_group(gm)
-        return gm
+        return mat(g)
 
 
 @lru_cache(maxsize=None)
@@ -575,9 +571,17 @@ def build_odd_so(d: int) -> OddSOEmbedding:
     return OddSOEmbedding(d)
 
 
+# The public entries below check their argument's group membership once;
+# what they build from it is in the group by construction.
+
+
 def b_of_g(emb: OddSOEmbedding, g: Matrix) -> BilForm:
     """B_g(x, y) = Q(g x, y) restricted to V: the V x V block of g^T Q."""
     emb.check_in_group(g)
+    return _b_of_g(emb, g)
+
+
+def _b_of_g(emb: OddSOEmbedding, g: Matrix) -> BilForm:
     d = emb.d
     tq = mat_mul(transpose(g), emb.gram())
     return BilForm(tuple(tuple(tq[i][j] for j in range(d)) for i in range(d)))
@@ -591,6 +595,12 @@ def bruhat_factor(emb: OddSOEmbedding, g: Matrix):
     """Factor g in G' as u1 * mtilde * u2 with u1, u2 upper unipotent and
     mtilde in the twisted Levi component; returns (u1, mtilde, u2)."""
     emb.check_in_group(g)
+    return _bruhat_factor(emb, g)
+
+
+def _bruhat_factor(emb: OddSOEmbedding, g: Matrix):
+    """``bruhat_factor`` of a group element g: u1 and u2 are unipotent by
+    construction, and mtilde = u1^{-1} g u2^{-1}, checked exactly."""
     d, n = emb.d, emb.dim
 
     def blk(r0, c0, nr, nc):
@@ -622,7 +632,6 @@ def bruhat_factor(emb: OddSOEmbedding, g: Matrix):
             mt[d + 1 + i][j] = e[i][j]
     mt[d][d] = Fraction(a)
     mt = mat(mt)
-    emb.check_in_group(mt)
     if not mat_eq(mat_mul(u1, mat_mul(mt, u2)), g):
         raise AssertionError("Bruhat factorization failed to reconstruct g")
     return u1, mt, u2
@@ -631,11 +640,10 @@ def bruhat_factor(emb: OddSOEmbedding, g: Matrix):
 def m_tilde_of(emb: OddSOEmbedding, ubar: Matrix) -> Optional[BilForm]:
     """The twisted-Levi component of an element of the lower unipotent
     radical, as a bilinear form on V; None when B_ubar is degenerate."""
-    emb.check_in_group(ubar)
     if not in_g_prime(emb, ubar):
         return None
-    _, mt, _ = bruhat_factor(emb, ubar)
-    return b_of_g(emb, mt)
+    _, mt, _ = _bruhat_factor(emb, ubar)
+    return _b_of_g(emb, mt)
 
 
 def closure_family_member(t: SquareClass, d: int, lam) -> BilForm:

@@ -11,7 +11,9 @@ exponential per free coordinate).  The left integrand Ad(t, 0) / Sym^2(t, s)
 is one such program, and the test function is evaluated from its phasors.
 Both sides are integrated on uniform offset midpoint grids, the left one of
 size growing like 1/s, generated and summed chunk by chunk; the s -> 0 limit
-is taken by Richardson extrapolation.
+is taken by Richardson extrapolation.  The order of a triple's blocks and
+their pairing into mirror rows, which both sides and the constants joining
+them depend on, are decided in one place, ``OrthTriple.layout()``.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -421,50 +424,32 @@ def _ext_gcd(a: int, b: int):
 
 
 def component_blocks(triple: OrthTriple) -> list:
-    """Canonical block order: dual pairs (sigma side then dual side), then
-    symplectic copies, then orthogonal copies; entries (k, base angle)."""
-    blocks = []
-    for a, m in triple.dual_pairs:
-        blocks += [(a.sp, a.angle)] * m
-    for a, m in triple.dual_pairs:
-        blocks += [(a.sp, mod1(-a.angle))] * m
-    for a, p in triple.symplectic:
-        blocks += [(a.sp, a.angle)] * p
-    for a, q in triple.orthogonal:
-        blocks += [(a.sp, a.angle)] * q
-    return blocks
+    """The blocks (k, base angle) in the order of ``triple.layout()``."""
+    return [(k, u) for k, u, _ in triple.layout()]
 
 
 def mirror_structure(triple: OrthTriple) -> tuple[int, list]:
     """Free-coordinate count and per-block rows for the mirrored subtorus:
     each row is (index, sign) or None for a frozen middle coordinate."""
-    nfree = (sum(m for _, m in triple.dual_pairs)
-             + sum(p // 2 for _, p in triple.symplectic)
-             + sum(q // 2 for _, q in triple.orthogonal))
-    rows = []
-    r = 0
-    for _, m in triple.dual_pairs:
-        rows += [(r + ell, 1) for ell in range(m)]
-        r += m
-    r2 = 0
-    for _, m in triple.dual_pairs:
-        rows += [(r2 + ell, -1) for ell in range(m)]
-        r2 += m
-    for _, p in triple.symplectic:
-        for ell in range(p):
-            rows.append((r + ell, 1) if ell < p // 2
-                        else (r + (p - 1 - ell), -1))
-        r += p // 2
-    for _, q in triple.orthogonal:
-        for ell in range(q):
-            if ell < q // 2:
-                rows.append((r + ell, 1))
-            elif q - 1 - ell < q // 2:
-                rows.append((r + (q - 1 - ell), -1))
-            else:
-                rows.append(None)
-        r += q // 2
-    return nfree, rows
+    layout = triple.layout()
+    return len(_mirror_sizes(layout)), [row for _, _, row in layout]
+
+
+def _mirror_sizes(layout: list) -> list:
+    """The block size of each free coordinate of the mirrored subtorus."""
+    return [k for k, _, row in layout if row and row[1] == 1]
+
+
+def _covering_orders(layout: list) -> tuple[int, int]:
+    """(lhs, rhs) covering orders: the product over block sizes k of
+    (number of blocks of size k)!, and of c_k! 2^{c_k} for the c_k free
+    coordinates of size k."""
+    def permutations(sizes):
+        return math.prod(math.factorial(c) for c in Counter(sizes).values())
+
+    mirror = _mirror_sizes(layout)
+    return (permutations(k for k, _, _ in layout),
+            permutations(mirror) * 2 ** len(mirror))
 
 
 @dataclass
@@ -486,33 +471,13 @@ def lhs_covering_order(triple: OrthTriple) -> int:
     because unramified twisted-Steinberg blocks of one size are all
     twist-equivalent.  Equals |W(M, sigma)| exactly when same-size blocks
     carry the same base character."""
-    counts = {}
-    for k, _ in component_blocks(triple):
-        counts[k] = counts.get(k, 0) + 1
-    out = 1
-    for c in counts.values():
-        out *= math.factorial(c)
-    return out
+    return _covering_orders(triple.layout())[0]
 
 
 def rhs_covering_order(triple: OrthTriple) -> int:
     """Generic fiber of the mirrored subtorus over the orthogonal locus:
     same-size mirrored pairs permute freely and each pair flips."""
-    pairs = {}
-
-    def add(k, n):
-        pairs[k] = pairs.get(k, 0) + n
-
-    for a, m in triple.dual_pairs:
-        add(a.sp, m)
-    for a, p in triple.symplectic:
-        add(a.sp, p // 2)
-    for a, q in triple.orthogonal:
-        add(a.sp, q // 2)
-    out = 1
-    for c in pairs.values():
-        out *= math.factorial(c) * 2 ** c
-    return out
+    return _covering_orders(triple.layout())[1]
 
 
 class ComponentModel:
@@ -526,15 +491,13 @@ class ComponentModel:
         self.spec = spec
         self.chi_minus_one = int(chi_minus_one)
         self.consts: TripleConstants = appendix_constants(triple)
-        self.d = triple.d
         c = self.consts
-        self.dprime = 1
-        for a, m in triple.dual_pairs:
-            self.dprime *= a.sp ** m
-        for a, p in triple.symplectic:
-            self.dprime *= a.sp ** (p // 2)
-        for a, q in triple.orthogonal:
-            self.dprime *= a.sp ** (q // 2)
+        layout = triple.layout()
+        self.dims = tuple(k for k, _, _ in layout)
+        self.S = len(layout)
+        self.d = sum(self.dims)
+        mirror_sizes = _mirror_sizes(layout)
+        self.dprime = math.prod(mirror_sizes)
         # Jacobian chain: the free-coordinate fundamental domain of the
         # mirrored subtorus has exactly the normalized subtorus volume
         if c.D * self.dprime != c.P or 2 * c.N != c.S + c.c:
@@ -542,32 +505,19 @@ class ComponentModel:
                 f"appendix constants are inconsistent with the triple: "
                 f"D d' = {c.D * self.dprime} vs P = {c.P}, "
                 f"2N = {2 * c.N} vs S + c = {c.S + c.c}")
-        self.F_lhs = lhs_covering_order(triple)
-        self.F_rhs = rhs_covering_order(triple)
-
-        blocks = component_blocks(triple)
-        self.blocks = blocks
-        self.dims = tuple(k for k, _ in blocks)
-        self.S = len(blocks)
+        self.F_lhs, self.F_rhs = _covering_orders(layout)
 
         # LHS torus: kernel-lattice basis of the block-dimension vector
-        kvec = [k for k, _ in blocks]
-        basis = _kernel_lattice_basis(kvec)
+        basis = _kernel_lattice_basis(self.dims)
         self.R_lhs = len(basis)
         if self.R_lhs:
-            cols = [[kvec[b] * basis[r][b] for b in range(self.S)]
-                    for r in range(self.R_lhs)]
-            e0 = [1] + [0] * (self.S - 1)
-            m = [[cols[r][b] for r in range(self.R_lhs)] + [e0[b]]
-                 for b in range(self.S)]
+            m = [[k * v[b] for v in basis] + [int(b == 0)]
+                 for b, k in enumerate(self.dims)]
             self.J_k = abs(det(mat(m)))
         else:
             self.J_k = Fraction(1)
-
-        lhs_atoms = []
-        for b, (k, u) in enumerate(blocks):
-            coeffs = tuple(int(basis[r][b]) for r in range(self.R_lhs))
-            lhs_atoms.append((AffineAngle(u, coeffs), k))
+        lhs_atoms = [(AffineAngle(u, tuple(int(v[b]) for v in basis)), k)
+                     for b, (k, u, _) in enumerate(layout)]
         self.lhs_atoms = lhs_atoms
         self.sym2_lhs = FactorProgram.compile(sym2_atoms(lhs_atoms), spec,
                                               self.R_lhs, regularize=False)
@@ -575,15 +525,15 @@ class ComponentModel:
                                             self.R_lhs, regularize=True)
         self.lhs_program = self.ad_lhs.quotient(self.sym2_lhs)
 
-        # RHS subtorus: free coordinates per the mirror relations
-        self.R_rhs, struct = mirror_structure(triple)
-        rows = [(0,) * self.R_rhs if rw is None
-                else _unit_row(self.R_rhs, rw[0], rw[1]) for rw in struct]
-        rhs_atoms = [(AffineAngle(u, rows[b]), k)
-                     for b, (k, u) in enumerate(blocks)]
-        self.rhs_atoms = rhs_atoms
-        self.wedge2_rhs = FactorProgram.compile(wedge2_atoms(rhs_atoms), spec,
-                                                self.R_rhs, regularize=True)
+        # RHS subtorus: a block with mirror row (i, sign) has twist sign * x_i
+        self.R_rhs = len(mirror_sizes)
+        self.rhs_atoms = [
+            (AffineAngle(u, tuple(row[1] if row and row[0] == i else 0
+                                  for i in range(self.R_rhs))), k)
+            for k, u, row in layout]
+        self.wedge2_rhs = FactorProgram.compile(wedge2_atoms(self.rhs_atoms),
+                                                spec, self.R_rhs,
+                                                regularize=True)
 
         self._gamma_triv = gamma_trivial(spec)
 
@@ -661,14 +611,13 @@ class ComponentModel:
         return const * self._gamma_triv.evaluate(s)
 
     def rhs_value(self, phi: TestFunction, cfg: QuadConfig) -> complex:
-        c = self.consts
+        """2 chi(-1)^{d-1} / (F 2^c) times the mean over the free coordinates:
+        the Jacobian factor (D d' / P) (2 pi / log q)^{2N - S - c} is exactly
+        1, as ``__init__`` checks."""
         mean = _grid_mean(lambda t: self.rhs_integrand(phi, t), self.R_rhs,
                           cfg.rhs_n, cfg.offset)
-        two_pi_over_logq = 2 * math.pi / math.log(self.spec.q)
         const = (2 * (self.chi_minus_one ** (self.d - 1))
-                 * (c.D * self.dprime / c.P)
-                 * two_pi_over_logq ** (2 * c.N - c.S - c.c)
-                 / (self.F_rhs * 2 ** c.c))
+                 / (self.F_rhs * 2 ** self.consts.c))
         return const * mean
 
     def measure_mass(self, phi: TestFunction, cfg: QuadConfig) -> float:
@@ -695,12 +644,6 @@ def _atom_angles(atoms, t: np.ndarray) -> np.ndarray:
     """Each atom's angle const + c.t at the nodes t: shape (len(atoms), M)."""
     return np.array([float(a.const) + np.array(a.coeffs, dtype=float) @ t
                      for a, _ in atoms])
-
-
-def _unit_row(n: int, i: int, val: int) -> tuple:
-    row = [0] * n
-    row[i] = val
-    return tuple(row)
 
 
 # -- grids -----------------------------------------------------------------------
@@ -810,20 +753,13 @@ def verify(triple: OrthTriple, phi: TestFunction, spec: LocalFieldSpec,
 
 def subtorus_twists(triple: OrthTriple, free: Sequence[Fraction]) -> list:
     """Per-block twist angles for a point of the mirrored subtorus, given its
-    free coordinates in canonical order (dual pairs, then symplectic halves,
-    then orthogonal halves)."""
+    free coordinates, numbered as in the rows of ``triple.layout()``."""
     free = [Fraction(x) for x in free]
     expected, rows = mirror_structure(triple)
     if len(free) != expected:
         raise ValueError(f"expected {expected} free coordinates, got {len(free)}")
-    out = []
-    for row in rows:
-        if row is None:
-            out.append(Fraction(0))
-        else:
-            idx, sign = row
-            out.append(mod1(sign * free[idx]))
-    return out
+    return [Fraction(0) if row is None else mod1(row[1] * free[row[0]])
+            for row in rows]
 
 
 def point_parameter(triple: OrthTriple, twists: Sequence[Fraction]) -> WDRep:
@@ -844,13 +780,11 @@ def lhs_integrand_exact(triple: OrthTriple, phi: TestFunction, s: float,
     if s <= 0:
         raise ValueError("the integrand is evaluated at s > 0")
     twists = [Fraction(t) for t in twists]
+    param = point_parameter(triple, twists)
     blocks = component_blocks(triple)
-    if len(twists) != len(blocks):
-        raise ValueError("one twist per block required")
     total = sum((k * t for (k, _), t in zip(blocks, twists)), Fraction(0))
     if mod1(total) != 0:
         raise ValueError("twists must satisfy the sum-zero constraint")
-    param = point_parameter(triple, twists)
     angles = np.array([[float(mod1(u + t))]
                        for (k, u), t in zip(blocks, twists)])
     phival = phi.values(tuple(k for k, _ in blocks), angles)[0]

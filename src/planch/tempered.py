@@ -176,20 +176,34 @@ class OrthTriple:
 
     @property
     def d(self) -> int:
-        return (sum(2 * m * a.sp for a, m in self.dual_pairs)
-                + sum(p * a.sp for a, p in self.symplectic)
-                + sum(q * a.sp for a, q in self.orthogonal))
+        return sum(k for k, _, _ in self.layout())
+
+    def layout(self) -> list:
+        """The one place where the block order and the mirror rows are
+        decided: an entry (k, base angle, row) per block.  The sigma sides
+        of all dual pairs come first, then their dual sides; then each Is or
+        Io atom with n = 2h (+ 1) copies as h rows (r + j, +1), a frozen
+        middle row None when n is odd, and the mirroring rows
+        (r + h - 1 - j, -1).  A row (i, sign) puts the block's twist at
+        sign * x_i on the mirrored subtorus, so every free coordinate x_i
+        has one +1 and one -1 row, on blocks of one size."""
+        out = []
+        for sign in (1, -1):
+            r = 0
+            for a, m in self.dual_pairs:
+                u = a.angle if sign == 1 else mod1(-a.angle)
+                out += [(a.sp, u, (r + j, sign)) for j in range(m)]
+                r += m
+        for a, n in self.symplectic + self.orthogonal:
+            h = n // 2
+            out += [(a.sp, a.angle, (r + j, 1)) for j in range(h)]
+            out += [(a.sp, a.angle, None)] * (n % 2)
+            out += [(a.sp, a.angle, (r + h - 1 - j, -1)) for j in range(h)]
+            r += h
+        return out
 
     def base_point(self) -> TempPoint:
-        blocks = []
-        for a, m in self.dual_pairs:
-            blocks += [TempBlock(a.sp, a.angle)] * m
-            blocks += [TempBlock(a.sp, mod1(-a.angle))] * m
-        for a, p in self.symplectic:
-            blocks += [TempBlock(a.sp, a.angle)] * p
-        for a, q in self.orthogonal:
-            blocks += [TempBlock(a.sp, a.angle)] * q
-        return TempPoint(tuple(blocks))
+        return TempPoint(tuple(TempBlock(k, u) for k, u, _ in self.layout()))
 
     def weyl_orders(self) -> tuple[int, int]:
         """(|W|, |W'|): the full stabilizer and the mirrored-twist subgroup."""

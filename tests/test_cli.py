@@ -96,6 +96,30 @@ def test_limit_verify_budget(tmp_path, capsys):
     assert code == 4
 
 
+def test_malformed_input_exits_2(tmp_path, capsys):
+    no_m = write(tmp_path, "t.json", {"In": [{"angle": "1/3", "sp": 1}]})
+    assert main(["limit-verify", "--triple", no_m, "--q", "3"]) == 2
+    assert "input error" in capsys.readouterr().err
+    listed = write(tmp_path, "l.json", [["1", "0"]])
+    assert main(["charpoly", "--matrix", listed]) == 2
+    pt = write(tmp_path, "pt.json", {"blocks": [{"k": 1, "angle": "0"}]})
+    assert main(["density", "--point", pt, "--q", "3", "--chi", "[1]"]) == 2
+    assert main(["density", "--point", pt, "--q", "3",
+                 "--chi", '{"1": 1}']) == 2
+
+
+def test_internal_key_error_is_not_input_error(tmp_path, capsys, monkeypatch):
+    import planch.limitcheck
+
+    def broken(*args, **kwargs):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(planch.limitcheck, "verify", broken)
+    triple = write(tmp_path, "t.json", {"Io": [{"angle": "0", "sp": 1, "q": 1}]})
+    with pytest.raises(KeyError):
+        main(["limit-verify", "--triple", triple, "--q", "3"])
+
+
 def test_classify_and_charpoly(tmp_path, capsys):
     m = write(tmp_path, "B.json", {"matrix": [["-1", "1"], ["-1", "0"]]})
     code, out = run(capsys, "classify-form", "--matrix", m, "--p", "3")

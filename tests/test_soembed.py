@@ -134,3 +134,45 @@ def test_sym_part_class_is_minus_square():
                 continue
             for p in (3, 5, 2):
                 assert square_class(-diag[0], p).is_trivial()
+
+
+def test_membership_checked_once_per_public_entry(monkeypatch):
+    """n_bar_element -> b_of_g -> in_g_prime -> bruhat_factor checks group
+    membership at most three times, once per public entry after the
+    structure-built element; each entry still rejects a non-member."""
+    from planch.forms import OddSOEmbedding
+
+    calls = []
+    original = OddSOEmbedding.is_in_group
+
+    def spy(self, g):
+        calls.append(g)
+        return original(self, g)
+
+    monkeypatch.setattr(OddSOEmbedding, "is_in_group", spy)
+    rng = random.Random(11)
+    inside = 0
+    for d in (2, 3):
+        emb = build_odd_so(d)
+        for _ in range(20):
+            calls.clear()
+            g, _, _ = random_nbar(emb, rng)
+            b_of_g(emb, g)
+            if in_g_prime(emb, g):
+                bruhat_factor(emb, g)
+                inside += 1
+            assert len(calls) <= 3
+            calls.clear()
+            m_tilde_of(emb, g)
+            assert len(calls) == 1
+    assert inside > 10
+    emb = build_odd_so(2)
+    scaled = [[F(1 if i == j else 0) for j in range(5)] for i in range(5)]
+    scaled[0][0] = F(2)
+    minus = [[F(-1 if i == j else 0) for j in range(5)] for i in range(5)]
+    # g^T Q g != Q; det(g) = -1; the wrong size, which mat_mul and mat_eq,
+    # zipping rows and columns, would not see
+    for bad in (mat(scaled), mat(minus), identity(3)):
+        for entry in (b_of_g, in_g_prime, bruhat_factor, m_tilde_of):
+            with pytest.raises(NotInGroupError):
+                entry(emb, bad)

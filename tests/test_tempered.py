@@ -200,3 +200,62 @@ def test_hii_rhs():
 def test_point_serialization():
     pt = TempPoint.of((2, F(1, 3), F(1, 7)), (1, 0, 0))
     assert TempPoint.from_dict(pt.to_dict()) == pt
+
+
+def _random_triple(rng):
+    """A random valid triple: up to two dual pairs, two Is and three Io atoms,
+    block sizes 1-4, distinct atoms."""
+    while True:
+        seen, parts = set(), {"dual_pairs": [], "symplectic": [],
+                              "orthogonal": []}
+        for _ in range(rng.randint(0, 2)):
+            a = WDAtom(F(rng.randint(1, 11), 12), rng.randint(1, 4))
+            if not a.is_self_dual() and not {a, a.dual()} & seen:
+                seen |= {a, a.dual()}
+                parts["dual_pairs"].append((a, rng.randint(1, 3)))
+        for kind, sizes, mults in (("symplectic", (2, 4), (2, 4)),
+                                   ("orthogonal", (1, 3), (1, 2, 3, 4))):
+            for _ in range(rng.randint(0, 3 if kind == "orthogonal" else 2)):
+                a = WDAtom(rng.choice([F(0), F(1, 2)]), rng.choice(sizes))
+                if a not in seen:
+                    seen.add(a)
+                    parts[kind].append((a, rng.choice(mults)))
+        if any(parts.values()):
+            return OrthTriple(**parts)
+
+
+def test_layout_properties():
+    rng = random.Random(7)
+    for _ in range(300):
+        t = _random_triple(rng)
+        lay = t.layout()
+        c = appendix_constants(t)
+        # mirror rows: each free coordinate has one +1 and one -1 row, on
+        # blocks of one size whose base angles are opposite
+        rows = {}
+        for k, u, row in lay:
+            if row is not None:
+                rows.setdefault(row[0], {}).setdefault(row[1], []).append((k, u))
+        nfree = len(rows)
+        assert sorted(rows) == list(range(nfree))
+        for pair in rows.values():
+            assert sorted(pair) == [-1, 1] and len(pair[1]) == len(pair[-1]) == 1
+            (k1, u1), (k2, u2) = pair[1][0], pair[-1][0]
+            assert k1 == k2 and (u1 + u2) % 1 == 0
+        # None rows are the middle blocks of odd-multiplicity Io atoms
+        start = 2 * sum(m for _, m in t.dual_pairs)
+        middles = set()
+        for a, n in t.symplectic + t.orthogonal:
+            assert all(e[:2] == (a.sp, a.angle) for e in lay[start:start + n])
+            if a.sp % 2 == 1 and n % 2 == 1:
+                middles.add(start + n // 2)
+            start += n
+        assert start == len(lay)
+        assert {b for b, (_, _, row) in enumerate(lay) if row is None} == middles
+        # against the closed-form constants
+        dprime = math.prod(k for k, _, row in lay if row and row[1] == 1)
+        assert len(lay) == c.S
+        assert math.prod(k for k, _, _ in lay) == c.P
+        assert c.D * dprime == c.P
+        assert nfree + c.c == c.N
+        assert t.base_point().shape() == tuple(k for k, _, _ in lay)

@@ -4,9 +4,9 @@ planch <gamma|density|component-group|fd-rhs|limit-verify|classify-form|
         charpoly|so-embed> [flags]
 
 Exit codes: 0 success/pass, 1 verification fail, 2 malformed input (bad
-flags, unreadable JSON, a missing key or a wrong type in it), 3 precondition
-violation, 4 budget exhaustion.  Any other exception is a fault of planch
-and ends in a traceback.
+flags, unreadable JSON, a missing key, a wrong type or a value that is not a
+number in it), 3 precondition violation, 4 budget exhaustion.  Any other
+exception is a fault of planch and ends in a traceback.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
+
+from .field import read_number
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -36,11 +37,11 @@ def _load_json(path: str):
 
 
 def _from_json(build, data):
-    """build(data) for data read from JSON: a missing key or a value of the
-    wrong type there is malformed input."""
+    """build(data) for data read from JSON: a missing key or list entry, or
+    a value of the wrong type there, is malformed input."""
     try:
         return build(data)
-    except (KeyError, TypeError, AttributeError) as e:
+    except (LookupError, TypeError, AttributeError) as e:
         raise InputError(f"malformed input: {e!r}") from e
 
 
@@ -145,19 +146,9 @@ def cmd_gamma(args) -> int:
 
     spec = _field_spec(args)
     rep = _load_rep(args)
-    r = args.r
-    if r == "std":
-        target = rep
-    elif r == "sym2":
-        target = rep.sym2()
-    elif r == "wedge2":
-        target = rep.wedge2()
-    elif r == "ad":
-        target = rep.ad()
-    elif r == "ad-over-a":
-        target = rep.ad_over_center()
-    else:
-        raise InputError(f"unknown composition {r!r}")
+    r = args.r  # one of the parser's choices
+    target = {"std": lambda: rep, "sym2": rep.sym2, "wedge2": rep.wedge2,
+              "ad": rep.ad, "ad-over-a": rep.ad_over_center}[r]()
     g = target.gamma_factor(spec).normalize()
     report = _base_report(args, "gamma", f"gamma-factor[{r}]")
     ordv = g.ord_zero_at_zero()
@@ -213,7 +204,8 @@ def _parse_chi(text: str, p: int):
     except json.JSONDecodeError as e:
         raise InputError(f"cannot parse character {text!r}: {e}")
     return _from_json(lambda d: QuadraticCharacter.from_dict(
-        p, {int(k): int(v) for k, v in d.items()}), spec)
+        p, {read_number(k, int): read_number(v, int) for k, v in d.items()}),
+        spec)
 
 
 def cmd_component_group(args) -> int:
@@ -307,7 +299,7 @@ def cmd_so_embed(args) -> int:
     emb = build_odd_so(args.d)
     report = _base_report(args, "so-embed", "odd-orthogonal-open-cell")
     if args.ubar:
-        g = _from_json(lambda rows: mat([[Fraction(x) for x in row]
+        g = _from_json(lambda rows: mat([[read_number(x) for x in row]
                                          for row in rows]), _load_json(args.ubar))
         bg = b_of_g(emb, g)
         result = {"d": args.d, "B_g": bg.to_dict()["matrix"],
@@ -414,19 +406,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    from .forms import DegenerateFormError, NotInGroupError, NotRegularError
-    from .limitcheck import NonGenericPoint, NotWeylInvariant
     from .spectral import OrderMismatchError, PoleError, RegularizationError
-    from .tempered import CentralCharacterMismatch
 
     try:
         return args.func(args)
     except InputError as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT
-    except (CentralCharacterMismatch, DegenerateFormError, NotInGroupError,
-            NotRegularError, NonGenericPoint, NotWeylInvariant, PoleError,
-            RegularizationError, OrderMismatchError, ValueError) as e:
+    except (PoleError, RegularizationError, OrderMismatchError,
+            ValueError) as e:
         print(f"precondition violated: {e}", file=sys.stderr)
         return EXIT_PRECONDITION
 

@@ -18,6 +18,15 @@ class FieldError(ValueError):
     pass
 
 
+def read_number(x, kind=Fraction):
+    """kind(x) for a number read from input: a value that does not parse as
+    one raises TypeError, which the command line reports as malformed."""
+    try:
+        return kind(x)
+    except (ValueError, ZeroDivisionError, OverflowError) as e:
+        raise TypeError(f"{x!r} is not a {kind.__name__}") from e
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -59,8 +68,9 @@ class LocalFieldSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LocalFieldSpec":
-        return cls(p=int(d["p"]), q=int(d["p"]) ** int(d.get("f", 1)),
-                   psi_level=int(d.get("psi_level", 0)))
+        p = read_number(d["p"], int)
+        return cls(p=p, q=p ** read_number(d.get("f", 1), int),
+                   psi_level=read_number(d.get("psi_level", 0), int))
 
     def to_dict(self) -> dict:
         return {"p": self.p, "f": self.f, "psi_level": self.psi_level}

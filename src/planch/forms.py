@@ -18,7 +18,7 @@ from functools import lru_cache
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .field import SquareClass, square_class, valuation
+from .field import SquareClass, read_number, square_class, valuation
 
 Matrix = tuple  # tuple of tuples of Fraction
 
@@ -240,7 +240,7 @@ class BilForm:
 
     @classmethod
     def from_dict(cls, d: dict) -> "BilForm":
-        return cls(mat([[Fraction(x) for x in row] for row in d["matrix"]]))
+        return cls(mat([[read_number(x) for x in row] for row in d["matrix"]]))
 
 
 def split_sym_alt(b: BilForm) -> tuple[Matrix, Matrix]:

@@ -8,7 +8,8 @@ atom angles become affine forms in the free torus coordinates, with exact
 detection of identically-vanishing factors, and factors are grouped by
 integer coefficient vector, so that a block of nodes takes one complex
 exponential per free coordinate).  The left integrand Ad(t, 0) / Sym^2(t, s)
-is one such program, and the test function is evaluated from its phasors.
+is one such program.  A test function is given by its phasor form,
+``phasor_values``, and is evaluated from the same phasors as the program.
 Both sides are integrated on uniform offset midpoint grids, the left one of
 size growing like 1/s, generated and summed chunk by chunk; the s -> 0 limit
 is taken by Richardson extrapolation.  The order of a triple's blocks and
@@ -28,11 +29,13 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .field import LocalFieldSpec, gamma_trivial, gamma_star_trivial
+from .field import (LocalFieldSpec, gamma_star_trivial, gamma_trivial,
+                    read_number)
 from .forms import det, mat
-from .spectral import mod1
+from .spectral import PoleError, mod1
 from .tempered import OrthTriple, TripleConstants, appendix_constants
-from .wdrep import (WDRep, ad_atoms, gamma_parts, sym2_atoms, wedge2_atoms)
+from .wdrep import (WDRep, ad_over_center_atoms, gamma_parts, sym2_atoms,
+                    wedge2_atoms)
 
 
 class NonGenericPoint(ValueError):
@@ -109,9 +112,9 @@ def _phasor_power(e: np.ndarray, k: int) -> np.ndarray:
 
 
 class Phasors:
-    """The phasors of one block of m nodes t, shape (nfree, m): one exp per
+    """The phasors of one chunk of m nodes t, shape (nfree, m): one exp per
     free coordinate, E_r = e(t_r); each power E_r^k is built once, by
-    squaring or as the conjugate of E_r^-k, and kept for the block."""
+    squaring or as the conjugate of E_r^-k, and kept for the chunk."""
 
     def __init__(self, t: np.ndarray, m: int):
         self.m = m
@@ -135,19 +138,32 @@ class Phasors:
                 out = self.power(r, k) if out is None else out * self.power(r, k)
         return out
 
+    def blocks(self, atoms) -> list:
+        """Each atom's phasor: for the angle const + c.t, e(const) prod_r
+        E_r^{c_r}."""
+        return [self.monomial(a.coeffs, cmath.exp(2j * math.pi * a.const))
+                for a, _ in atoms]
+
 
 @dataclass
 class FactorProgram:
     """A gamma factor of a family of representations, ready for grid
     evaluation.  Every factor is 1 - e(const + c.t) q^{-(sdir s + shift)}
     with an integer vector c, so the factors are grouped by c at compile
-    time: on a block of nodes, ``eval`` takes one exp per free coordinate
-    (``Phasors``), builds each group's phasor P_c = prod_r E_r^{c_r} by
-    multiplication, and costs each factor 1 - a_f P_c with the scalar
-    a_f = e(const_f) q^{-(sdir s + shift)}.  Factors with c = 0 and the
-    monomial e(unit) q^{qpow - exponent s} fold into one scalar, except the
-    monomial's phasor, P_c with c = ``unit_coeffs``.  ``factors`` keeps one
-    entry per kept factor; ``quotient`` joins two programs into one."""
+    time: on a chunk of nodes, ``eval_phasors`` reads one exp per free
+    coordinate from its ``Phasors``, builds each group's phasor
+    P_c = prod_r E_r^{c_r} by multiplication, and costs each factor
+    1 - a_f P_c with the scalar a_f = e(const_f) q^{-(sdir s + shift)}.
+    Factors with c = 0 and the monomial e(unit) q^{qpow - exponent s} fold
+    into one scalar, except the monomial's phasor, P_c with c =
+    ``unit_coeffs``.  ``factors`` keeps one entry per kept factor;
+    ``quotient`` joins two programs into one.
+
+    Poles: ``SpectralFunction.evaluate`` refuses a denominator factor below
+    1e-14; no node here is guarded, as for s > 0 no program meets a pole:
+    Sym^2's factors cross the bar as 1 - e(.) q^{-(s + r)}, and Ad's and
+    wedge^2's denominators have shift >= 1.  ``_grid_mean`` raises
+    ``PoleError`` on a sum that is not finite."""
 
     q: int
     nfree: int
@@ -157,7 +173,7 @@ class FactorProgram:
     exponent: float
     factors: list
 
-    # nodes per pass of ``eval`` and per chunk of a streamed grid: the
+    # nodes per chunk of a streamed grid (``_grid_mean``): the program's
     # temporaries stay in cache and well below malloc's 128 KiB mmap threshold
     BLOCK = 1 << 12
 
@@ -220,46 +236,50 @@ class FactorProgram:
                         for f in den.factors]))
 
     def eval(self, t: np.ndarray, s: complex) -> np.ndarray:
-        """Evaluate at the grid ``t`` of shape (nfree, M) and the point s."""
-        return self.eval_weighted(t, s, None)
+        """Evaluate at the nodes ``t`` of shape (nfree, M) and the point s,
+        in one pass: M values, or one value when nfree = 0."""
+        return self.eval_phasors(Phasors(t, t.shape[1] if self.nfree else 1),
+                                 s)
 
-    def eval_weighted(self, t: np.ndarray, s: complex,
-                      weight: Optional[Callable]) -> np.ndarray:
-        """``eval`` times ``weight(ph)`` on each block, ph its ``Phasors``."""
+    def eval_phasors(self, ph: Phasors, s: complex) -> np.ndarray:
+        """Evaluate at the ph.m nodes of ``ph`` and the point s."""
         a = self._rot * self.q ** (-(self._sdir * s + self._shift))
         scalar = (np.exp(2j * np.pi * float(self.unit_const))
                   * (self.q ** self.qpow) * self.q ** (-self.exponent * s))
         scalar = scalar * np.prod(1.0 - a[self._scalar_num]) \
             / np.prod(1.0 - a[self._scalar_den])
-        m = t.shape[1] if self.nfree else 1
-        out = np.empty(m, dtype=complex)
-        for i in range(0, m, self.BLOCK):
-            ph = Phasors(t[:, i:i + self.BLOCK], min(m - i, self.BLOCK))
-            num, den = out[i:i + ph.m], np.ones(ph.m, dtype=complex)
-            np.multiply(1.0 if weight is None else weight(ph), scalar, out=num)
-            tmp = np.empty_like(den)
-            for c, unit, num_idx, den_idx in self._groups:
-                phasor = ph.monomial(c)
-                if unit:
-                    num *= phasor
-                for acc, idx in ((num, num_idx), (den, den_idx)):
-                    for f in idx:
-                        np.multiply(phasor, -a[f], out=tmp)
-                        tmp += 1.0
-                        acc *= tmp
-            num /= den
-        return out
+        num = np.full(ph.m, scalar, dtype=complex)
+        den = np.ones(ph.m, dtype=complex)
+        tmp = np.empty_like(den)
+        for c, unit, num_idx, den_idx in self._groups:
+            phasor = ph.monomial(c)
+            if unit:
+                num *= phasor
+            for acc, idx in ((num, num_idx), (den, den_idx)):
+                for f in idx:
+                    np.multiply(phasor, -a[f], out=tmp)
+                    tmp += 1.0
+                    acc *= tmp
+        num /= den
+        return num
 
 
 # -- test functions ----------------------------------------------------------------
 
 
 class TestFunction:
-    """A smooth Weyl-invariant function Phi of a tempered point.  The
-    quadratures evaluate its phasor form, ``phasor_values``, from their own
-    phasors; ``values``, at per-block angles of shape (S, M), wraps it.  A
-    subclass may define ``values`` alone.  The classes below bind ``values``
-    themselves, so that each can be wrapped (traced) on its own."""
+    """A smooth Weyl-invariant function Phi of a tempered point, given by its
+    phasor form ``phasor_values``.  ``values``, at per-block angles of shape
+    (S, M), is the one wrapper over it; a subclass may not define another.
+    The classes below bind it in their own class dict, so that each can be
+    wrapped (traced) on its own."""
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if vars(cls).get("values", TestFunction.values) is not \
+                TestFunction.values:
+            raise TypeError(f"{cls.__name__} defines values: a test function "
+                            f"is given by phasor_values")
 
     def values(self, dims: tuple, angles: np.ndarray) -> np.ndarray:
         vals = self.phasor_values(dims, np.exp(2j * np.pi * angles))
@@ -273,16 +293,9 @@ class TestFunction:
         raise NotImplementedError
 
 
-def _has_phasor_form(phi: TestFunction) -> bool:
-    """Whether phi's values wrap its phasor form: the class that defines
-    its ``values`` defines ``phasor_values`` too."""
-    owner = next(c for c in type(phi).__mro__ if "values" in vars(c))
-    return "phasor_values" in vars(owner)
-
-
 class ConstantPhi(TestFunction):
     def __init__(self, c: float = 1.0):
-        self.c = float(c)
+        self.c = read_number(c, float)
 
     values = TestFunction.values
 
@@ -300,8 +313,9 @@ class TrigPhi(TestFunction):
 
     def __init__(self, terms: Sequence[tuple], const: float = 1.0):
         # terms: (h, k, coeff)
-        self.terms = [(int(h), int(k), complex(c)) for (h, k, c) in terms]
-        self.const = float(const)
+        self.terms = [(read_number(h, int), read_number(k, int), complex(c))
+                      for (h, k, c) in terms]
+        self.const = read_number(const, float)
 
     values = TestFunction.values
 
@@ -321,14 +335,16 @@ class TrigPhi(TestFunction):
 
 
 class GaussianPhi(TestFunction):
-    """Product over blocks of a truncated-Fourier Gaussian bump on the
-    circle, 1 + sum_h 2 e^{-(width h)^2} cos 2 pi h (theta - center), whose
-    cosines are Re(e(-h center) z^h); multiset-invariant by construction."""
+    """Product over blocks of the truncated Fourier series of a Gaussian
+    bump, 1 + sum_{h <= hmax} 2 e^{-(width h)^2} cos 2 pi h (theta - center),
+    whose cosines are Re(e(-h center) z^h); multiset-invariant by
+    construction.  Truncated, it is not non-negative: its minimum on a
+    circle is about -8.9e-5 with the defaults and -0.022 at (0.3, 0.1, 6)."""
 
     def __init__(self, width: float = 0.35, center: float = 0.0, hmax: int = 8):
-        self.width = float(width)
-        self.center = float(center)
-        self.hmax = int(hmax)
+        self.width = read_number(width, float)
+        self.center = read_number(center, float)
+        self.hmax = read_number(hmax, int)
 
     values = TestFunction.values
 
@@ -521,8 +537,8 @@ class ComponentModel:
         self.lhs_atoms = lhs_atoms
         self.sym2_lhs = FactorProgram.compile(sym2_atoms(lhs_atoms), spec,
                                               self.R_lhs, regularize=False)
-        self.ad_lhs = FactorProgram.compile(_ad_over_center(lhs_atoms), spec,
-                                            self.R_lhs, regularize=True)
+        self.ad_lhs = FactorProgram.compile(ad_over_center_atoms(lhs_atoms),
+                                            spec, self.R_lhs, regularize=True)
         self.lhs_program = self.ad_lhs.quotient(self.sym2_lhs)
 
         # RHS subtorus: a block with mirror row (i, sign) has twist sign * x_i
@@ -537,11 +553,6 @@ class ComponentModel:
 
         self._gamma_triv = gamma_trivial(spec)
 
-    # -- angle grids --------------------------------------------------------
-
-    def lhs_angles(self, t: np.ndarray) -> np.ndarray:
-        return _atom_angles(self.lhs_atoms, t)
-
     # -- integrands ------------------------------------------------------------
 
     def lhs_integrand(self, phi: TestFunction, t: np.ndarray,
@@ -554,15 +565,12 @@ class ComponentModel:
         return self._times_phi(self.wedge2_rhs, phi, t, 0.0, self.rhs_atoms)
 
     def _times_phi(self, prog, phi, t, s, atoms) -> np.ndarray:
-        """prog(t, s) times phi.  With a phasor form, phi comes from the
-        program's own powers of E_r = e(t_r): block b's phasor, for its atom
-        angle base_b + c_b.t, is e(base_b) prod_r E_r^{c_br}."""
-        if not _has_phasor_form(phi):
-            return prog.eval_weighted(t, s, None) * phi.values(
-                self.dims, _atom_angles(atoms, t))
-        return prog.eval_weighted(t, s, lambda ph: phi.phasor_values(
-            self.dims, [ph.monomial(a.coeffs, cmath.exp(2j * math.pi * a.const))
-                        for a, _ in atoms]))
+        """prog(t, s) times phi at its block phasors, both read from one
+        ``Phasors`` of the chunk t."""
+        ph = Phasors(t, t.shape[1])
+        out = prog.eval_phasors(ph, s)
+        out *= phi.phasor_values(self.dims, ph.blocks(atoms))
+        return out
 
     # -- quadrature ---------------------------------------------------------------
 
@@ -622,28 +630,15 @@ class ComponentModel:
 
     def measure_mass(self, phi: TestFunction, cfg: QuadConfig) -> float:
         """The component mass realized by the LHS quadrature with all gamma
-        factors dropped: J_k / (P F) times the plain mean of phi, F the
-        covering order (= |W(M, sigma)| for twist-inequivalent blocks)."""
+        factors dropped, that is with the empty program: J_k / (P F) times
+        the plain mean of phi, F the covering order (= |W(M, sigma)| for
+        twist-inequivalent blocks)."""
         c = self.consts
-        mean = _grid_mean(lambda t: phi.values(self.dims, self.lhs_angles(t)),
+        empty = FactorProgram.compile([], self.spec, self.R_lhs, False)
+        mean = _grid_mean(lambda t: self._times_phi(empty, phi, t, 0.0,
+                                                    self.lhs_atoms),
                           self.R_lhs, cfg.n_base, cfg.offset)
         return float(self.J_k) / (c.P * self.F_lhs) * mean.real
-
-
-def _ad_over_center(atoms):
-    out = list(ad_atoms(atoms))
-    for i, (a, m) in enumerate(out):
-        aa = a if isinstance(a, AffineAngle) else AffineAngle(Fraction(a), ())
-        if m == 1 and aa.is_identically_zero():
-            del out[i]
-            return out
-    raise AssertionError("adjoint family lost its trivial atom")
-
-
-def _atom_angles(atoms, t: np.ndarray) -> np.ndarray:
-    """Each atom's angle const + c.t at the nodes t: shape (len(atoms), M)."""
-    return np.array([float(a.const) + np.array(a.coeffs, dtype=float) @ t
-                     for a, _ in atoms])
 
 
 # -- grids -----------------------------------------------------------------------
@@ -655,7 +650,8 @@ def _grid_mean(fun: Callable, dim: int, n: int, offset: float) -> complex:
     integrands this is the trapezoid rule up to translation, hence
     spectrally accurate; the golden offset keeps nodes off the exact
     singular loci.  Each chunk of nodes is made from its index range and
-    summed at once, so memory does not grow with the grid."""
+    summed at once, so memory does not grow with the grid.  A sum that is
+    not finite met a pole (see ``FactorProgram``) and raises ``PoleError``."""
     size = n ** dim
     total = 0j
     chunk = FactorProgram.BLOCK
@@ -666,6 +662,8 @@ def _grid_mean(fun: Callable, dim: int, n: int, offset: float) -> complex:
             idx, k = np.divmod(idx, n)
             t[r] = (k + 0.5 + offset) / n
         total += complex(fun(t).sum())
+    if not cmath.isfinite(total):
+        raise PoleError(f"the mean over {size} nodes is not finite")
     return total / size
 
 

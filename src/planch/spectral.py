@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
+from .field import read_number
+
 
 class PoleError(ArithmeticError):
     """Evaluation at a point where a denominator factor vanishes."""
@@ -74,7 +76,8 @@ class GeometricFactor:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GeometricFactor":
-        return cls(Fraction(d["angle"]), Fraction(d["shift"]), int(d.get("sdir", 1)))
+        return cls(read_number(d["angle"]), read_number(d["shift"]),
+                   read_number(d.get("sdir", 1), int))
 
 
 def _sorted(factors: Iterable[GeometricFactor]) -> tuple:
@@ -179,51 +182,41 @@ class SpectralFunction:
             val /= d
         return val
 
-    def regularized_value(self) -> complex:
-        """lim_{s->0} zeta_F(s)^n f(s) where n = ord_zero_at_zero(f) >= 0.
+    def _at_zero(self) -> tuple[int, complex]:
+        """(n, c) with f(s) = c (s log q)^n (1 + O(s)) as s -> 0.
 
-        Each vanishing numerator factor (1 - q^{-s}) pairs with one zeta_F(s)
-        and contributes exactly 1; the rest is evaluated at s = 0.
+        A factor vanishing at 0, 1 - q^{-sdir s}, is sdir s log q (1 + O(s))
+        and contributes sdir to c; every other factor is evaluated at 0.
         """
-        n = self.ord_zero_at_zero()
+        n, sign, c = 0, 1, self.scalar_value()
+        for g in self.num:
+            if g.vanishes_at_zero():
+                n, sign = n + 1, sign * g.sdir
+            else:
+                c *= g.value(0.0, self.q)
+        for g in self.den:
+            if g.vanishes_at_zero():
+                n, sign = n - 1, sign * g.sdir
+            else:
+                c /= g.value(0.0, self.q)
+        return n, sign * c
+
+    def regularized_value(self) -> complex:
+        """lim_{s->0} zeta_F(s)^n f(s) where n = ord_zero_at_zero(f) >= 0:
+        zeta_F(s) = 1 / (s log q) (1 + O(s)), so this is c of ``_at_zero``."""
+        n, c = self._at_zero()
         if n < 0:
             raise RegularizationError("regularization undefined for poles")
-        val = self.scalar_value()
-        for g in self.num:
-            if not g.vanishes_at_zero():
-                val *= g.value(0.0, self.q)
-        for g in self.den:
-            if g.vanishes_at_zero():
-                # paired against a numerator zero through the zeta powers
-                continue
-            val /= g.value(0.0, self.q)
-        return val
+        return c
 
     def limit_with_power(self, k: int) -> complex:
-        """lim_{s->0} s^k f(s) for a function with pole order exactly k at 0.
-
-        Each simple-pole factor (1 - q^{-sdir*s})^{-1} contributes
-        sdir / log(q); the regular part is evaluated at 0.
-        """
-        if self.ord_zero_at_zero() != -k:
+        """lim_{s->0} s^k f(s) for a function with pole order exactly k at 0:
+        c (log q)^{-k}, with c of ``_at_zero``."""
+        n, c = self._at_zero()
+        if n != -k:
             raise OrderMismatchError(
-                f"pole order at 0 is {-self.ord_zero_at_zero()}, expected {k}")
-        if k == 0:
-            return self.evaluate(0.0)
-        val = self.scalar_value()
-        logq = math.log(self.q)
-        for g in self.num:
-            if g.vanishes_at_zero():
-                # (1 - q^{-sdir*s}) ~ sdir * s log q; cancels one s^{-1}
-                val *= g.sdir * logq
-            else:
-                val *= g.value(0.0, self.q)
-        for g in self.den:
-            if g.vanishes_at_zero():
-                val *= g.sdir / logq
-            else:
-                val /= g.value(0.0, self.q)
-        return val
+                f"pole order at 0 is {-n}, expected {k}")
+        return c * math.log(self.q) ** n
 
     # -- constructors and serialization --------------------------------------
 

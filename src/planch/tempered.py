@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .field import LocalFieldSpec, QuadraticCharacter
+from .field import LocalFieldSpec, QuadraticCharacter, read_number
 from .spectral import mod1
 from .wdrep import (SELF_DUAL_BOTH, SELF_DUAL_ORTHOGONAL, WDAtom, WDRep)
 
@@ -87,8 +87,9 @@ class TempPoint:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TempPoint":
-        return cls(tuple(TempBlock(int(b["k"]), Fraction(b["angle"]),
-                                   Fraction(b.get("twist", 0)))
+        return cls(tuple(TempBlock(read_number(b["k"], int),
+                                   read_number(b["angle"]),
+                                   read_number(b.get("twist", 0)))
                          for b in d["blocks"]))
 
 
@@ -238,14 +239,13 @@ class OrthTriple:
 
     @classmethod
     def from_dict(cls, d: dict) -> "OrthTriple":
-        return cls(
-            tuple((WDAtom(Fraction(e["angle"]), int(e.get("sp", 1))), int(e["m"]))
-                  for e in d.get("In", [])),
-            tuple((WDAtom(Fraction(e["angle"]), int(e.get("sp", 1))), int(e["p"]))
-                  for e in d.get("Is", [])),
-            tuple((WDAtom(Fraction(e["angle"]), int(e.get("sp", 1))), int(e["q"]))
-                  for e in d.get("Io", [])),
-        )
+        def blocks(key, count):
+            return tuple((WDAtom(read_number(e["angle"]),
+                                 read_number(e.get("sp", 1), int)),
+                          read_number(e[count], int))
+                         for e in d.get(key, []))
+
+        return cls(blocks("In", "m"), blocks("Is", "p"), blocks("Io", "q"))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Tuple
 
-from .field import LocalFieldSpec
+from .field import LocalFieldSpec, read_number
 from .spectral import GeometricFactor, SpectralFunction, mod1
 
 Atom = Tuple[object, int]  # (angle, sp-dimension)
@@ -89,6 +89,15 @@ def wedge2_atoms(a: Sequence[Atom]) -> list[Atom]:
 
 def ad_atoms(a: Sequence[Atom]) -> list[Atom]:
     return tensor_atoms(a, dual_atoms(a))
+
+
+def ad_over_center_atoms(a: Sequence[Atom]) -> list[Atom]:
+    """ad_atoms(a) without one trivial atom: the last term, Sp(1) at angle
+    u - u, of the first atom's Clebsch-Gordan series Sp(m0) x Sp(m0), which
+    is at index m0 - 1."""
+    out = ad_atoms(a)
+    del out[a[0][1] - 1]
+    return out
 
 
 # -- local factors of an atom list -------------------------------------------
@@ -200,12 +209,7 @@ class WDRep:
         """Adjoint on the trace-zero part: ad() minus one trivial atom."""
         if self.dim == 0:
             raise ValueError("adjoint of the zero representation")
-        atoms = list(self.ad().atoms)
-        triv = WDAtom(Fraction(0), 1)
-        if triv not in atoms:
-            raise AssertionError("rho tensor rho-dual lost its trivial atom")
-        atoms.remove(triv)
-        return WDRep(tuple(atoms))
+        return WDRep.from_atom_list(ad_over_center_atoms(self.atom_list()))
 
     def determinant(self) -> Fraction:
         """Angle of the determinant character: sum of m * angle, mod 1."""
@@ -288,7 +292,8 @@ class WDRep:
 
     @classmethod
     def from_dict(cls, d: dict) -> "WDRep":
-        return cls(tuple(WDAtom(Fraction(a["angle"]), int(a.get("sp", 1)))
+        return cls(tuple(WDAtom(read_number(a["angle"]),
+                                read_number(a.get("sp", 1), int))
                          for a in d["atoms"]))
 
     def __repr__(self):

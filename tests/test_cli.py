@@ -108,6 +108,27 @@ def test_malformed_input_exits_2(tmp_path, capsys):
                  "--chi", '{"1": 1}']) == 2
 
 
+def test_value_that_is_not_a_number_exits_2(tmp_path, capsys):
+    """Text that does not parse as the number it stands for is malformed
+    input, like a bad --rep; a number that breaks a precondition is not."""
+    for angle in ("abc", "1/0"):
+        triple = write(tmp_path, "t.json",
+                       {"Io": [{"angle": angle, "sp": 1, "q": 1}]})
+        assert main(["limit-verify", "--triple", triple, "--q", "3"]) == 2
+        assert "input error" in capsys.readouterr().err
+    rep = write(tmp_path, "rep.json", {"atoms": [{"angle": "0", "sp": "x"}]})
+    assert main(["gamma", "--rep-file", rep, "--q", "3"]) == 2
+    good = write(tmp_path, "good.json", {"Io": [{"angle": "0", "q": 1}]})
+    for bad in ({"kind": "constant", "c": "1/2"},
+                {"kind": "trig", "terms": [[1, 1]]}):
+        phi = write(tmp_path, "phi.json", bad)
+        assert main(["limit-verify", "--triple", good, "--phi", phi,
+                     "--q", "3"]) == 2
+    self_dual = write(tmp_path, "sd.json",
+                      {"In": [{"angle": "1/2", "sp": 1, "m": 1}]})
+    assert main(["limit-verify", "--triple", self_dual, "--q", "3"]) == 3
+    assert "precondition violated" in capsys.readouterr().err
+
 def test_internal_key_error_is_not_input_error(tmp_path, capsys, monkeypatch):
     import planch.limitcheck
 

@@ -18,6 +18,7 @@ from planch.limitcheck import (AffineAngle, ComponentModel, ConstantPhi,
                                rhs_covering_order, richardson,
                                singular_exponent, singular_exponent_engine,
                                subtorus_twists, verify)
+from planch.spectral import PoleError
 from planch.tempered import OrthTriple
 from planch.wdrep import WDAtom, gamma_parts
 
@@ -37,8 +38,8 @@ FAST = QuadConfig(s0=0.1, s_count=4, n_base=64, rhs_n=128, resolution=30.0)
 class LopsidedPhi(TestFunction):
     """Deliberately not Weyl-invariant: depends on the first block only."""
 
-    def values(self, dims, angles):
-        return np.cos(2 * np.pi * angles[0, :]).astype(complex)
+    def phasor_values(self, dims, z):
+        return z[0].real
 
     def describe(self):
         return {"kind": "lopsided"}
@@ -52,6 +53,20 @@ def test_test_functions_invariant():
         check_weyl_invariance(phi, (1, 1, 2, 2), rng)
     with pytest.raises(NotWeylInvariant):
         check_weyl_invariance(LopsidedPhi(), (1, 1), rng)
+
+
+def test_values_alone_is_refused():
+    """A test function is given by its phasor form: a subclass defining its
+    own ``values`` fails at class creation."""
+    with pytest.raises(TypeError, match="phasor_values"):
+        class AngleOnlyPhi(TestFunction):
+            def values(self, dims, angles):
+                return 1.0 + 0.3 * np.cos(2 * np.pi * angles).sum(axis=0)
+
+    class Bound(ConstantPhi):
+        values = TestFunction.values
+
+    assert Bound(2.0).values((1,), np.zeros((1, 3))).tolist() == [2.0] * 3
 
 
 def test_phi_from_dict_roundtrip():
@@ -270,9 +285,7 @@ def _per_factor_eval(atoms, spec, nfree, regularize, t, s):
     return val, smallest, cond, kept
 
 
-def test_phasor_evaluator_matches_per_factor_formula(monkeypatch):
-    # blocks of 100 nodes: every grid below spans several, the last ragged
-    monkeypatch.setattr(FactorProgram, "BLOCK", 100)
+def test_phasor_evaluator_matches_per_factor_formula():
     rng = random.Random(515)
     compared = 0
     unit_groups = 0
@@ -355,37 +368,22 @@ def test_gaussian_phi_matches_cosine_sum():
     assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
 
 
-class AngleOnlyPhi(TestFunction):
-    """Weyl-invariant, with ``values`` alone: no phasor form."""
-
-    def values(self, dims, angles):
-        return (1.0 + 0.3 * np.cos(2 * np.pi * angles).sum(axis=0)
-                + 0.1j * np.sin(4 * np.pi * angles).sum(axis=0))
-
-
-class ShiftedTrigPhi(TrigPhi):
-    """Overrides the inherited ``values`` only: TrigPhi's phasor form is no
-    longer its values, so the integrands must not use it."""
-
-    def values(self, dims, angles):
-        return super().values(dims, angles) + 0.5
-
-
 def test_fused_integrand_matches_separate_programs():
     """lhs_integrand, one program with Phi from its phasors, against Phi at
     the angles times Ad(t, 0) / Sym^2(t, s) from the two programs."""
     rng = np.random.default_rng(606)
     phis = (ConstantPhi(1.7), TrigPhi([(1, 1, 0.2 + 0.1j), (2, 2, -0.15 + 0j),
                                        (-1, 1, 0.05j)], const=1.0),
-            GaussianPhi(width=1.0, center=0.2, hmax=3), AngleOnlyPhi(),
-            ShiftedTrigPhi([(1, 1, 0.3 + 0j)]))
+            GaussianPhi(width=1.0, center=0.2, hmax=3))
     compared = 0
     for triple in (T_D1, T_IN, T_IS, T_IO3, T_D3):
         model = ComponentModel(triple, SPEC3)
         nfree = model.R_lhs
-        t = rng.random((nfree, 3000 if nfree else 1)) * 1.5 - 0.25
+        t = rng.random((nfree, 5000 if nfree else 1)) * 1.5 - 0.25
         sym2 = limitcheck.sym2_atoms(model.lhs_atoms)
-        ad = limitcheck._ad_over_center(model.lhs_atoms)
+        ad = limitcheck.ad_over_center_atoms(model.lhs_atoms)
+        angles = np.array([float(a.const) + np.array(a.coeffs) @ t
+                           for a, _ in model.lhs_atoms])
         _, small_ad, cond_ad, _ = _per_factor_eval(ad, SPEC3, nfree, True, t,
                                                    0.0)
         for s in (0.2, 0.0125):
@@ -393,7 +391,7 @@ def test_fused_integrand_matches_separate_programs():
                                                          False, t, s)
             ok = np.minimum(small_ad, small_sym) >= 1e-6
             for phi in phis:
-                want = (phi.values(model.dims, model.lhs_angles(t))
+                want = (phi.values(model.dims, angles)
                         * model.ad_lhs.eval(t, 0.0)
                         / model.sym2_lhs.eval(t, s))
                 got = model.lhs_integrand(phi, t, s)
@@ -486,6 +484,17 @@ def test_integrand_calls_cover_the_nodes_used(monkeypatch):
         rep = verify(triple, TrigPhi([(1, 1, 0.2 + 0j)]), SPEC3, FAST)
         assert sum(seen) == rep.nodes_used
         assert max(seen) <= FactorProgram.BLOCK
+
+
+def test_non_finite_grid_sum_raises_pole_error(monkeypatch):
+    """No node is guarded against a pole: a grid sum that is not finite
+    raises PoleError."""
+    model = ComponentModel(T_IN, SPEC3)
+    assert np.isfinite(model.lhs_mean(ConstantPhi(1.0), 0.1, FAST)[0])
+    monkeypatch.setattr(ComponentModel, "lhs_integrand",
+                        lambda self, phi, t, s: np.full(t.shape[1], np.inf))
+    with pytest.raises(PoleError):
+        model.lhs_mean(ConstantPhi(1.0), 0.1, FAST)
 
 
 def test_lhs_mean_memory_does_not_grow_with_the_grid():

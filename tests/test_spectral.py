@@ -107,6 +107,22 @@ def test_limit_with_power():
         zeta.limit_with_power(2)
 
 
+
+def test_at_zero_cancelled_pole_and_reflected_zero():
+    """A zero cancelling a pole leaves a function regular at 0, whose limit
+    with power 0 is its regularized value; a reflected factor 1 - q^{s}
+    is -s log q (1 + O(s)), so zeta(s) f(s) tends to -1."""
+    cancelled = SpectralFunction(num=(GeometricFactor(0, 0),),
+                                 den=(GeometricFactor(0, 0),), q=3)
+    assert cancelled.limit_with_power(0) == cancelled.regularized_value() == 1
+    reflected = SpectralFunction(num=(GeometricFactor(0, 0, -1),), q=3)
+    assert reflected.regularized_value() == -1
+    s = 1e-7
+    numeric = reflected.multiply(SpectralFunction.zeta(3)).evaluate(s)
+    assert abs(numeric - reflected.regularized_value()) < 1e-6
+    assert abs(reflected.inverse().limit_with_power(1)
+               + 1 / math.log(3)) < 1e-15
+
 def test_limit_with_power_numeric_oracle():
     rng = random.Random(4)
     done = 0

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from planch.field import LocalFieldSpec, gamma_star_trivial, gamma_trivial
+from planch.limitcheck import AffineAngle
 from planch.wdrep import (SELF_DUAL_BOTH, SELF_DUAL_NONE,
                           SELF_DUAL_ORTHOGONAL, SELF_DUAL_SYMPLECTIC, WDAtom,
-                          WDRep, component_groups_brute_force, parse_rep_text,
+                          WDRep, ad_atoms, ad_over_center_atoms,
+                          component_groups_brute_force, parse_rep_text,
                           sp_sym2, sp_tensor, sp_wedge2)
 
 SPEC3 = LocalFieldSpec(3, 3, 0)
@@ -112,6 +114,27 @@ def test_dual_tensor_ad():
     got = sorted((cmath.exp(2j * math.pi * float(at.angle)) for at in ad.atoms),
                  key=lambda z: (round(z.real, 9), round(z.imag, 9)))
     assert all(abs(x - y) < 1e-12 for x, y in zip(eig, got))
+
+
+def test_ad_over_center_atoms_drops_the_trivial_atom():
+    """Oracles: for exact angles, ad() less one WDAtom(0, 1) as a multiset;
+    for affine angles, ad_atoms less its first identically-zero Sp(1)."""
+    rng = random.Random(8)
+    for _ in range(300):
+        rep = random_rep(rng)
+        want = list(rep.ad().atoms)
+        want.remove(WDAtom(F(0), 1))
+        assert WDRep.from_atom_list(ad_over_center_atoms(rep.atom_list())) \
+            == WDRep(tuple(want))
+    for _ in range(300):
+        nfree = rng.randint(0, 3)
+        atoms = [(AffineAngle(F(rng.randint(0, 11), 12),
+                              tuple(rng.randint(-2, 2) for _ in range(nfree))),
+                  rng.randint(1, 4)) for _ in range(rng.randint(1, 4))]
+        want = ad_atoms(atoms)
+        del want[next(i for i, (a, m) in enumerate(want)
+                      if m == 1 and a.is_identically_zero())]
+        assert ad_over_center_atoms(atoms) == want
 
 
 def test_sym2_plus_wedge2_is_square():

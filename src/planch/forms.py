@@ -3,10 +3,12 @@
 All linear algebra is exact over the rationals: rank decisions transfer to
 the p-adic field (rank of a rational matrix is the same over any field of
 characteristic zero), and square-class decisions use the exact Hensel
-criteria from ``field``.  Products and determinants clear each matrix's
-denominators first and run in Python integers (``det`` by fraction-free
-Bareiss elimination), so they stay exact and build one ``Fraction`` per
-result entry rather than one per arithmetic step.
+criteria from ``field``.  Products and row reductions clear each matrix's
+denominators first and run in Python integers, so they stay exact and build
+one ``Fraction`` per result entry rather than one per arithmetic step.  One
+fraction-free (Bareiss) Gauss-Jordan elimination, ``_reduce``, is the only
+row reduction: ``det``, ``rank``, ``solve``, ``inverse`` and the kernel basis
+all read it.  ``symmetric_diagonalize`` is a congruence, not a row reduction.
 """
 
 from __future__ import annotations
@@ -84,75 +86,58 @@ def mat_eq(a: Matrix, b: Matrix) -> bool:
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
-def _elimination(a: Matrix):
-    """Fraction Gaussian elimination; returns (rank, det, row-echelon rows)."""
-    rows = [list(r) for r in a]
-    n, m = len(rows), len(rows[0]) if rows else 0
-    det = Fraction(1)
-    rank, pr = 0, 0
-    for col in range(m):
-        piv = next((r for r in range(pr, n) if rows[r][col] != 0), None)
+def _reduce(a: Matrix):
+    """Fraction-free (Bareiss) Gauss-Jordan elimination of a.
+
+    Returns (pivots, rows, p, sign, den): the pivot columns, the reduced
+    integer rows, the last pivot p, the sign of the row swaps and the common
+    denominator den of a.  The reduced row-echelon form of a is rows / p;
+    for a square a of full rank, det(a) = sign p / den^n.
+    """
+    rows, den = _cleared(a)
+    pivots, sign, p = [], 1, 1
+    for col in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
         if piv is None:
-            det = Fraction(0)
             continue
-        if piv != pr:
-            rows[pr], rows[piv] = rows[piv], rows[pr]
-            det = -det
-        det *= rows[pr][col]
-        inv = Fraction(1) / rows[pr][col]
-        rows[pr] = [x * inv for x in rows[pr]]
-        for r in range(n):
-            if r != pr and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[pr])]
-        pr += 1
-        rank += 1
-    if rank < min(n, m) or n != m:
-        det = Fraction(0)
-    return rank, det, rows
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            sign = -sign
+        top, prev, p = rows[r], p, rows[r][col]
+        for i, row in enumerate(rows):
+            if i != r:
+                # exact division: every entry is a minor of den * a
+                f = row[col]
+                rows[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        pivots.append(col)
+    return pivots, rows, p, sign, den
 
 
 def rank(a: Matrix) -> int:
-    return _elimination(a)[0]
+    return len(_reduce(a)[0])
 
 
 def det(a: Matrix) -> Fraction:
-    """Exact determinant by fraction-free (Bareiss) integer elimination."""
+    """Exact determinant, sign p / den^n of ``_reduce`` at full rank."""
     n = len(a)
-    if n != len(a[0]):
+    if any(len(row) != n for row in a):
         raise ValueError("determinant of a non-square matrix")
-    m, den = _cleared(a)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            piv = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
-            if piv is None:
-                return Fraction(0)
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        rk, pk = m[k], m[k][k]
-        for ri in m[k + 1:]:
-            f = ri[k]
-            # exact division: every Bareiss minor is an integer
-            for j in range(k + 1, n):
-                ri[j] = (pk * ri[j] - f * rk[j]) // prev
-        prev = pk
-    return Fraction(sign * m[n - 1][n - 1], den ** n)
-
-
-def inverse(a: Matrix) -> Matrix:
-    n = len(a)
-    aug = tuple(tuple(list(row) + [Fraction(1 if i == j else 0) for j in range(n)])
-                for i, row in enumerate(a))
-    r, _, rows = _elimination(aug)
-    if any(all(rows[i][j] == 0 for j in range(n)) for i in range(n)):
-        raise DegenerateFormError("matrix is singular")
-    return tuple(tuple(rows[i][n:]) for i in range(n))
+    pivots, _, p, sign, den = _reduce(a)
+    return Fraction(sign * p, den ** n) if len(pivots) == n else Fraction(0)
 
 
 def solve(a: Matrix, b: Matrix) -> Matrix:
-    """Solve a x = b for square invertible a."""
-    return mat_mul(inverse(a), b)
+    """x with a x = b for square invertible a: [a | b] reduces to [1 | x]."""
+    n = len(a)
+    pivots, rows, p, _, _ = _reduce(tuple((*ra, *rb) for ra, rb in zip(a, b)))
+    if pivots[:n] != list(range(n)):
+        raise DegenerateFormError("matrix is singular")
+    return tuple(tuple(Fraction(x, p) for x in row[n:]) for row in rows)
+
+
+def inverse(a: Matrix) -> Matrix:
+    return solve(a, identity(len(a)))
 
 
 def charpoly(a: Matrix) -> tuple:
@@ -218,8 +203,8 @@ class BilForm:
     def __post_init__(self):
         object.__setattr__(self, "gram", mat(self.gram))
         n = len(self.gram)
-        if any(len(row) != n for row in self.gram):
-            raise ValueError("Gram matrix must be square")
+        if not n or any(len(row) != n for row in self.gram):
+            raise ValueError("Gram matrix must be square and nonempty")
 
     @property
     def d(self) -> int:
@@ -306,18 +291,12 @@ def classify_sharp(b: BilForm, p: int) -> OrbitLabel:
     d = b.d
     s, a = b.sym_part(), b.alt_part()
     rs = rank(s)
-    if rs == 0:
-        if d % 2 == 0:
-            return OrbitLabel("gamma_0")
-        raise AssertionError("odd-dimensional nondegenerate alternating form")
-    if rs == 1:
-        ra = rank(a)
-        max_rank = d if d % 2 == 0 else d - 1
-        if ra == max_rank:
-            diag = [x for x in symmetric_diagonalize(s) if x != 0]
-            assert len(diag) == 1
-            return OrbitLabel("gamma_t", square_class(diag[0], p))
-        return OrbitLabel("outside_sharp")
+    if rs == 0:  # nondegenerate and alternating, so d is even
+        return OrbitLabel("gamma_0")
+    if rs == 1 and rank(a) == d - d % 2:
+        # a congruence keeps the rank: one nonzero diagonal entry
+        t = next(x for x in symmetric_diagonalize(s) if x != 0)
+        return OrbitLabel("gamma_t", square_class(t, p))
     return OrbitLabel("outside_sharp")
 
 
@@ -363,8 +342,7 @@ def char_poly_twisted(b: BilForm) -> tuple:
     """Characteristic polynomial of gram^{-T} gram, exact coefficients."""
     if not b.is_nondegenerate():
         raise DegenerateFormError("char_poly_twisted needs a nondegenerate form")
-    m = mat_mul(inverse(transpose(b.gram)), b.gram)
-    return charpoly(m)
+    return charpoly(solve(transpose(b.gram), b.gram))
 
 
 def correspond_char_poly(coeffs: tuple, flavor: str) -> tuple:
@@ -392,42 +370,36 @@ def _theta_matrix(gram: Matrix) -> Matrix:
     (row-major)."""
     d = len(gram)
     gi = inverse(gram)
-    cols = []
-    for i in range(d):
-        for j in range(d):
-            e = [[Fraction(0)] * d for _ in range(d)]
-            e[i][j] = Fraction(1)
-            th = mat_scale(mat_mul(gi, mat_mul(transpose(mat(e)), gram)), -1)
-            cols.append([th[a][b] for a in range(d) for b in range(d)])
-    return tuple(tuple(cols[c][r] for c in range(d * d)) for r in range(d * d))
+    # theta(E_ij)_(a,b) = -(gram^{-1})_(a,j) gram_(i,b)
+    return tuple(tuple(-gi[a][j] * gram[i][b]
+                       for i in range(d) for j in range(d))
+                 for a in range(d) for b in range(d))
+
+
+def _one_minus_theta(gram: Matrix) -> Matrix:
+    """1 - theta on gl_d; its kernel is the twisted fixed space."""
+    return mat_add(identity(len(gram) ** 2), _theta_matrix(gram), sign=-1)
 
 
 def _kernel_basis(a: Matrix) -> list:
-    """Basis of the kernel of a (list of coefficient vectors)."""
-    n, m = len(a), len(a[0])
-    _, _, rows = _elimination(a)
-    pivots = {}
-    for r in rows:
-        lead = next((j for j, x in enumerate(r) if x != 0), None)
-        if lead is not None:
-            pivots[lead] = r
-    free = [j for j in range(m) if j not in pivots]
+    """Basis of the kernel of a (list of coefficient vectors): for each free
+    column j, 1 at j and minus the reduced row-echelon column j at the
+    pivots."""
+    pivots, rows, p, _, _ = _reduce(a)
+    m = len(a[0])
     basis = []
-    for j in free:
+    for j in [j for j in range(m) if j not in pivots]:
         v = [Fraction(0)] * m
         v[j] = Fraction(1)
-        for lead, r in pivots.items():
-            v[lead] = -r[j]
+        for c, row in zip(pivots, rows):
+            v[c] = Fraction(-row[j], p)
         basis.append(v)
     return basis
 
 
 def twisted_fixed_space(b: BilForm) -> list:
     """Basis of the fixed Lie algebra of the twisted adjoint action."""
-    d = b.d
-    th = _theta_matrix(b.gram)
-    one_minus = mat_add(identity(d * d), th, sign=-1)
-    return _kernel_basis(one_minus)
+    return _kernel_basis(_one_minus_theta(b.gram))
 
 
 def weyl_discriminant_twisted(b: BilForm, p: int, q: int) -> float:
@@ -441,9 +413,8 @@ def weyl_discriminant_twisted(b: BilForm, p: int, q: int) -> float:
     # beyond a torus (every stabilizer element commutes with gram^{-T} gram)
     if not poly_is_squarefree(char_poly_twisted(b)):
         raise NotRegularError("eigenvalue collision in the twisted action")
-    th = _theta_matrix(b.gram)
     n2 = d * d
-    one_minus = mat_add(identity(n2), th, sign=-1)
+    one_minus = _one_minus_theta(b.gram)
     fix = _kernel_basis(one_minus)
     k = len(fix)
     if k != d // 2:
@@ -463,8 +434,6 @@ def weyl_discriminant_twisted(b: BilForm, p: int, q: int) -> float:
                 raise NotRegularError("twisted centralizer is not abelian")
     cp = charpoly(one_minus)
     lead = next(c for c in cp if c != 0)  # T^k g(T): +- product of nonzero eigenvalues
-    if d == 1:
-        assert k == 0
     return float(q) ** (-valuation(lead, p))
 
 
@@ -633,7 +602,7 @@ def _bruhat_factor(emb: OddSOEmbedding, g: Matrix):
     mt[d][d] = Fraction(a)
     mt = mat(mt)
     if not mat_eq(mat_mul(u1, mat_mul(mt, u2)), g):
-        raise AssertionError("Bruhat factorization failed to reconstruct g")
+        raise ArithmeticError("Bruhat factorization failed to reconstruct g")
     return u1, mt, u2
 
 

@@ -17,7 +17,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .field import read_number
 
@@ -86,11 +86,8 @@ def _sorted(factors: Iterable[GeometricFactor]) -> tuple:
 
 @dataclass(frozen=True)
 class SpectralFunction:
-    """scalar * q^{-exponent*s} * prod(num) / prod(den).
-
-    The scalar is e^{2 pi i unit_angle} * q^{qpow} when exact; an arbitrary
-    complex scalar (evaluation-only paths) is carried in ``inexact`` instead.
-    """
+    """scalar * q^{-exponent*s} * prod(num) / prod(den), with the exact
+    scalar e^{2 pi i unit_angle} * q^{qpow}."""
 
     unit_angle: Fraction = Fraction(0)
     qpow: Fraction = Fraction(0)
@@ -98,7 +95,6 @@ class SpectralFunction:
     num: tuple = ()
     den: tuple = ()
     q: int = 2
-    inexact: Optional[complex] = None
 
     def __post_init__(self):
         object.__setattr__(self, "unit_angle", mod1(Fraction(self.unit_angle)))
@@ -109,13 +105,7 @@ class SpectralFunction:
 
     # -- scalar ------------------------------------------------------------
 
-    @property
-    def exact_unit(self) -> bool:
-        return self.inexact is None
-
     def scalar_value(self) -> complex:
-        if self.inexact is not None:
-            return self.inexact
         return cmath.exp(2j * math.pi * float(self.unit_angle)) * \
             float(self.q) ** float(self.qpow)
 
@@ -125,27 +115,17 @@ class SpectralFunction:
         """Pointwise product; factor lists concatenate, nothing cancels."""
         if self.q != other.q:
             raise ValueError("cannot multiply spectral functions over different q")
-        if self.inexact is None and other.inexact is None:
-            return SpectralFunction(self.unit_angle + other.unit_angle,
-                                    self.qpow + other.qpow,
-                                    self.exponent + other.exponent,
-                                    self.num + other.num, self.den + other.den,
-                                    self.q)
-        return SpectralFunction(Fraction(0), Fraction(0),
+        return SpectralFunction(self.unit_angle + other.unit_angle,
+                                self.qpow + other.qpow,
                                 self.exponent + other.exponent,
                                 self.num + other.num, self.den + other.den,
-                                self.q,
-                                inexact=self.scalar_value() * other.scalar_value())
+                                self.q)
 
     __mul__ = multiply
 
     def inverse(self) -> "SpectralFunction":
-        if self.inexact is None:
-            return SpectralFunction(-self.unit_angle, -self.qpow, -self.exponent,
-                                    self.den, self.num, self.q)
-        return SpectralFunction(Fraction(0), Fraction(0), -self.exponent,
-                                self.den, self.num, self.q,
-                                inexact=1.0 / self.inexact)
+        return SpectralFunction(-self.unit_angle, -self.qpow, -self.exponent,
+                                self.den, self.num, self.q)
 
     def normalize(self) -> "SpectralFunction":
         """Cancel identical numerator/denominator factors and sort."""
@@ -157,11 +137,11 @@ class SpectralFunction:
             else:
                 den.append(g)
         return SpectralFunction(self.unit_angle, self.qpow, self.exponent,
-                                _sorted(num), _sorted(den), self.q, self.inexact)
+                                _sorted(num), _sorted(den), self.q)
 
     def is_one(self) -> bool:
         f = self.normalize()
-        return (f.exact_unit and f.unit_angle == 0 and f.qpow == 0
+        return (f.unit_angle == 0 and f.qpow == 0
                 and f.exponent == 0 and not f.num and not f.den)
 
     # -- orders and values ---------------------------------------------------
@@ -233,7 +213,6 @@ class SpectralFunction:
         s = self.scalar_value()
         return {
             "scalar": [s.real, s.imag],
-            "exact_unit": self.exact_unit,
             "exponent": str(self.exponent),
             "num": [g.to_dict() for g in _sorted(self.num)],
             "den": [g.to_dict() for g in _sorted(self.den)],

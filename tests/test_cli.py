@@ -154,6 +154,15 @@ def test_classify_and_charpoly(tmp_path, capsys):
     assert main(["classify-form", "--matrix", degen, "--p", "3"]) == 3
 
 
+def test_empty_gram_matrix_exits_3(tmp_path, capsys):
+    """An empty Gram matrix is refused like a non-square one."""
+    for gram in ([], [[]]):
+        m = write(tmp_path, "E.json", {"matrix": gram})
+        assert main(["classify-form", "--p", "3", "--matrix", m]) == 3
+        assert main(["charpoly", "--matrix", m]) == 3
+        assert "precondition violated" in capsys.readouterr().err
+
+
 def test_so_embed(tmp_path, capsys):
     code, out = run(capsys, "so-embed", "--d", "2")
     assert code == 0

@@ -5,14 +5,14 @@ import pytest
 
 from planch.field import square_class
 from planch.forms import (BilForm, DegenerateFormError, NotRegularError,
-                          OrbitLabel, _elimination, char_poly_twisted,
-                          charpoly, classify_sharp, closure_family_member,
-                          correspond_char_poly, det, disc_twisted,
-                          gamma_t_representative, identity, mat, mat_eq,
-                          mat_mul, poly_mul, rank, scale_form,
-                          split_sym_alt, symmetric_diagonalize, transpose,
-                          twisted_conjugate, twisted_fixed_space,
-                          weyl_discriminant_twisted)
+                          OrbitLabel, _kernel_basis, _theta_matrix,
+                          char_poly_twisted, charpoly, classify_sharp,
+                          closure_family_member, correspond_char_poly, det,
+                          disc_twisted, gamma_t_representative, identity,
+                          inverse, mat, mat_eq, mat_mul, mat_scale, poly_mul,
+                          rank, scale_form, solve, split_sym_alt,
+                          symmetric_diagonalize, transpose, twisted_conjugate,
+                          twisted_fixed_space, weyl_discriminant_twisted)
 
 WORKED = BilForm(mat([[-1, 1], [-1, 0]]))
 
@@ -215,11 +215,50 @@ def random_rational(rng):
     return F(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 4, 6, 7, 12, 35]))
 
 
+def fraction_rref(a):
+    """Plain Fraction Gauss-Jordan: (pivot columns, det); det is 0 unless a
+    is square of full rank."""
+    rows = [list(r) for r in a]
+    n, m = len(rows), len(rows[0])
+    dv, pivots = F(1), []
+    for col in range(m):
+        r = len(pivots)
+        piv = next((i for i in range(r, n) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            dv = -dv
+        dv *= rows[r][col]
+        rows[r] = [x / rows[r][col] for x in rows[r]]
+        for i in range(n):
+            if i != r and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(col)
+    return pivots, (dv if len(pivots) == n == m else F(0))
+
+
+def random_deficient(rng, n, m):
+    """An n x m rational matrix whose rows repeat or combine earlier rows
+    often enough that its rank is below min(n, m) in many draws."""
+    rows = []
+    for i in range(n):
+        if i and rng.random() < 0.35:
+            c1, c2 = random_rational(rng), random_rational(rng)
+            r1, r2 = rng.choice(rows), rng.choice(rows)
+            rows.append([c1 * x + c2 * y for x, y in zip(r1, r2)])
+        else:
+            rows.append([random_rational(rng) for _ in range(m)])
+    return mat(rows)
+
+
 def test_integer_kernels_match_fraction_reference():
-    """mat_mul and det clear denominators and work in integers; they must
-    agree exactly with plain Fraction arithmetic."""
+    """mat_mul and the one fraction-free reduction behind det, rank, solve,
+    inverse and the kernel basis work in integers; they must agree exactly
+    with plain Fraction arithmetic."""
     rng = random.Random(11)
-    swaps = singular = 0
+    swaps = singular = deficient = 0
     for trial in range(400):
         n, k, m = (rng.randint(1, 7) for _ in range(3))
         a = mat([[random_rational(rng) for _ in range(k)] for _ in range(n)])
@@ -237,9 +276,47 @@ def test_integer_kernels_match_fraction_reference():
             sq[0][0] = F(0)
         sq = mat(sq)
         dv = det(sq)
-        assert type(dv) is F and dv == _elimination(sq)[1]
+        assert type(dv) is F and dv == fraction_rref(sq)[1]
+        rhs = mat([[random_rational(rng) for _ in range(m)] for _ in range(n)])
+        if dv == 0:
+            for call in (lambda: solve(sq, rhs), lambda: inverse(sq)):
+                with pytest.raises(DegenerateFormError):
+                    call()
+        else:
+            assert mat_mul(sq, solve(sq, rhs)) == rhs
+            assert mat_mul(sq, inverse(sq)) == identity(n)
         singular += dv == 0
         swaps += sq[0][0] == 0 and dv != 0
-    assert singular >= 50 and swaps >= 20
+
+        rect = random_deficient(rng, n, m)
+        pivots = fraction_rref(rect)[0]
+        assert rank(rect) == len(pivots)
+        deficient += len(pivots) < min(n, m)
+        basis = _kernel_basis(rect)
+        assert len(basis) == m - len(pivots)
+        for v in basis:
+            assert all(type(x) is F for x in v)
+            assert mat_mul(rect, mat([[x] for x in v])) == ((F(0),),) * n
+        if basis:  # independent
+            assert len(fraction_rref(mat(basis))[0]) == len(basis)
+    assert singular >= 50 and swaps >= 20 and deficient >= 50
     with pytest.raises(ValueError):
         det(mat([[1, 2, 3], [4, 5, 6]]))
+
+
+def test_theta_matrix_matches_elementary_construction():
+    """The closed form of theta on gl_d against theta(E_ij) built from the
+    elementary matrices with mat_mul, column by column."""
+    rng = random.Random(12)
+    for d in (1, 2, 3, 4):
+        for _ in range(5):
+            gram = random_form(rng, d).gram
+            gi = inverse(gram)
+            cols = []
+            for i in range(d):
+                for j in range(d):
+                    e = mat([[int((a, b) == (j, i)) for b in range(d)]
+                             for a in range(d)])  # E_ij transposed
+                    th = mat_scale(mat_mul(gi, mat_mul(e, gram)), -1)
+                    cols.append([x for row in th for x in row])
+            assert _theta_matrix(gram) == transpose(cols)

@@ -176,3 +176,17 @@ def test_membership_checked_once_per_public_entry(monkeypatch):
         for entry in (b_of_g, in_g_prime, bruhat_factor, m_tilde_of):
             with pytest.raises(NotInGroupError):
                 entry(emb, bad)
+
+
+def test_bruhat_reconstruction_failure_raises(monkeypatch):
+    """The exact reconstruction check of bruhat_factor is a real check: with
+    unipotent factors that are wrong, it raises ArithmeticError."""
+    from planch.forms import OddSOEmbedding
+
+    emb = build_odd_so(2)
+    g = emb.n_bar_element([1, 2], mat([[F(-1, 2), 0], [-2, -2]]))
+    bruhat_factor(emb, g)
+    monkeypatch.setattr(OddSOEmbedding, "n_element",
+                        lambda self, w, u: identity(self.dim))
+    with pytest.raises(ArithmeticError):
+        bruhat_factor(emb, g)

@@ -145,14 +145,13 @@ def test_serialization_roundtrip():
     for _ in range(20):
         f = random_function(rng).normalize()
         d = f.to_dict()
-        assert d["exact_unit"] is True
         g = SpectralFunction(
             num=tuple(GeometricFactor.from_dict(x) for x in d["num"]),
             den=tuple(GeometricFactor.from_dict(x) for x in d["den"]),
-            q=d["q"], exponent=F(d["exponent"]),
-            inexact=complex(*d["scalar"]))
+            q=d["q"], exponent=F(d["exponent"]))
         for s in (0.3, 0.7 + 0.2j):
-            assert abs(f.evaluate(s) - g.evaluate(s)) < 1e-12
+            want = complex(*d["scalar"]) * g.evaluate(s)
+            assert abs(f.evaluate(s) - want) < 1e-12
 
 
 def test_turn_helper():

@@ -6,15 +6,19 @@ is an exterior-square integral over the mirrored subtorus of its orthogonal
 locus.  Gamma factors are compiled once per component (``FactorProgram``:
 atom angles become affine forms in the free torus coordinates, with exact
 detection of identically-vanishing factors, and factors are grouped by
-integer coefficient vector, so that a block of nodes takes one complex
-exponential per free coordinate).  The left integrand Ad(t, 0) / Sym^2(t, s)
-is one such program.  A test function is given by its phasor form,
-``phasor_values``, and is evaluated from the same phasors as the program.
-Both sides are integrated on uniform offset midpoint grids, the left one of
-size growing like 1/s, generated and summed chunk by chunk; the s -> 0 limit
-is taken by Richardson extrapolation.  The order of a triple's blocks and
-their pairing into mirror rows, which both sides and the constants joining
-them depend on, are decided in one place, ``OrthTriple.layout()``.
+integer coefficient vector, so that a chunk of nodes is costed from the
+phasors E_r = e(t_r) of its free coordinates, ``Phasors``).  The left
+integrand Ad(t, 0) / Sym^2(t, s) is one such program.  A test function is
+given by its phasor form, ``phasor_values``, and is evaluated from the same
+phasors as the program.  Both sides are integrated on uniform offset
+midpoint grids, the left one of size growing like 1/s, summed chunk by
+chunk.  No grid node takes an exp of its own: a chunk is a block of rows,
+whose phasors are axis phasors e((i + 1/2 + offset) / n) in (rows, 1) and
+(1, n) arrays that broadcast against each other, so a factor in one
+coordinate costs one row of values.  The s -> 0 limit is taken by
+Richardson extrapolation.  The order of a triple's blocks and their pairing
+into mirror rows, which both sides and the constants joining them depend
+on, are decided in one place, ``OrthTriple.layout()``.
 """
 
 from __future__ import annotations
@@ -112,14 +116,24 @@ def _phasor_power(e: np.ndarray, k: int) -> np.ndarray:
 
 
 class Phasors:
-    """The phasors of one chunk of m nodes t, shape (nfree, m): one exp per
-    free coordinate, E_r = e(t_r); each power E_r^k is built once, by
-    squaring or as the conjugate of E_r^-k, and kept for the chunk."""
+    """The phasors E_r = e(t_r) of one chunk of nodes, ``shape`` (nfree, m).
+    Each E_r is an array that broadcasts to the chunk's ``nodes`` shape: on a
+    grid chunk (``_grid_chunks``) a row coordinate is (rows, 1) and the last
+    axis (1, cols), so a monomial in one coordinate costs only its own
+    values.  Each power E_r^k is built once, by squaring or as the conjugate
+    of E_r^-k, and kept for the chunk."""
 
-    def __init__(self, t: np.ndarray, m: int):
-        self.m = m
-        self._e = np.exp(2j * np.pi * t)
+    def __init__(self, e: list, nodes: tuple):
+        self.nodes = nodes
+        self.shape = (len(e), math.prod(nodes))
+        self._e = e
         self._powers = {}
+
+    @classmethod
+    def of_nodes(cls, t: np.ndarray) -> "Phasors":
+        """The phasors of M arbitrary nodes t, shape (nfree, M): one exp per
+        node coordinate."""
+        return cls(list(np.exp(2j * np.pi * t)), (t.shape[1],))
 
     def power(self, r: int, k: int) -> np.ndarray:
         p = self._powers.get((r, k))
@@ -129,10 +143,11 @@ class Phasors:
             self._powers[r, k] = p
         return p
 
-    def monomial(self, c: tuple, scale: Optional[complex] = None) -> np.ndarray:
-        """scale * prod_r E_r^{c_r}, for c != 0 when unscaled; then it may be
-        a kept power: read it, do not write to it."""
-        out = None if scale is None else np.full(self.m, scale, dtype=complex)
+    def monomial(self, c: tuple, scale: Optional[complex] = None):
+        """scale * prod_r E_r^{c_r}, broadcast over the coordinates it uses
+        (a scalar when scaled and c = 0); for c != 0 unscaled it may be a kept
+        power: read it, do not write to it."""
+        out = scale
         for r, k in enumerate(c):
             if k:
                 out = self.power(r, k) if out is None else out * self.power(r, k)
@@ -150,10 +165,11 @@ class FactorProgram:
     """A gamma factor of a family of representations, ready for grid
     evaluation.  Every factor is 1 - e(const + c.t) q^{-(sdir s + shift)}
     with an integer vector c, so the factors are grouped by c at compile
-    time: on a chunk of nodes, ``eval_phasors`` reads one exp per free
-    coordinate from its ``Phasors``, builds each group's phasor
-    P_c = prod_r E_r^{c_r} by multiplication, and costs each factor
-    1 - a_f P_c with the scalar a_f = e(const_f) q^{-(sdir s + shift)}.
+    time: on a chunk of nodes, ``eval_phasors`` reads the phasors E_r of
+    the free coordinates from its ``Phasors``, builds each group's phasor
+    P_c = prod_r E_r^{c_r} by multiplication, broadcast over the coordinates
+    c uses, and costs each factor 1 - a_f P_c on it, with the scalar
+    a_f = e(const_f) q^{-(sdir s + shift)}.
     Factors with c = 0 and the monomial e(unit) q^{qpow - exponent s} fold
     into one scalar, except the monomial's phasor, P_c with c =
     ``unit_coeffs``.  ``factors`` keeps one entry per kept factor;
@@ -173,8 +189,9 @@ class FactorProgram:
     exponent: float
     factors: list
 
-    # nodes per chunk of a streamed grid (``_grid_mean``): the program's
-    # temporaries stay in cache and well below malloc's 128 KiB mmap threshold
+    # most nodes in one chunk of a streamed grid (``_grid_chunks``): the
+    # program's temporaries stay in cache and below malloc's 128 KiB mmap
+    # threshold
     BLOCK = 1 << 12
 
     def __post_init__(self):
@@ -238,23 +255,25 @@ class FactorProgram:
     def eval(self, t: np.ndarray, s: complex) -> np.ndarray:
         """Evaluate at the nodes ``t`` of shape (nfree, M) and the point s,
         in one pass: M values, or one value when nfree = 0."""
-        return self.eval_phasors(Phasors(t, t.shape[1] if self.nfree else 1),
-                                 s)
+        return self.eval_phasors(Phasors.of_nodes(t) if self.nfree
+                                 else Phasors([], (1,)), s)
 
     def eval_phasors(self, ph: Phasors, s: complex) -> np.ndarray:
-        """Evaluate at the ph.m nodes of ``ph`` and the point s."""
+        """Evaluate at the point s on the nodes of ``ph``: an array of shape
+        ``ph.nodes``.  Each factor is costed on its group's phasor, which
+        broadcasts over the coordinates the group uses only."""
         a = self._rot * self.q ** (-(self._sdir * s + self._shift))
         scalar = (np.exp(2j * np.pi * float(self.unit_const))
                   * (self.q ** self.qpow) * self.q ** (-self.exponent * s))
         scalar = scalar * np.prod(1.0 - a[self._scalar_num]) \
             / np.prod(1.0 - a[self._scalar_den])
-        num = np.full(ph.m, scalar, dtype=complex)
-        den = np.ones(ph.m, dtype=complex)
-        tmp = np.empty_like(den)
+        num = np.full(ph.nodes, scalar, dtype=complex)
+        den = np.ones(ph.nodes, dtype=complex)
         for c, unit, num_idx, den_idx in self._groups:
             phasor = ph.monomial(c)
             if unit:
                 num *= phasor
+            tmp = np.empty_like(phasor)
             for acc, idx in ((num, num_idx), (den, den_idx)):
                 for f in idx:
                     np.multiply(phasor, -a[f], out=tmp)
@@ -286,7 +305,8 @@ class TestFunction:
         return np.broadcast_to(vals, angles.shape[1:]).astype(complex)
 
     def phasor_values(self, dims: tuple, z) -> np.ndarray:
-        """Phi at block phasors z (S rows of M nodes), or one scalar."""
+        """Phi at block phasors z: S rows, arrays (or scalars) that broadcast
+        against each other to the nodes' shape; or one scalar."""
         raise NotImplementedError
 
     def describe(self) -> dict:
@@ -320,13 +340,14 @@ class TrigPhi(TestFunction):
     values = TestFunction.values
 
     def phasor_values(self, dims, z):
-        out = np.full(len(z[0]), self.const)
+        out = self.const
         for (h, k, c) in self.terms:
             rows = [b for b, kb in enumerate(dims) if kb == k]
             if h == 0:
-                out += (c * len(rows)).real
+                out = out + (c * len(rows)).real
             else:
-                out += (c * sum(_phasor_power(z[b], h) for b in rows)).real
+                out = out + (c * sum(_phasor_power(z[b], h)
+                                     for b in rows)).real
         return out
 
     def describe(self):
@@ -566,8 +587,8 @@ class ComponentModel:
 
     def _times_phi(self, prog, phi, t, s, atoms) -> np.ndarray:
         """prog(t, s) times phi at its block phasors, both read from one
-        ``Phasors`` of the chunk t."""
-        ph = Phasors(t, t.shape[1])
+        ``Phasors``: the grid chunk t itself, or made from the nodes t."""
+        ph = t if isinstance(t, Phasors) else Phasors.of_nodes(t)
         out = prog.eval_phasors(ph, s)
         out *= phi.phasor_values(self.dims, ph.blocks(atoms))
         return out
@@ -644,24 +665,51 @@ class ComponentModel:
 # -- grids -----------------------------------------------------------------------
 
 
+def _grid_chunks(dim: int, n: int, offset: float):
+    """The ``Phasors`` of each chunk of the grid of ``_grid_mean``, in node
+    order.  A chunk is a block of whole rows of the last axis, BLOCK // n of
+    them, or when n > BLOCK a segment of one row.  Its last axis is a
+    (1, cols) array of the axis phasors e((i + 1/2 + offset) / n), and its
+    row coordinates are (rows, 1), gathered by row index.  The axis phasors
+    are made once per grid; when n > BLOCK they are made per segment and
+    per row instead, so that no array outgrows a chunk.  No grid node takes
+    an exp or a coordinate of its own."""
+    if dim == 0:
+        yield Phasors([], (1,))
+        return
+
+    def axis(i):
+        return np.exp(2j * np.pi * ((i + 0.5 + offset) / n))
+
+    block = FactorProgram.BLOCK
+    nrows, rows, cols = n ** (dim - 1), max(1, block // n), min(n, block)
+    whole = axis(np.arange(n)) if cols == n else None
+    for i in range(0, nrows, rows):
+        idx = span = np.arange(i, min(nrows, i + rows))
+        head = []
+        for _ in range(dim - 1):
+            idx, k = np.divmod(idx, n)
+            head.insert(0, (axis(k) if whole is None else whole[k])[:, None])
+        for j in range(0, n, cols):
+            last = axis(np.arange(j, min(n, j + cols))) if whole is None \
+                else whole
+            yield Phasors(head + [last[None, :]], (len(span), len(last)))
+
+
 def _grid_mean(fun: Callable, dim: int, n: int, offset: float) -> complex:
     """Mean of fun over the uniform offset grid of n^dim nodes (n^0 = 1: a
     point), node (i_1..i_dim) at ((i_r + 1/2 + offset) / n)_r.  For periodic
     integrands this is the trapezoid rule up to translation, hence
     spectrally accurate; the golden offset keeps nodes off the exact
-    singular loci.  Each chunk of nodes is made from its index range and
-    summed at once, so memory does not grow with the grid.  A sum that is
-    not finite met a pole (see ``FactorProgram``) and raises ``PoleError``."""
+    singular loci.  fun takes each chunk's ``Phasors`` (``_grid_chunks``),
+    whose ``shape`` is (dim, nodes in the chunk), and its values are summed
+    at once, so memory does not grow with the grid and no node takes an exp
+    or a coordinate.  A sum that is not finite met a pole (see
+    ``FactorProgram``) and raises ``PoleError``."""
     size = n ** dim
     total = 0j
-    chunk = FactorProgram.BLOCK
-    for i in range(0, size, chunk):
-        idx = np.arange(i, min(size, i + chunk))
-        t = np.empty((dim, len(idx)))
-        for r in reversed(range(dim)):
-            idx, k = np.divmod(idx, n)
-            t[r] = (k + 0.5 + offset) / n
-        total += complex(fun(t).sum())
+    for ph in _grid_chunks(dim, n, offset):
+        total += complex(fun(ph).sum())
     if not cmath.isfinite(total):
         raise PoleError(f"the mean over {size} nodes is not finite")
     return total / size

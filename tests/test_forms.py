@@ -3,9 +3,11 @@ from fractions import Fraction as F
 
 import pytest
 
+import planch.forms as forms
 from planch.field import square_class
 from planch.forms import (BilForm, DegenerateFormError, NotRegularError,
                           OrbitLabel, _kernel_basis, _theta_matrix,
+                          build_odd_so, in_g_prime,
                           char_poly_twisted, charpoly, classify_sharp,
                           closure_family_member, correspond_char_poly, det,
                           disc_twisted, gamma_t_representative, identity,
@@ -320,3 +322,50 @@ def test_theta_matrix_matches_elementary_construction():
                     th = mat_scale(mat_mul(gi, mat_mul(e, gram)), -1)
                     cols.append([x for row in th for x in row])
             assert _theta_matrix(gram) == transpose(cols)
+
+
+def test_reductions_per_call(monkeypatch):
+    """``_bruhat_factor`` reduces its d x d block E once, as [E | 1], and
+    ``weyl_discriminant_twisted`` never reduces the bare d x d Gram matrix;
+    both still raise DegenerateFormError on singular input."""
+    shapes = []
+    original = forms._reduce
+
+    def spy(a):
+        shapes.append((len(a), len(a[0])))
+        return original(a)
+
+    rng = random.Random(31)
+    for d in (2, 3):
+        emb = build_odd_so(d)
+        while True:
+            ell = [F(rng.randint(-3, 3)) for _ in range(d)]
+            t = [[F(rng.randint(-3, 3)) for _ in range(d)] for _ in range(d)]
+            g = emb.n_bar_element(ell, mat(
+                [[t[i][j] - t[j][i] - ell[i] * ell[j] / 2 for j in range(d)]
+                 for i in range(d)]))
+            if in_g_prime(emb, g):
+                break
+        while True:
+            b = random_form(rng, d)
+            try:
+                weyl_discriminant_twisted(b, 3, 3)
+                break
+            except NotRegularError:
+                continue
+        with monkeypatch.context() as m:
+            m.setattr(forms, "_reduce", spy)
+            shapes.clear()
+            forms._bruhat_factor(emb, g)
+            assert shapes == [(d, 2 * d)]
+            shapes.clear()
+            weyl_discriminant_twisted(b, 3, 3)
+            assert shapes and (d, d) not in shapes
+        with pytest.raises(DegenerateFormError):
+            forms._bruhat_factor(emb, identity(2 * d + 1))
+        singular = BilForm(mat([[int(i == j < d - 1) for j in range(d)]
+                                for i in range(d)]))
+        for call in (weyl_discriminant_twisted, lambda f, p, q:
+                     char_poly_twisted(f)):
+            with pytest.raises(DegenerateFormError):
+                call(singular, 3, 3)

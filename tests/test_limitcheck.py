@@ -497,19 +497,112 @@ def test_non_finite_grid_sum_raises_pole_error(monkeypatch):
         model.lhs_mean(ConstantPhi(1.0), 0.1, FAST)
 
 
+def test_grid_chunks_are_the_grid_phasors(monkeypatch):
+    """Each chunk of _grid_chunks holds, in node order, E_r = e(t_r) of its
+    nodes and block phasors equal to those made from the nodes themselves:
+    dims 0-3, ragged last chunks, a chunk per row segment when n > BLOCK."""
+    offset = QuadConfig().offset
+    rng = random.Random(4)
+    block = FactorProgram.BLOCK
+    cases = [(0, 5, block), (1, 37, block), (1, block + 100, block),
+             (2, 100, block), (3, 17, block), (2, 37, 16), (3, 9, 4)]
+    for dim, n, chunk in cases:
+        monkeypatch.setattr(FactorProgram, "BLOCK", chunk)
+        atoms = [(AffineAngle(F(rng.randrange(7), 7),
+                              tuple(rng.randint(-2, 2) for _ in range(dim))), 1)
+                 for _ in range(4)]
+        grid = _full_grid(dim, n, offset) if dim else np.zeros((0, 1))
+        start, sizes = 0, []
+        for ph in limitcheck._grid_chunks(dim, n, offset):
+            m = ph.shape[1]
+            assert ph.shape == (dim, m) and math.prod(ph.nodes) == m <= chunk
+            t = grid[:, start:start + m]
+            start += m
+            sizes.append(m)
+            for r in range(dim):
+                got = np.broadcast_to(ph.power(r, 1), ph.nodes).ravel()
+                assert np.abs(got - np.exp(2j * np.pi * t[r])).max() <= 1e-15
+            ref = limitcheck.Phasors.of_nodes(t).blocks(atoms)
+            for got, want in zip(ph.blocks(atoms), ref):
+                got = np.broadcast_to(got, ph.nodes).ravel()
+                assert np.abs(got - want).max() <= 1e-15
+        assert start == n ** dim
+        if n ** dim > chunk:
+            assert len(set(sizes)) == 2  # a ragged last chunk
+        if dim and n > chunk:
+            assert max(sizes) == chunk  # segments of one row
+
+
+def test_grid_integrands_equal_node_integrands(monkeypatch):
+    """On a grid chunk the fused program and phi, costed on broadcast
+    phasors, give the values they give on the chunk's flattened nodes."""
+    monkeypatch.setattr(FactorProgram, "BLOCK", 100)
+    offset = QuadConfig().offset
+    phi = TrigPhi([(1, 1, 0.25 + 0.1j), (2, 1, -0.1 + 0j)], const=1.0)
+    t_in2 = OrthTriple(dual_pairs=((WDAtom(F(1, 3), 1), 2),))
+    for triple in (T_D1, T_IN, T_D3, t_in2):
+        model = ComponentModel(triple, SPEC3)
+        dim, n = model.R_lhs, 23
+        grid = _full_grid(dim, n, offset) if dim else np.zeros((0, 1))
+        got = np.concatenate([
+            np.broadcast_to(model.lhs_integrand(phi, ph, 0.1), ph.nodes).ravel()
+            for ph in limitcheck._grid_chunks(dim, n, offset)])
+        want = model.lhs_integrand(phi, grid, 0.1)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_grid_means_take_no_node_angles(monkeypatch):
+    """lhs_mean, rhs_value and measure_mass build every Phasors from the
+    grid's axis phasors, never from node angles."""
+    def refuse(cls, t):
+        raise AssertionError("Phasors built from node angles")
+
+    monkeypatch.setattr(limitcheck.Phasors, "of_nodes", classmethod(refuse))
+    phi = TrigPhi([(1, 1, 0.2 + 0j)])
+    for triple in (T_D1, T_IN, T_D3, T_IS):
+        model = ComponentModel(triple, SPEC3)
+        assert np.isfinite(model.lhs_mean(phi, 0.1, FAST)[0])
+        assert np.isfinite(model.rhs_value(phi, FAST))
+        assert np.isfinite(model.measure_mass(phi, FAST))
+    with pytest.raises(AssertionError, match="node angles"):
+        model.lhs_integrand(phi, np.zeros((model.R_lhs, 3)), 0.1)
+
+
+def test_phi_on_broadcast_phasors():
+    """Each test function gives on block phasors of shapes (rows, 1),
+    (1, n), (rows, n) and a scalar the values it gives on the flattened
+    nodes."""
+    rng = np.random.default_rng(6)
+    rows, n = 5, 7
+    a = np.exp(2j * np.pi * rng.random((rows, 1)))
+    b = np.exp(2j * np.pi * rng.random((1, n)))
+    z = [a, b, a * b, np.exp(0.4j)]
+    flat = [np.broadcast_to(zb, (rows, n)).ravel() for zb in z]
+    dims = (1, 1, 2, 2)
+    for phi in (ConstantPhi(1.5),
+                TrigPhi([(1, 1, 0.3 + 0.1j), (2, 2, -0.2 + 0j), (0, 1, 0.5)],
+                        const=0.7),
+                GaussianPhi(width=0.4, center=0.25)):
+        got = np.broadcast_to(phi.phasor_values(dims, z), (rows, n)).ravel()
+        want = np.broadcast_to(phi.phasor_values(dims, flat), rows * n)
+        assert np.abs(got - want).max() <= 1e-15
+
+
 def test_lhs_mean_memory_does_not_grow_with_the_grid():
-    """One lhs_mean on T_D3 at s = 0.05 covers 729^2 + 515^2 nodes; the
-    streamed chunks keep its allocation peak to a few MB."""
+    """One lhs_mean on T_D3 at s = 0.05 covers 729^2 + 515^2 nodes, and one
+    on T_IN at s = 1e-4 a 1-D grid of 364096 + 257455 nodes; the streamed
+    chunks keep each allocation peak to a few MB."""
     import tracemalloc
 
-    model = ComponentModel(T_D3, SPEC3)
     cfg = QuadConfig()
-    assert model.lhs_grid_size(0.05, cfg)[0] == 729
     phi = TrigPhi([(1, 1, 0.3 + 0j)])
-    tracemalloc.start()
-    try:
-        model.lhs_mean(phi, 0.05, cfg)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * 2 ** 20, peak
+    for triple, s, n in ((T_D3, 0.05, 729), (T_IN, 1e-4, 364096)):
+        model = ComponentModel(triple, SPEC3)
+        assert model.lhs_grid_size(s, cfg)[0] == n
+        tracemalloc.start()
+        try:
+            model.lhs_mean(phi, s, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20, (triple, peak)

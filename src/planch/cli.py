@@ -239,10 +239,9 @@ def cmd_limit_verify(args) -> int:
     phi = (_from_json(phi_from_dict, _load_json(args.phi)) if args.phi
            else ConstantPhi(1.0))
     s0, count = _parse_s_seq(args.s_seq)
-    cfg = QuadConfig(s0=s0, s_count=count, tol=args.tol,
-                     n_base=args.grid if args.grid else 128,
-                     rhs_n=args.grid if args.grid else 128,
-                     max_nodes=args.max_nodes)
+    grid = 128 if args.grid is None else args.grid
+    cfg = QuadConfig(s0=s0, s_count=count, tol=args.tol, n_base=grid,
+                     rhs_n=grid, max_nodes=args.max_nodes)
     rep = verify(triple, phi, spec, cfg, chi_minus_one=args.chi_minus_one)
     report = _base_report(args, "limit-verify", "spectral-limit-identity")
     report["result"] = rep.to_dict()

@@ -5,26 +5,29 @@ density integrals over a component of the tempered dual; the right-hand side
 is an exterior-square integral over the mirrored subtorus of its orthogonal
 locus.  Gamma factors are compiled once per component (``FactorProgram``:
 atom angles become affine forms in the free torus coordinates, with exact
-detection of identically-vanishing factors, and factors are grouped by
-integer coefficient vector, so that a chunk of nodes is costed from the
-phasors E_r = e(t_r) of its free coordinates, ``Phasors``).  The left
-integrand Ad(t, 0) / Sym^2(t, s) is one such program.  A test function is
-given by its phasor form, ``phasor_values``, and is evaluated from the same
-phasors as the program.  Both sides are integrated on uniform offset
-midpoint grids, the left one of size growing like 1/s, summed chunk by
-chunk.  No grid node takes an exp of its own: a chunk is a block of rows,
-whose phasors are axis phasors e((i + 1/2 + offset) / n) in (rows, 1) and
-(1, n) arrays that broadcast against each other, so a factor in one
-coordinate costs one row of values.  The s -> 0 limit is taken by
-Richardson extrapolation.  The order of a triple's blocks and their pairing
-into mirror rows, which both sides and the constants joining them depend
-on, are decided in one place, ``OrthTriple.layout()``.
+detection of identically-vanishing factors), so that a chunk of nodes is
+costed from the phasors E_r = e(t_r) of its free coordinates, ``Phasors``.
+The left integrand Ad(t, 0) / Sym^2(t, s) is one such program.  A test
+function is given by its phasor form, ``phasor_values``, and is evaluated
+from the same phasors as the program.  Both sides are integrated on uniform
+offset midpoint grids, the left one of size growing like 1/s, summed chunk
+by chunk.  No grid node takes an exp of its own: a chunk is a block of
+rows, whose phasors are axis phasors e((i + 1/2 + offset) / n) in (rows, 1)
+and (1, n) arrays that broadcast against each other.  With Y the phasor of
+the last axis, each factor 1 - a H Y^b is costed as Y^b (Y^{-b} - a H): a
+factor in the head coordinates only costs one value per row, one in the
+last coordinate only one per column, the Y^b join in one monomial, and a
+factor in both costs two passes over the chunk.  The s -> 0 limit is taken
+by Richardson extrapolation.  The order of a triple's blocks and their
+pairing into mirror rows, which both sides and the constants joining them
+depend on, are decided in one place, ``OrthTriple.layout()``.
 """
 
 from __future__ import annotations
 
 import cmath
 import dataclasses
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -75,6 +78,11 @@ class AffineAngle:
         return AffineAngle(self.const * n, tuple(c * n for c in self.coeffs))
 
     __rmul__ = __mul__
+
+    @functools.cached_property
+    def phase(self) -> complex:
+        """e(const), made once per angle."""
+        return cmath.exp(2j * math.pi * self.const)
 
     def is_identically_zero(self) -> bool:
         return mod1(self.const) == 0 and all(c == 0 for c in self.coeffs)
@@ -156,24 +164,30 @@ class Phasors:
     def blocks(self, atoms) -> list:
         """Each atom's phasor: for the angle const + c.t, e(const) prod_r
         E_r^{c_r}."""
-        return [self.monomial(a.coeffs, cmath.exp(2j * math.pi * a.const))
-                for a, _ in atoms]
+        return [self.monomial(a.coeffs, a.phase) for a, _ in atoms]
 
 
 @dataclass
 class FactorProgram:
     """A gamma factor of a family of representations, ready for grid
-    evaluation.  Every factor is 1 - e(const + c.t) q^{-(sdir s + shift)}
-    with an integer vector c, so the factors are grouped by c at compile
-    time: on a chunk of nodes, ``eval_phasors`` reads the phasors E_r of
-    the free coordinates from its ``Phasors``, builds each group's phasor
-    P_c = prod_r E_r^{c_r} by multiplication, broadcast over the coordinates
-    c uses, and costs each factor 1 - a_f P_c on it, with the scalar
-    a_f = e(const_f) q^{-(sdir s + shift)}.
-    Factors with c = 0 and the monomial e(unit) q^{qpow - exponent s} fold
-    into one scalar, except the monomial's phasor, P_c with c =
-    ``unit_coeffs``.  ``factors`` keeps one entry per kept factor;
-    ``quotient`` joins two programs into one.
+    evaluation.  Every factor is 1 - a_f e(c.t) with an integer vector c
+    and the scalar a_f = e(const_f) q^{-(sdir s + shift)}.  As every phasor
+    has modulus 1, for the phasor Y of the last free coordinate
+
+        1 - a_f H Y^b = Y^b (Y^{-b} - a_f H),
+
+    H the phasor of c's head (all coordinates but the last) and b its last
+    entry.  So at compile time each factor is sorted by where it varies:
+    with c = 0 it folds, with the monomial e(unit) q^{qpow - exponent s},
+    into one scalar per s; with b = 0 it is a row factor 1 - a_f H, which
+    varies over the head only; with H = 1 it is a lane factor Y^{-b} - a_f,
+    which varies along the last axis only; otherwise it is mixed.  All the
+    Y^b make one monomial Y^{net b}, a lane factor too.  On a grid chunk
+    (``_grid_chunks``, head (rows, 1), last axis (1, cols)) ``eval_phasors``
+    costs the row and lane factors on their own rows and columns, joins
+    them in one pass, and then costs each mixed factor in two passes.
+    ``factors`` keeps one entry per kept factor; ``quotient`` joins two
+    programs into one.
 
     Poles: ``SpectralFunction.evaluate`` refuses a denominator factor below
     1e-14; no node here is guarded, as for s > 0 no program meets a pole:
@@ -189,28 +203,34 @@ class FactorProgram:
     exponent: float
     factors: list
 
-    # most nodes in one chunk of a streamed grid (``_grid_chunks``): the
-    # program's temporaries stay in cache and below malloc's 128 KiB mmap
-    # threshold
-    BLOCK = 1 << 12
+    # most nodes in one chunk of a streamed grid (``_grid_chunks``):
+    # ``eval_phasors`` holds three chunk-sized arrays (the output, the
+    # denominator and one reused buffer); of 2^11 ... 2^14, 2^13 gave the
+    # fastest limit-d3 grids on a 2-core Xeon with numpy 2.4
+    BLOCK = 1 << 13
 
     def __post_init__(self):
-        groups = {}
-        for i, f in enumerate(self.factors):
-            groups.setdefault(f.coeffs, ([], []))[0 if f.in_num else 1].append(i)
         zero = (0,) * self.nfree
-        if self.unit_coeffs != zero:
-            groups.setdefault(self.unit_coeffs, ([], []))
-        scalar = groups.pop(zero, ([], []))
-        self._scalar_num, self._scalar_den = scalar
-        # (c, whether the monomial's phasor is P_c, numerator and
-        # denominator factor indices) for each group sharing P_c = e(c.t)
-        self._groups = [(c, c == self.unit_coeffs, nu, de)
-                        for c, (nu, de) in groups.items()]
+        self._scalar_num, self._scalar_den = [], []
+        # (head c with its last entry 0, -b, factor index, in numerator)
+        self._row, self._lane, self._mixed = [], [], []
+        net = self.unit_coeffs[-1] if self.nfree else 0
+        for i, f in enumerate(self.factors):
+            if f.coeffs == zero:
+                (self._scalar_num if f.in_num else self._scalar_den).append(i)
+                continue
+            head, b = f.coeffs[:-1] + (0,), f.coeffs[-1]
+            net += b if f.in_num else -b
+            kind = (self._row if b == 0 else
+                    self._lane if head == zero else self._mixed)
+            kind.append((head, -b, i, f.in_num))
+        self._net = net
+        self._unit_head = self.unit_coeffs[:-1] + (0,) if self.nfree else ()
         self._rot = np.exp(2j * np.pi * np.array(
             [float(f.const) for f in self.factors], dtype=float))
         self._shift = np.array([f.shift for f in self.factors], dtype=float)
         self._sdir = np.array([f.sdir for f in self.factors], dtype=float)
+        self._at_s = None
 
     @classmethod
     def compile(cls, atoms, spec: LocalFieldSpec, nfree: int,
@@ -240,8 +260,8 @@ class FactorProgram:
     def quotient(self, den: "FactorProgram") -> "FactorProgram":
         """self(t, 0) / den(t, s) as one program over the same torus: self's
         factors are frozen at s = 0, den's cross the fraction bar and its
-        monomial is inverted.  Factors of both with one coefficient vector
-        share its phasor."""
+        monomial is inverted.  Factors of both read the same phasor
+        powers of a chunk."""
         return FactorProgram(
             q=self.q, nfree=self.nfree,
             unit_const=mod1(self.unit_const - den.unit_const),
@@ -258,29 +278,70 @@ class FactorProgram:
         return self.eval_phasors(Phasors.of_nodes(t) if self.nfree
                                  else Phasors([], (1,)), s)
 
+    def _at(self, s: complex) -> tuple:
+        """(scalar, a) at the point s: the monomial's constant times the
+        factors with c = 0, and a_f of each factor as a list.  Made once per
+        s and kept until the program is evaluated at another s."""
+        at = self._at_s
+        if at is None or at[0] != s:
+            a = self._rot * self.q ** (-(self._sdir * s + self._shift))
+            scalar = (np.exp(2j * np.pi * float(self.unit_const))
+                      * (self.q ** self.qpow) * self.q ** (-self.exponent * s))
+            scalar = scalar * np.prod(1.0 - a[self._scalar_num]) \
+                / np.prod(1.0 - a[self._scalar_den])
+            at = self._at_s = (s, complex(scalar), a.tolist())
+        return at[1], at[2]
+
     def eval_phasors(self, ph: Phasors, s: complex) -> np.ndarray:
         """Evaluate at the point s on the nodes of ``ph``: an array of shape
-        ``ph.nodes``.  Each factor is costed on its group's phasor, which
-        broadcasts over the coordinates the group uses only."""
-        a = self._rot * self.q ** (-(self._sdir * s + self._shift))
-        scalar = (np.exp(2j * np.pi * float(self.unit_const))
-                  * (self.q ** self.qpow) * self.q ** (-self.exponent * s))
-        scalar = scalar * np.prod(1.0 - a[self._scalar_num]) \
-            / np.prod(1.0 - a[self._scalar_den])
-        num = np.full(ph.nodes, scalar, dtype=complex)
-        den = np.ones(ph.nodes, dtype=complex)
-        for c, unit, num_idx, den_idx in self._groups:
-            phasor = ph.monomial(c)
-            if unit:
-                num *= phasor
-            tmp = np.empty_like(phasor)
-            for acc, idx in ((num, num_idx), (den, den_idx)):
-                for f in idx:
-                    np.multiply(phasor, -a[f], out=tmp)
-                    tmp += 1.0
-                    acc *= tmp
-        num /= den
-        return num
+        ``ph.nodes``.  The row factors and the monomial's head make one array
+        shaped like H, the lane factors and Y^{net b} one shaped like Y;
+        their product is written to the output, and the mixed factors are
+        multiplied into it."""
+        scalar, a = self._at(s)
+        if not self.nfree:
+            return np.full(ph.nodes, scalar, dtype=complex)
+        last = self.nfree - 1
+        with np.errstate():
+            # numpy's ufunc iterator copies broadcast operands into its
+            # buffers when the whole chunk fits them (8192 elements by
+            # default), two chunk-sized copies for (1, cols) - (rows, 1);
+            # with its smallest buffer it reads them in place (numpy 2.4 on
+            # a 2-core Xeon: 0.6 instead of 2.1 ns per node of a 64 x 128
+            # chunk)
+            np.setbufsize(16)
+            row = ph.monomial(self._unit_head, scalar)
+            for head, _, f, in_num in self._row:
+                term = 1.0 - ph.monomial(head, a[f])
+                row = row * term if in_num else row / term
+            lane = np.empty(ph.power(last, 1).shape, dtype=complex)
+            lane[...] = ph.power(last, self._net) if self._net else 1.0
+            self._times_factors(lane, ph, self._lane, a)
+            out = lane if lane.shape == ph.nodes else np.empty(ph.nodes,
+                                                               dtype=complex)
+            np.multiply(row, lane, out=out)
+            return self._times_factors(out, ph, self._mixed, a)
+
+    def _times_factors(self, out, ph, terms, a) -> np.ndarray:
+        """out times the product of Y^{-b} - a_f H over the numerator terms
+        over that of the denominator terms, in place and two passes a term:
+        each is written into one buffer, which the first denominator term
+        keeps as the denominator."""
+        last = self.nfree - 1
+        den = buf = None
+        for head, k, f, in_num in terms:
+            if buf is None:
+                buf = np.empty_like(out)
+            np.subtract(ph.power(last, k), ph.monomial(head, a[f]), out=buf)
+            if in_num:
+                out *= buf
+            elif den is None:
+                den, buf = buf, None
+            else:
+                den *= buf
+        if den is not None:
+            out /= den
+        return out
 
 
 # -- test functions ----------------------------------------------------------------
@@ -501,6 +562,16 @@ class QuadConfig:
     offset: float = 0.5 * (math.sqrt(5) - 1)  # golden offset, dodges exact hits
     extrap_order: int = 3
 
+    def __post_init__(self):
+        """Refuse settings that leave no s-sequence or an empty grid: the
+        limit is taken from s0 > 0 down, and every grid has a node."""
+        if not (math.isfinite(self.s0) and self.s0 > 0):
+            raise ValueError(f"s0 must be finite and positive, got {self.s0}")
+        for name in ("s_count", "n_base", "rhs_n", "max_nodes"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, "
+                                 f"got {getattr(self, name)}")
+
 
 def lhs_covering_order(triple: OrthTriple) -> int:
     """Generic fiber of the parametrizing torus over the component: every
@@ -622,7 +693,7 @@ class ComponentModel:
         n, capped = self.lhs_grid_size(s, cfg)
         mean = _grid_mean(integrand, dim, n, cfg.offset)
         # self-consistency estimate on a coarser incommensurate grid
-        n2 = max(cfg.n_base // 2, int(n / math.sqrt(2)))
+        n2 = max(1, cfg.n_base // 2, int(n / math.sqrt(2)))
         mean2 = _grid_mean(integrand, dim, n2, cfg.offset)
         err = abs(mean - mean2)
         return mean, err, n ** dim + n2 ** dim, capped

@@ -96,6 +96,36 @@ def test_limit_verify_budget(tmp_path, capsys):
     assert code == 4
 
 
+D3 = {"In": [{"angle": "1/5", "sp": 1, "m": 1}],
+      "Io": [{"angle": "0", "sp": 1, "q": 1}]}
+
+
+def test_degenerate_limit_settings_exit_3(tmp_path, capsys):
+    """An s-sequence that is empty or not from s0 > 0 down, an empty grid or
+    a node budget below one node is refused before any integration."""
+    triple = write(tmp_path, "t.json", D3)
+    for flags in (["--s-seq", "0.1,0"], ["--s-seq", "0.2,-1"],
+                  ["--s-seq", "0,3"], ["--s-seq=-0.1,3"],
+                  ["--s-seq", "nan,3"], ["--s-seq", "inf,3"],
+                  ["--max-nodes", "0"], ["--grid", "-5"], ["--grid", "0"]):
+        assert main(["limit-verify", "--triple", triple, "--p", "3",
+                     "--q", "3", *flags]) == 3, flags
+        err = capsys.readouterr().err
+        assert "precondition violated" in err and "must be" in err, flags
+
+
+def test_one_node_grid_is_a_budget_exit(tmp_path, capsys):
+    """A grid of one node per axis under a one-node budget is integrated,
+    coarse grid included, and reported as a budget exit."""
+    triple = write(tmp_path, "t.json", D3)
+    out_file = tmp_path / "r.json"
+    assert main(["limit-verify", "--triple", triple, "--p", "3", "--q", "3",
+                 "--grid", "1", "--max-nodes", "1", "--s-seq", "0.2,2",
+                 "--out", str(out_file)]) == 4
+    rep = json.loads(out_file.read_text())["result"]
+    assert rep["budget_exceeded"] is True and rep["nodes_used"] == 4
+
+
 def test_malformed_input_exits_2(tmp_path, capsys):
     no_m = write(tmp_path, "t.json", {"In": [{"angle": "1/3", "sp": 1}]})
     assert main(["limit-verify", "--triple", no_m, "--q", "3"]) == 2

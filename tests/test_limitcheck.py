@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import numpy as np
@@ -551,6 +552,63 @@ def test_grid_integrands_equal_node_integrands(monkeypatch):
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
+def test_random_programs_on_grid_chunks_match_flattened_nodes(monkeypatch):
+    """Random programs with factors in the head coordinates only, in the
+    last one only, in both, and with a unit monomial: on every chunk of
+    ragged grids, one row segments among them (BLOCK is small), the
+    broadcast evaluation gives what ``eval`` gives on the flattened nodes."""
+    monkeypatch.setattr(FactorProgram, "BLOCK", 16)
+    offset = QuadConfig().offset
+    rng = random.Random(1111)
+    grids = {1: (13, 37), 2: (7, 23), 3: (5,)}
+    kinds = Counter()
+    compared = 0
+
+    def coeffs(nfree, kind):
+        head = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(nfree - 1)]
+        last = rng.choice((-3, -2, -1, 1, 2, 3))
+        if kind == "row":
+            return tuple(head) + (0,)
+        if kind == "lane":
+            return (0,) * (nfree - 1) + (last,)
+        return tuple(head) + (last,)
+
+    for case in range(96):
+        nfree = 1 + case % 3
+        p, q = rng.choice(((3, 3), (2, 4), (5, 5), (3, 9)))
+        spec = LocalFieldSpec(p, q, case // 3 % 2)
+        atoms = []
+        for _ in range(rng.randint(1, 4)):
+            kind = rng.choice(("row", "lane", "mixed", "zero"))
+            c = (0,) * nfree if kind == "zero" else coeffs(nfree, kind)
+            const = F(rng.randint(0, 59), 60)
+            atoms.append((AffineAngle(const, c), rng.randint(1, 3)))
+        regularize = case // 6 % 2 == 1
+        prog = FactorProgram.compile(atoms, spec, nfree, regularize)
+        for f in prog.factors:
+            head, last = any(f.coeffs[:-1]), f.coeffs[-1] != 0
+            kinds["row" if not last and head else "lane" if not head and last
+                  else "mixed" if last else "scalar"] += 1
+        kinds["unit"] += any(prog.unit_coeffs)
+        for n in grids[nfree]:
+            t = _full_grid(nfree, n, offset)
+            for s in (0.0, 0.37, 0.05 - 0.4j):
+                got = np.concatenate([
+                    np.broadcast_to(prog.eval_phasors(ph, s), ph.nodes).ravel()
+                    for ph in limitcheck._grid_chunks(nfree, n, offset)])
+                want = prog.eval(t, s)
+                _, smallest, cond, _ = _per_factor_eval(atoms, spec, nfree,
+                                                        regularize, t, s)
+                ok = smallest >= 1e-6
+                compared += int(ok.sum())
+                rel = np.abs(got - want)[ok] / np.abs(want)[ok]
+                assert np.all(rel <= 1e-12 + 1e-14 * cond[ok]), \
+                    (case, n, s, float(rel.max()))
+    assert compared > 30000
+    assert min(kinds[k] for k in ("row", "lane", "mixed", "scalar")) > 20
+    assert kinds["unit"] > 10, kinds
+
+
 def test_grid_means_take_no_node_angles(monkeypatch):
     """lhs_mean, rhs_value and measure_mass build every Phasors from the
     grid's axis phasors, never from node angles."""
@@ -586,6 +644,26 @@ def test_phi_on_broadcast_phasors():
         got = np.broadcast_to(phi.phasor_values(dims, z), (rows, n)).ravel()
         want = np.broadcast_to(phi.phasor_values(dims, flat), rows * n)
         assert np.abs(got - want).max() <= 1e-15
+
+
+def test_chunk_evaluation_holds_three_chunk_arrays():
+    """One evaluation of the fused program of T_D3 on a full chunk of BLOCK
+    nodes holds at most its output, the denominator and one reused buffer
+    at a time: below four chunk-sized complex arrays at its peak."""
+    import tracemalloc
+
+    model = ComponentModel(T_D3, SPEC3)
+    n = 128
+    ph = next(limitcheck._grid_chunks(2, n, QuadConfig().offset))
+    assert ph.nodes == (FactorProgram.BLOCK // n, n)
+    chunk = FactorProgram.BLOCK * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        model.lhs_program.eval_phasors(ph, 0.05)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * chunk, peak / chunk
 
 
 def test_lhs_mean_memory_does_not_grow_with_the_grid():

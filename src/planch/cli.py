@@ -371,7 +371,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", default=None, help="test-function JSON")
     p.add_argument("--s-seq", dest="s_seq", default="0.1,6",
                    help="START,COUNT geometric s-sequence")
-    p.add_argument("--tol", type=float, default=1e-3)
+    p.add_argument("--tol", type=float, default=1e-3,
+                   help="relative tolerance of the check; it also sizes the "
+                        "left grid, whose quadrature term aims at tol / 100")
     p.add_argument("--grid", type=int, default=None,
                    help="minimum nodes per torus dimension")
     p.add_argument("--max-nodes", dest="max_nodes", type=int, default=2 ** 22)

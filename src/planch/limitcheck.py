@@ -10,22 +10,27 @@ costed from the phasors E_r = e(t_r) of its free coordinates, ``Phasors``.
 The left integrand Ad(t, 0) / Sym^2(t, s) is one such program.  A test
 function is given by its phasor form, ``phasor_values``, and is evaluated
 from the same phasors as the program.  Both sides are integrated on uniform
-offset midpoint grids, the left one of size growing like 1/s, summed chunk
-by chunk.  No grid node takes an exp of its own: a chunk is a block of
-rows, whose phasors are axis phasors e((i + 1/2 + offset) / n) in (rows, 1)
-and (1, n) arrays that broadcast against each other.  With Y the phasor of
-the last axis, each factor 1 - a H Y^b is costed as Y^b (Y^{-b} - a H): a
-factor in the head coordinates only costs one value per row, one in the
-last coordinate only one per column, the Y^b join in one monomial, and a
-factor in both costs two passes over the chunk.  The s -> 0 limit is taken
-by Richardson extrapolation.  The order of a triple's blocks and their
-pairing into mirror rows, which both sides and the constants joining them
-depend on, are decided in one place, ``OrthTriple.layout()``.
+offset midpoint grids, summed chunk by chunk.  The left grid is sized from
+the poles of its program and the tolerance (``lhs_grid_size``): a
+denominator 1 - a e(c.t) with |a| = q^{-(sdir s + shift)} costs the rule
+about e^{-n (sdir s + shift) log q / ||c||_inf}, so n grows like
+ln(100 / tol) ||c||_inf / (s log q) as s -> 0.  No grid node takes an exp
+of its own: a chunk is a block of rows, whose phasors are axis phasors
+e((i + 1/2 + offset) / n) in (rows, 1) and (1, n) arrays that broadcast
+against each other.  With Y the phasor of the last axis, each factor
+1 - a H Y^b is costed as Y^b (Y^{-b} - a H): a factor in the head
+coordinates only costs one value per row, one in the last coordinate only
+one per column, the Y^b join in one monomial, and a factor in both costs
+two passes over the chunk.  The s -> 0 limit is taken by Richardson
+extrapolation.  The order of a triple's blocks and their pairing into
+mirror rows, which both sides and the constants joining them depend on,
+are decided in one place, ``OrthTriple.layout()``.
 """
 
 from __future__ import annotations
 
 import cmath
+import contextlib
 import dataclasses
 import functools
 import math
@@ -95,6 +100,20 @@ def _as_affine(x, nfree: int) -> AffineAngle:
 
 
 # -- compiled factor programs -----------------------------------------------------
+
+
+@contextlib.contextmanager
+def _small_buffers():
+    """numpy's ufunc iterator copies broadcast operands into its buffers
+    when the whole chunk fits them (8192 elements by default), two
+    chunk-sized copies for (1, cols) - (rows, 1); with its smallest buffer
+    it reads them in place (numpy 2.4 on a 2-core Xeon: 0.6 instead of 2.1
+    ns per node of a 64 x 128 chunk).  A chunk's program, block phasors and
+    test function all combine such operands, so ``_times_phi`` runs all
+    three in this one scope."""
+    with np.errstate():
+        np.setbufsize(16)
+        yield
 
 
 @dataclass
@@ -297,30 +316,23 @@ class FactorProgram:
         ``ph.nodes``.  The row factors and the monomial's head make one array
         shaped like H, the lane factors and Y^{net b} one shaped like Y;
         their product is written to the output, and the mixed factors are
-        multiplied into it."""
+        multiplied into it.  On a grid chunk ``ComponentModel._times_phi``
+        runs it in ``_small_buffers``."""
         scalar, a = self._at(s)
         if not self.nfree:
             return np.full(ph.nodes, scalar, dtype=complex)
         last = self.nfree - 1
-        with np.errstate():
-            # numpy's ufunc iterator copies broadcast operands into its
-            # buffers when the whole chunk fits them (8192 elements by
-            # default), two chunk-sized copies for (1, cols) - (rows, 1);
-            # with its smallest buffer it reads them in place (numpy 2.4 on
-            # a 2-core Xeon: 0.6 instead of 2.1 ns per node of a 64 x 128
-            # chunk)
-            np.setbufsize(16)
-            row = ph.monomial(self._unit_head, scalar)
-            for head, _, f, in_num in self._row:
-                term = 1.0 - ph.monomial(head, a[f])
-                row = row * term if in_num else row / term
-            lane = np.empty(ph.power(last, 1).shape, dtype=complex)
-            lane[...] = ph.power(last, self._net) if self._net else 1.0
-            self._times_factors(lane, ph, self._lane, a)
-            out = lane if lane.shape == ph.nodes else np.empty(ph.nodes,
-                                                               dtype=complex)
-            np.multiply(row, lane, out=out)
-            return self._times_factors(out, ph, self._mixed, a)
+        row = ph.monomial(self._unit_head, scalar)
+        for head, _, f, in_num in self._row:
+            term = 1.0 - ph.monomial(head, a[f])
+            row = row * term if in_num else row / term
+        lane = np.empty(ph.power(last, 1).shape, dtype=complex)
+        lane[...] = ph.power(last, self._net) if self._net else 1.0
+        self._times_factors(lane, ph, self._lane, a)
+        out = lane if lane.shape == ph.nodes else np.empty(ph.nodes,
+                                                           dtype=complex)
+        np.multiply(row, lane, out=out)
+        return self._times_factors(out, ph, self._mixed, a)
 
     def _times_factors(self, out, ph, terms, a) -> np.ndarray:
         """out times the product of Y^{-b} - a_f H over the numerator terms
@@ -558,15 +570,18 @@ class QuadConfig:
     s_count: int = 6
     tol: float = 1e-3
     max_nodes: int = 2 ** 22
-    resolution: float = 40.0  # e-folding target: n(s) ~ resolution / (s log q)
     offset: float = 0.5 * (math.sqrt(5) - 1)  # golden offset, dodges exact hits
     extrap_order: int = 3
 
     def __post_init__(self):
-        """Refuse settings that leave no s-sequence or an empty grid: the
-        limit is taken from s0 > 0 down, and every grid has a node."""
-        if not (math.isfinite(self.s0) and self.s0 > 0):
-            raise ValueError(f"s0 must be finite and positive, got {self.s0}")
+        """Refuse settings that leave no s-sequence, an empty grid or a
+        tolerance no run can meet: the limit is taken from s0 > 0 down,
+        every grid has a node, and tol > 0 also sizes the left grid."""
+        for name in ("s0", "tol"):
+            if not (math.isfinite(getattr(self, name))
+                    and getattr(self, name) > 0):
+                raise ValueError(f"{name} must be finite and positive, "
+                                 f"got {getattr(self, name)}")
         for name in ("s_count", "n_base", "rhs_n", "max_nodes"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, "
@@ -660,19 +675,38 @@ class ComponentModel:
         """prog(t, s) times phi at its block phasors, both read from one
         ``Phasors``: the grid chunk t itself, or made from the nodes t."""
         ph = t if isinstance(t, Phasors) else Phasors.of_nodes(t)
-        out = prog.eval_phasors(ph, s)
-        out *= phi.phasor_values(self.dims, ph.blocks(atoms))
+        with _small_buffers():
+            out = prog.eval_phasors(ph, s)
+            out *= phi.phasor_values(self.dims, ph.blocks(atoms))
         return out
 
     # -- quadrature ---------------------------------------------------------------
 
     def lhs_grid_size(self, s: float, cfg: QuadConfig) -> tuple[int, bool]:
-        """Nodes per dimension: the integrand is analytic in a strip of width
-        proportional to s, so a uniform rule with n ~ resolution / (s log q)
-        keeps the quadrature error below e^{-resolution} times the peak
-        scale.  Capped by the node budget."""
-        n = max(cfg.n_base, int(math.ceil(
-            cfg.resolution / (s * math.log(self.spec.q)))))
+        """Nodes per axis of the left grid at s, and whether the node budget
+        capped them.  A denominator factor 1 - a_f e(c_f.t) of
+        ``lhs_program`` with |a_f| = e^{-dist_f}, dist_f = (sdir s + shift)
+        log q, has its poles dist_f / (2 pi |c_r|) off the real torus along
+        the axis r of largest |c_r|, so the offset midpoint rule on n nodes
+        per axis misses its mean by about e^{-n dist_f / ||c_f||_inf} of the
+        integrand's scale (Trefethen & Weideman, SIAM Review 56, 2014).  n
+        is the least that brings the nearest pole's term to e^{-R} =
+        tol / 100, which leaves room for the integrand's peak-to-mean factor
+        and for Richardson's amplification of each level's error.  It is
+        never below ``n_base``, which also covers the test function's
+        Fourier degree, and the node budget caps it.  A denominator with
+        dist_f <= 0 meets the torus and raises ``PoleError``."""
+        log_q = math.log(self.spec.q)
+        reach = 0.0
+        for f in self.lhs_program.factors:
+            if f.in_num or not any(f.coeffs):
+                continue
+            dist = (f.sdir * s + f.shift) * log_q
+            if not dist > 0:
+                raise PoleError(f"a denominator factor of the left side meets "
+                                f"the torus at s = {s}")
+            reach = max(reach, max(map(abs, f.coeffs)) / dist)
+        n = max(cfg.n_base, math.ceil(math.log(100 / cfg.tol) * reach))
         capped = False
         dim = max(self.R_lhs, 1)
         while n ** dim > cfg.max_nodes:
@@ -682,27 +716,37 @@ class ComponentModel:
 
     def lhs_mean(self, phi: TestFunction, s: float, cfg: QuadConfig):
         """Mean of the LHS integrand over the component torus; returns
-        (mean, error_estimate, nodes, budget_flag)."""
+        (mean, error_estimate, n, nodes, budget_flag), n the fine grid's
+        nodes per axis (1 on a point)."""
         dim = self.R_lhs
 
         def integrand(t):
             return self.lhs_integrand(phi, t, s)
 
         if dim == 0:
-            return _grid_mean(integrand, 0, 1, cfg.offset), 0.0, 1, False
+            return _grid_mean(integrand, 0, 1, cfg.offset), 0.0, 1, 1, False
         n, capped = self.lhs_grid_size(s, cfg)
         mean = _grid_mean(integrand, dim, n, cfg.offset)
-        # self-consistency estimate on a coarser incommensurate grid
-        n2 = max(1, cfg.n_base // 2, int(n / math.sqrt(2)))
+        # self-consistency estimate on a coarser incommensurate grid, never
+        # larger than the fine one, so that the budget holds for both.  It
+        # takes the fine grid's parity: the integrand's Fourier modes span a
+        # lattice L that holds 2Z^R (Sym^2 has a factor at twice each block's
+        # angle, and the block angles span Z^R), so an even grid aliases at
+        # the modes nZ^R but an odd one only at nL, which can be far finer
+        # (L = 2Z for Io = {1, quadratic} and a constant phi).  With equal
+        # parity the coarse aliases are the fine ones scaled by n2 / n.
+        n2 = int(n / math.sqrt(2))
+        n2 = max(1, n2 - (n - n2) % 2)
         mean2 = _grid_mean(integrand, dim, n2, cfg.offset)
         err = abs(mean - mean2)
-        return mean, err, n ** dim + n2 ** dim, capped
+        return mean, err, n, n ** dim + n2 ** dim, capped
 
     def lhs_value(self, phi: TestFunction, s: float, cfg: QuadConfig):
-        """d * gamma(s, 1, psi) * (component constants) * mean."""
-        mean, err, nodes, flag = self.lhs_mean(phi, s, cfg)
+        """d * gamma(s, 1, psi) * (component constants) * mean, with the
+        rest of ``lhs_mean``'s tuple."""
+        mean, err, n, nodes, flag = self.lhs_mean(phi, s, cfg)
         pref = self.lhs_prefactor(s)
-        return pref * mean, abs(pref) * err, nodes, flag
+        return pref * mean, abs(pref) * err, n, nodes, flag
 
     def lhs_prefactor(self, s: float) -> complex:
         c = self.consts
@@ -817,6 +861,7 @@ class LimitReport:
     passed: bool
     nodes_used: int
     budget_exceeded: bool
+    grid_n: list
 
     def to_dict(self) -> dict:
         return {
@@ -832,6 +877,7 @@ class LimitReport:
             "passed": self.passed,
             "nodes_used": self.nodes_used,
             "budget_exceeded": self.budget_exceeded,
+            "grid_n": list(self.grid_n),
         }
 
 
@@ -846,12 +892,13 @@ def verify(triple: OrthTriple, phi: TestFunction, spec: LocalFieldSpec,
         rng = np.random.default_rng(20240901)
     check_weyl_invariance(phi, model.dims, rng)
     s_values = [cfg.s0 * 2.0 ** (-k) for k in range(cfg.s_count)]
-    lhs_vals, lhs_errs, nodes, budget = [], [], 0, False
+    lhs_vals, lhs_errs, grid_n, nodes, budget = [], [], [], 0, False
     for s in s_values:
-        v, e, n, f = model.lhs_value(phi, s, cfg)
+        v, e, n, m, f = model.lhs_value(phi, s, cfg)
         lhs_vals.append(v)
         lhs_errs.append(e)
-        nodes += n
+        grid_n.append(n)
+        nodes += m
         budget = budget or f
     extrap = richardson(s_values, lhs_vals, cfg.extrap_order)
     rhs = model.rhs_value(phi, cfg)
@@ -862,7 +909,7 @@ def verify(triple: OrthTriple, phi: TestFunction, spec: LocalFieldSpec,
         lhs_extrapolated=extrap, rhs=rhs, abs_discrepancy=absd,
         rel_discrepancy=reld, tolerance=cfg.tol,
         passed=bool(reld < cfg.tol and not budget),
-        nodes_used=nodes, budget_exceeded=budget)
+        nodes_used=nodes, budget_exceeded=budget, grid_n=grid_n)
 
 
 # -- exact pointwise checks -----------------------------------------------------------
@@ -983,7 +1030,7 @@ def fit_divergence_exponent(triple: OrthTriple, phi: TestFunction,
     s_values = [cfg.s0 * 2.0 ** (-k) for k in range(cfg.s_count)]
     ys = []
     for s in s_values:
-        mean, _, _, _ = model.lhs_mean(phi, s, cfg)
+        mean = model.lhs_mean(phi, s, cfg)[0]
         ys.append(abs(mean))
     xs = np.log(s_values)
     ys = np.log(ys)

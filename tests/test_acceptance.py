@@ -196,7 +196,7 @@ def test_criterion_6_limit_d1():
         ok &= rep.rel_discrepancy < 1e-10 and rep.passed
         model = ComponentModel(triple, SPEC3)
         for s in (0.5, 0.05, 0.005):
-            v, _, _, _ = model.lhs_value(phi, s, cfg)
+            v = model.lhs_value(phi, s, cfg)[0]
             ok &= abs(v - rep.rhs) < 1e-10
     dt = time.time() - t0
     report(6, "spectral limit at d=1 (LHS constant in s)", ok and dt < 1,
@@ -245,7 +245,7 @@ def test_criterion_8_singular_exponents():
             agree += 1
     ok = agree == 1000
     # divergence rate over the geometric sequence 0.1 ... 0.003125
-    cfg = QuadConfig(s0=0.1, s_count=6, n_base=128, resolution=35.0)
+    cfg = QuadConfig(s0=0.1, s_count=6, n_base=128)
     slopes = []
     for t in (OrthTriple(orthogonal=((WDAtom(F(0), 1), 1),
                                      (WDAtom(F(1, 2), 1), 1))),

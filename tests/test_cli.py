@@ -101,13 +101,16 @@ D3 = {"In": [{"angle": "1/5", "sp": 1, "m": 1}],
 
 
 def test_degenerate_limit_settings_exit_3(tmp_path, capsys):
-    """An s-sequence that is empty or not from s0 > 0 down, an empty grid or
-    a node budget below one node is refused before any integration."""
+    """An s-sequence that is empty or not from s0 > 0 down, an empty grid, a
+    node budget below one node or a tolerance that is not finite and
+    positive is refused before any integration."""
     triple = write(tmp_path, "t.json", D3)
     for flags in (["--s-seq", "0.1,0"], ["--s-seq", "0.2,-1"],
                   ["--s-seq", "0,3"], ["--s-seq=-0.1,3"],
                   ["--s-seq", "nan,3"], ["--s-seq", "inf,3"],
-                  ["--max-nodes", "0"], ["--grid", "-5"], ["--grid", "0"]):
+                  ["--max-nodes", "0"], ["--grid", "-5"], ["--grid", "0"],
+                  ["--tol", "0"], ["--tol=-1"], ["--tol", "nan"],
+                  ["--tol", "inf"]):
         assert main(["limit-verify", "--triple", triple, "--p", "3",
                      "--q", "3", *flags]) == 3, flags
         err = capsys.readouterr().err

@@ -32,8 +32,14 @@ T_D3 = OrthTriple(dual_pairs=((WDAtom(F(1, 5), 1), 1),),
                   orthogonal=((WDAtom(F(0), 1), 1),))
 T_IS = OrthTriple(symplectic=((WDAtom(F(0), 2), 2),))
 T_IO3 = OrthTriple(orthogonal=((WDAtom(F(0), 1), 3),))
+# Io = {Sp(3) at 0, Sp(1) at 1/2}: its left torus {(x, -3x)} meets the
+# orthogonal locus at the triple itself and at T_SP31_TWIST, and its Sym^2
+# holds e(-6x)
+T_SP31 = OrthTriple(orthogonal=((WDAtom(F(0), 3), 1), (WDAtom(F(1, 2), 1), 1)))
+T_SP31_TWIST = OrthTriple(orthogonal=((WDAtom(F(1, 2), 3), 1),
+                                      (WDAtom(F(0), 1), 1)))
 
-FAST = QuadConfig(s0=0.1, s_count=4, n_base=64, rhs_n=128, resolution=30.0)
+FAST = QuadConfig(s0=0.1, s_count=4, n_base=64, rhs_n=128)
 
 
 class LopsidedPhi(TestFunction):
@@ -194,10 +200,10 @@ def test_quadrature_self_consistency():
         phi = TrigPhi([(1, rng.choice([1, 2]), rng.uniform(-0.5, 0.5) + 0j)])
         s = rng.uniform(0.02, 0.2)
         n = rng.choice([96, 128, 192])
-        cfg1 = QuadConfig(n_base=n, resolution=30.0)
-        cfg2 = QuadConfig(n_base=2 * n, resolution=30.0)
-        v1, e1, _, _ = model.lhs_value(phi, s, cfg1)
-        v2, _, _, _ = model.lhs_value(phi, s, cfg2)
+        cfg1 = QuadConfig(n_base=n)
+        cfg2 = QuadConfig(n_base=2 * n)
+        v1, e1, _, _, _ = model.lhs_value(phi, s, cfg1)
+        v2 = model.lhs_value(phi, s, cfg2)[0]
         assert abs(v1 - v2) <= max(e1, 1e-12) * 4
 
 
@@ -240,8 +246,7 @@ def test_point_parameter_and_twists():
 
 
 def test_verify_budget_flag():
-    cfg = QuadConfig(s0=0.02, s_count=2, n_base=64, max_nodes=512,
-                     resolution=40.0)
+    cfg = QuadConfig(s0=0.02, s_count=2, n_base=64, max_nodes=512)
     rep = verify(T_IO2, ConstantPhi(1.0), SPEC3, cfg)
     assert rep.budget_exceeded
     assert not rep.passed
@@ -253,6 +258,79 @@ def test_report_serialization():
     assert d["passed"] is True
     assert len(d["lhs_values"]) == len(d["s_values"])
     assert isinstance(d["rhs"], list) and len(d["rhs"]) == 2
+    assert d["grid_n"] == [1] * len(d["s_values"])
+    # on a torus the report carries the fine grid's n at each s
+    rep = verify(T_IN, ConstantPhi(1.0), SPEC3, FAST)
+    model = ComponentModel(T_IN, SPEC3)
+    assert rep.to_dict()["grid_n"] == [model.lhs_grid_size(s, FAST)[0]
+                                       for s in rep.s_values]
+
+
+def test_grid_size_follows_the_poles_and_the_tolerance():
+    """n = R max_f ||c_f||_inf / dist_f over the left program's denominators,
+    R = ln(100 / tol): T_SP31, whose Sym^2 holds e(-6x), gets three times
+    the n of T_D3, whose coefficients are at most 2 and whose nearest poles
+    are as far, and n grows like ln(100 / tol)."""
+    d3, sp31 = ComponentModel(T_D3, SPEC3), ComponentModel(T_SP31, SPEC3)
+    for s in (0.1, 0.013):
+        for tol in (1e-2, 1e-4, 1e-8):
+            cfg = QuadConfig(n_base=1, tol=tol, max_nodes=2 ** 40)
+            want = math.log(100 / tol) * 2 / (s * math.log(3))
+            n, capped = d3.lhs_grid_size(s, cfg)
+            assert abs(n - want) < 1 and not capped
+            assert abs(sp31.lhs_grid_size(s, cfg)[0] - 3 * want) < 1
+    # the floor still holds, and a pole on the torus is refused
+    assert d3.lhs_grid_size(0.1, QuadConfig(n_base=500, tol=1e-2))[0] == 500
+    for s in (0.0, -0.1):
+        with pytest.raises(PoleError):
+            d3.lhs_grid_size(s, QuadConfig())
+
+
+def test_two_locus_points_make_the_left_side_of_t_sp31():
+    """The left torus of T_SP31 meets the orthogonal locus twice; with its
+    grid sized from its poles, the extrapolated left side is within 1e-4 of
+    the sum of the right sides at both points, at q = 3 and 5."""
+    cfg = QuadConfig(s0=0.1, s_count=6, n_base=128, rhs_n=512)
+    for q in (3, 5):
+        spec = LocalFieldSpec(q, q, 0)
+        rep = verify(T_SP31, ConstantPhi(1.0), spec, cfg)
+        twist = ComponentModel(T_SP31_TWIST, spec).rhs_value(ConstantPhi(1.0),
+                                                             cfg)
+        assert abs(rep.lhs_extrapolated / (rep.rhs + twist) - 1) < 1e-4, q
+
+
+def test_error_estimate_bounds_the_gap_to_a_doubled_grid():
+    """At each s of criterion 7's shapes and configurations, and of T_SP31,
+    the error that lhs_mean reports is at least the distance of its mean to
+    the mean on a grid of 2n nodes per axis, at q = 3 and 5."""
+    trig = TrigPhi([(1, 1, 0.4 + 0j), (2, 1, -0.15 + 0.1j)], const=1.0)
+    wide = QuadConfig(s0=0.1, s_count=6, n_base=128, rhs_n=512)
+    d3 = QuadConfig(s0=0.2, s_count=4, n_base=128, rhs_n=256, tol=1e-2)
+    cases = ((T_IO2, wide, trig), (T_IN, wide, trig), (T_D3, d3, trig),
+             (T_SP31, wide, ConstantPhi(1.0)))
+    for q in (3, 5):
+        spec = LocalFieldSpec(q, q, 0)
+        for triple, cfg, phi in cases:
+            model = ComponentModel(triple, spec)
+            for k in range(cfg.s_count):
+                s = cfg.s0 * 2.0 ** -k
+                mean, err, n, _, _ = model.lhs_mean(phi, s, cfg)
+                ref = limitcheck._grid_mean(
+                    lambda t: model.lhs_integrand(phi, t, s), model.R_lhs,
+                    2 * n, cfg.offset)
+                assert abs(mean - ref) <= err, (q, triple, s)
+
+
+def test_coarse_grid_stays_inside_the_budget():
+    """When the budget caps the fine grid below n_base, the coarse grid is
+    still no larger than the fine one."""
+    model = ComponentModel(T_D3, SPEC3)
+    cfg = QuadConfig(max_nodes=2048)
+    n, capped = model.lhs_grid_size(0.1, cfg)
+    assert capped and n < cfg.n_base // 2 and n ** 2 <= cfg.max_nodes
+    _, _, n_used, nodes, flag = model.lhs_mean(ConstantPhi(1.0), 0.1, cfg)
+    assert (n_used, flag) == (n, True)
+    assert 0 < nodes - n ** 2 <= n ** 2
 
 
 def _per_factor_eval(atoms, spec, nfree, regularize, t, s):
@@ -441,7 +519,7 @@ def _full_grid(dim, n, offset):
 def test_streamed_means_match_full_grid(monkeypatch):
     """Small chunks, so that every grid spans several with a ragged last
     one: the streamed means equal full-grid means."""
-    cfg = QuadConfig(n_base=16, rhs_n=40, resolution=6.0)
+    cfg = QuadConfig(n_base=16, rhs_n=40, tol=5.0)
     phi = TrigPhi([(1, 1, 0.25 + 0.1j), (2, 1, -0.1 + 0j)], const=1.0)
     t_in2 = OrthTriple(dual_pairs=((WDAtom(F(1, 3), 1), 2),))
     for triple, dim in ((T_IN, 1), (T_D3, 2), (t_in2, 3)):
@@ -449,13 +527,14 @@ def test_streamed_means_match_full_grid(monkeypatch):
         assert model.R_lhs == dim
         s = 0.15
         n, _ = model.lhs_grid_size(s, cfg)
-        n2 = max(cfg.n_base // 2, int(n / math.sqrt(2)))
+        n2 = int(n / math.sqrt(2))
+        n2 -= (n - n2) % 2
         chunk = n ** dim // 4 + 1
         assert (n ** dim % chunk) and (n2 ** dim % chunk)
         monkeypatch.setattr(FactorProgram, "BLOCK", chunk)
         full = [np.mean(model.lhs_integrand(phi, _full_grid(dim, m, cfg.offset),
                                             s)) for m in (n, n2)]
-        mean, err, nodes, _ = model.lhs_mean(phi, s, cfg)
+        mean, err, _, nodes, _ = model.lhs_mean(phi, s, cfg)
         assert abs(mean - full[0]) <= 1e-13 * abs(full[0])
         assert abs(err - abs(full[0] - full[1])) <= 1e-13 * abs(full[0])
         assert nodes == n ** dim + n2 ** dim
@@ -648,8 +727,9 @@ def test_phi_on_broadcast_phasors():
 
 def test_chunk_evaluation_holds_three_chunk_arrays():
     """One evaluation of the fused program of T_D3 on a full chunk of BLOCK
-    nodes holds at most its output, the denominator and one reused buffer
-    at a time: below four chunk-sized complex arrays at its peak."""
+    nodes, in the small-buffer scope that ``lhs_integrand`` gives it, holds
+    at most its output, the denominator and one reused buffer at a time:
+    below four chunk-sized complex arrays at its peak."""
     import tracemalloc
 
     model = ComponentModel(T_D3, SPEC3)
@@ -659,7 +739,8 @@ def test_chunk_evaluation_holds_three_chunk_arrays():
     chunk = FactorProgram.BLOCK * np.dtype(complex).itemsize
     tracemalloc.start()
     try:
-        model.lhs_program.eval_phasors(ph, 0.05)
+        with limitcheck._small_buffers():
+            model.lhs_program.eval_phasors(ph, 0.05)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -667,14 +748,14 @@ def test_chunk_evaluation_holds_three_chunk_arrays():
 
 
 def test_lhs_mean_memory_does_not_grow_with_the_grid():
-    """One lhs_mean on T_D3 at s = 0.05 covers 729^2 + 515^2 nodes, and one
-    on T_IN at s = 1e-4 a 1-D grid of 364096 + 257455 nodes; the streamed
+    """One lhs_mean on T_D3 at s = 0.025 covers 839^2 + 593^2 nodes, and one
+    on T_IN at s = 5e-5 a 1-D grid of 419181 + 296405 nodes; the streamed
     chunks keep each allocation peak to a few MB."""
     import tracemalloc
 
     cfg = QuadConfig()
     phi = TrigPhi([(1, 1, 0.3 + 0j)])
-    for triple, s, n in ((T_D3, 0.05, 729), (T_IN, 1e-4, 364096)):
+    for triple, s, n in ((T_D3, 0.025, 839), (T_IN, 5e-5, 419181)):
         model = ComponentModel(triple, SPEC3)
         assert model.lhs_grid_size(s, cfg)[0] == n
         tracemalloc.start()

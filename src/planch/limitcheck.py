@@ -14,17 +14,21 @@ offset midpoint grids, summed chunk by chunk.  The left grid is sized from
 the poles of its program and the tolerance (``lhs_grid_size``): a
 denominator 1 - a e(c.t) with |a| = q^{-(sdir s + shift)} costs the rule
 about e^{-n (sdir s + shift) log q / ||c||_inf}, so n grows like
-ln(100 / tol) ||c||_inf / (s log q) as s -> 0.  No grid node takes an exp
-of its own: a chunk is a block of rows, whose phasors are axis phasors
-e((i + 1/2 + offset) / n) in (rows, 1) and (1, n) arrays that broadcast
-against each other.  With Y the phasor of the last axis, each factor
-1 - a H Y^b is costed as Y^b (Y^{-b} - a H): a factor in the head
-coordinates only costs one value per row, one in the last coordinate only
-one per column, the Y^b join in one monomial, and a factor in both costs
-two passes over the chunk.  The s -> 0 limit is taken by Richardson
-extrapolation.  The order of a triple's blocks and their pairing into
-mirror rows, which both sides and the constants joining them depend on,
-are decided in one place, ``OrthTriple.layout()``.
+ln(100 / tol) ||c||_inf / (s log q) as s -> 0.  A program groups its
+factors by primitive direction d; along d every factor, and the monomial,
+is a function of w = e(d.t) alone.  On a grid of n nodes per axis, w at the
+node of index I is e((d.I mod n + sum_r d_r (1/2 + offset)) / n): it takes
+only n values.  So on a grid of two or more axes each direction's product
+is tabulated once per grid on those n residues, and a chunk (a block of
+whole rows of the last axis) reads it through a strided view of the table,
+with no exp and no copy: a direction in the head coordinates gives one
+value per row, one in the last coordinate one per column, and each other
+direction costs one in-place multiply over the chunk.  A 1-D grid is
+costed on its axis phasors e((i + 1/2 + offset) / n), segment by segment.
+The s -> 0 limit is taken by Richardson extrapolation.  The order of a
+triple's blocks and their pairing into mirror rows, which both sides and
+the constants joining them depend on, are decided in one place,
+``OrthTriple.layout()``.
 """
 
 from __future__ import annotations
@@ -33,7 +37,9 @@ import cmath
 import contextlib
 import dataclasses
 import functools
+import itertools
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -104,13 +110,14 @@ def _as_affine(x, nfree: int) -> AffineAngle:
 
 @contextlib.contextmanager
 def _small_buffers():
-    """numpy's ufunc iterator copies broadcast operands into its buffers
-    when the whole chunk fits them (8192 elements by default), two
-    chunk-sized copies for (1, cols) - (rows, 1); with its smallest buffer
-    it reads them in place (numpy 2.4 on a 2-core Xeon: 0.6 instead of 2.1
-    ns per node of a 64 x 128 chunk).  A chunk's program, block phasors and
-    test function all combine such operands, so ``_times_phi`` runs all
-    three in this one scope."""
+    """numpy's ufunc iterator copies broadcast and strided operands into
+    its buffers when the whole chunk fits them (8192 elements by default):
+    two chunk-sized copies for (rows, 1) * (1, cols), one for a strided
+    view of a residue table; with its smallest buffer it reads them in
+    place (numpy 2.4 on a 2-core Xeon: 0.6 instead of 2.1 ns per node of a
+    64 x 128 chunk for (1, cols) - (rows, 1)).  A chunk's program, block
+    phasors and test function all combine such operands, so ``_times_phi``
+    runs all three in this one scope."""
     with np.errstate():
         np.setbufsize(16)
         yield
@@ -142,13 +149,23 @@ def _phasor_power(e: np.ndarray, k: int) -> np.ndarray:
     return out * e if k % 2 else out
 
 
+def _direction(c: tuple) -> tuple[tuple, int]:
+    """(d, m) with c = m d, for c != 0: d is primitive and its first nonzero
+    entry is positive."""
+    g = math.gcd(*c)
+    if next(x for x in c if x) < 0:
+        g = -g
+    return tuple(x // g for x in c), g
+
+
 class Phasors:
     """The phasors E_r = e(t_r) of one chunk of nodes, ``shape`` (nfree, m).
     Each E_r is an array that broadcasts to the chunk's ``nodes`` shape: on a
-    grid chunk (``_grid_chunks``) a row coordinate is (rows, 1) and the last
-    axis (1, cols), so a monomial in one coordinate costs only its own
-    values.  Each power E_r^k is built once, by squaring or as the conjugate
-    of E_r^-k, and kept for the chunk."""
+    one-row grid chunk (``_grid_chunks``) a head coordinate is (1, 1) and
+    the last axis (1, cols), so a monomial in one coordinate costs only its
+    own values.  Each power E_r^k is built once, by squaring or as the
+    conjugate of E_r^-k, and kept for the chunk.  ``GridChunk`` gives the
+    same values from a grid's residue tables."""
 
     def __init__(self, e: list, nodes: tuple):
         self.nodes = nodes
@@ -180,33 +197,182 @@ class Phasors:
                 out = self.power(r, k) if out is None else out * self.power(r, k)
         return out
 
+    def direction(self, c: tuple, key, fn: Callable) -> np.ndarray:
+        """fn(w) at the phasors w = e(c.t) of the nodes, c != 0: an array that
+        broadcasts to ``nodes``, to read and not to write.  ``key`` names fn
+        for a grid that keeps its values (``GridChunk``); fn reads w and
+        does not write to it."""
+        return fn(self.monomial(c))
+
     def blocks(self, atoms) -> list:
-        """Each atom's phasor: for the angle const + c.t, e(const) prod_r
-        E_r^{c_r}."""
+        """Each atom's phasor, to read and not to write: for the angle
+        const + c.t, e(const) prod_r E_r^{c_r}."""
         return [self.monomial(a.coeffs, a.phase) for a, _ in atoms]
 
 
-@dataclass
+_QUARTER_TURNS = np.array([1, 1j, -1, -1j])
+
+
+def _unit_roots(n: int) -> np.ndarray:
+    """e(k / n) for k = 0 ... n - 1, each within about 2.5e-16 of the exact
+    value: the angle is split in integers into the nearest quarter turn
+    j / 4, whose phasor i^j is exact, and a rest of at most 1/8 turn, which
+    rounds once before its exp."""
+    k = np.arange(n)
+    j = (4 * k + n // 2) // n
+    return (np.exp(2j * np.pi * ((4 * k - j * n) / (4 * n)))
+            * _QUARTER_TURNS[j % 4])
+
+
+class _ResidueGrid:
+    """The grid of ``_grid_mean`` with dim >= 2, read through residues.  At
+    the node of index I its coordinates are t = (I + 1/2 + offset) / n, so
+
+        e(c.t) = e((c.I mod n + sigma_c) / n),
+        sigma_c = sum_r c_r (1/2 + offset),
+
+    takes only n values, and so does any function of it.  ``table``
+    tabulates such a function once per grid and key, on the residue phasors
+    w_k = e((k + sigma_c) / n), and a chunk (``GridChunk``) reads its values
+    as a slice of a strided view of that table."""
+
+    def __init__(self, dim: int, n: int, offset: float):
+        self.dim, self.n, self.offset = dim, n, offset
+        # 1/2 + offset as an exact ratio of integers
+        self._half = (Fraction(1, 2) + Fraction(offset)).as_integer_ratio()
+        self._roots = _unit_roots(n)
+        self._tables = {}
+
+    def table(self, key, c: tuple, fn: Optional[Callable],
+              const: Fraction = 0) -> np.ndarray:
+        """fn(e(const + c.t)) on the grid, or e(const + c.t) itself when fn
+        is None, as a read-only view W of the periodic extension of its n
+        residue values: W[f, i, j] is its value at row i and column j of the
+        last two axes where the outer coordinates give c.I = f mod n.  W
+        steps by 1 along f, by c_head (the coefficient of the row
+        coordinate) along i and by c_last along j; an axis along which c.I
+        does not move has length 1."""
+        view = self._tables.get(key)
+        if view is None:
+            n = self.n
+            # residue k sits at (k + shift) / n turns, shift = sum_r c_r
+            # (1/2 + offset) + n const, split exactly into whole + frac:
+            # e(k / n) rotated by whole places and scaled by e(frac / n)
+            num, den = self._half
+            p, r = const.numerator, const.denominator
+            whole, frac = divmod(int(sum(c)) * num * r + n * p * den, den * r)
+            values = np.roll(self._roots, -whole) * cmath.exp(
+                2j * math.pi * (frac / (den * r * n)))
+            if fn is not None:
+                values = fn(values)
+            steps = (1, c[-2], c[-1])
+            shape = (n if self.dim > 2 else 1,) + tuple(n if k else 1
+                                                      for k in steps[1:])
+            # W[0, 0, 0] sits at a multiple of n, so position p holds
+            # values[p mod n]: the lowest position W reads is then >= 0
+            back = sum(max(0, -k) * (m - 1) for k, m in zip(steps, shape))
+            start = -(-back // n) * n
+            ext = np.resize(values, start + 1 + sum(
+                max(0, k) * (m - 1) for k, m in zip(steps, shape)))
+            ext.flags.writeable = False
+            item = ext.itemsize
+            view = self._tables[key] = np.ndarray(
+                shape, complex, buffer=ext, offset=start * item,
+                strides=tuple(k * item for k in steps))
+        return view
+
+
+class GridChunk(Phasors):
+    """The rows first ... first + rows - 1 of the last axis of a
+    ``_ResidueGrid`` at the outer coordinates ``outer`` (dim - 2 of them),
+    so that c.I runs by c_head down the rows and by c_last along them.
+    It answers every call of ``Phasors``: each direction, power, monomial
+    and block phasor is a slice of a residue table's view, so the chunk
+    builds no array of its own (a scaled ``monomial`` aside)."""
+
+    def __init__(self, grid: _ResidueGrid, outer: tuple, first: int,
+                 rows: int):
+        self.grid, self.outer = grid, outer
+        self._rows = slice(first, first + rows)
+        self.nodes = (rows, grid.n)
+        self.shape = (grid.dim, rows * grid.n)
+
+    def direction(self, c, key, fn):
+        return self._read(self.grid.table(key, c, fn), c)
+
+    def _read(self, view, c):
+        f = sum(k * i for k, i in zip(c, self.outer)) % self.grid.n
+        return view[f, self._rows if c[-2] else slice(None)]
+
+    def _phasor(self, c, const):
+        """e(const + c.t) for c != 0, one exp per residue of c.I."""
+        return self._read(self.grid.table((c, const), c, None, const), c)
+
+    def power(self, r, k):
+        return self._phasor(tuple(k if i == r else 0
+                                  for i in range(self.grid.dim)), 0)
+
+    def monomial(self, c, scale=None):
+        if not any(c):
+            return scale
+        return self._phasor(c, 0) if scale is None else \
+            scale * self._phasor(c, 0)
+
+    def blocks(self, atoms):
+        """Each atom's phasor with its constant inside the tabulated angle,
+        so that e(const + c.t) takes one exp per residue and no product."""
+        return [self._phasor(a.coeffs, a.const) if any(a.coeffs)
+                else a.phase for a, _ in atoms]
+
+
+def _direction_product(w: np.ndarray, net: int, terms: tuple,
+                       a: list) -> np.ndarray:
+    """w^net prod (w^k - a_f)^{+-1} over a direction's terms (k, f, in
+    numerator), at its phasors w: a new array, two passes a term.  Each term
+    is written into one buffer, which the first denominator term keeps as
+    the denominator."""
+    pw = Phasors([w], w.shape)
+    out = np.empty(w.shape, dtype=complex)
+    out[...] = pw.power(0, net) if net else 1.0
+    den = buf = None
+    for k, f, in_num in terms:
+        if buf is None:
+            buf = np.empty_like(out)
+        np.subtract(pw.power(0, k), a[f], out=buf)
+        if in_num:
+            out *= buf
+        elif den is None:
+            den, buf = buf, None
+        else:
+            den *= buf
+    if den is not None:
+        out /= den
+    return out
+
+
+@dataclass(eq=False)  # hashed by identity: a grid keys its tables by program
 class FactorProgram:
     """A gamma factor of a family of representations, ready for grid
     evaluation.  Every factor is 1 - a_f e(c.t) with an integer vector c
-    and the scalar a_f = e(const_f) q^{-(sdir s + shift)}.  As every phasor
-    has modulus 1, for the phasor Y of the last free coordinate
+    and the scalar a_f = e(const_f) q^{-(sdir s + shift)}.  At compile time
+    the factors with c = 0 fold, with the monomial's e(unit) q^{qpow -
+    exponent s}, into one scalar per s.  Every other factor, and the
+    monomial's e(u.t), joins the group of its primitive direction d
+    (``_direction``: c = m d).  Along d it is a function of the direction
+    phasor w = e(d.t) alone, and as every phasor has modulus 1
 
-        1 - a_f H Y^b = Y^b (Y^{-b} - a_f H),
+        1 - a_f w^m = w^m (w^{-m} - a_f),
 
-    H the phasor of c's head (all coordinates but the last) and b its last
-    entry.  So at compile time each factor is sorted by where it varies:
-    with c = 0 it folds, with the monomial e(unit) q^{qpow - exponent s},
-    into one scalar per s; with b = 0 it is a row factor 1 - a_f H, which
-    varies over the head only; with H = 1 it is a lane factor Y^{-b} - a_f,
-    which varies along the last axis only; otherwise it is mixed.  All the
-    Y^b make one monomial Y^{net b}, a lane factor too.  On a grid chunk
-    (``_grid_chunks``, head (rows, 1), last axis (1, cols)) ``eval_phasors``
-    costs the row and lane factors on their own rows and columns, joins
-    them in one pass, and then costs each mixed factor in two passes.
-    ``factors`` keeps one entry per kept factor; ``quotient`` joins two
-    programs into one.
+    so a direction costs w^net prod (w^{-m} - a_f)^{+-1}, all its w^m joined
+    in one power (``_direction_product``).  ``eval_phasors`` asks its
+    ``Phasors`` for each direction's product (``Phasors.direction``): on
+    arbitrary nodes it is costed per node; on a grid chunk (``GridChunk``)
+    it is costed once per grid on the n residues of d.I and read through a
+    strided view.  A direction in the head coordinates only gives one value
+    per row, (0, ..., 0, 1) one per column; their product is written to the
+    output in one pass, and each other direction is multiplied into it in
+    place, one pass each.  ``factors`` keeps one entry per kept factor;
+    ``quotient`` joins two programs into one.
 
     Poles: ``SpectralFunction.evaluate`` refuses a denominator factor below
     1e-14; no node here is guarded, as for s > 0 no program meets a pole:
@@ -223,28 +389,34 @@ class FactorProgram:
     factors: list
 
     # most nodes in one chunk of a streamed grid (``_grid_chunks``):
-    # ``eval_phasors`` holds three chunk-sized arrays (the output, the
-    # denominator and one reused buffer); of 2^11 ... 2^14, 2^13 gave the
-    # fastest limit-d3 grids on a 2-core Xeon with numpy 2.4
+    # ``eval_phasors`` on a grid chunk holds one chunk-sized array, its
+    # output; of 2^11 ... 2^15, 2^13 and 2^14 gave the fastest limit-d3
+    # grids, within noise, on a 2-core Xeon with numpy 2.4
     BLOCK = 1 << 13
 
     def __post_init__(self):
         zero = (0,) * self.nfree
         self._scalar_num, self._scalar_den = [], []
-        # (head c with its last entry 0, -b, factor index, in numerator)
-        self._row, self._lane, self._mixed = [], [], []
-        net = self.unit_coeffs[-1] if self.nfree else 0
+        # primitive direction d -> [net power of w, [(-m, factor, in num)]]
+        dirs = {}
+        if self.unit_coeffs != zero:
+            d, m = _direction(self.unit_coeffs)
+            dirs[d] = [m, []]
         for i, f in enumerate(self.factors):
             if f.coeffs == zero:
                 (self._scalar_num if f.in_num else self._scalar_den).append(i)
                 continue
-            head, b = f.coeffs[:-1] + (0,), f.coeffs[-1]
-            net += b if f.in_num else -b
-            kind = (self._row if b == 0 else
-                    self._lane if head == zero else self._mixed)
-            kind.append((head, -b, i, f.in_num))
-        self._net = net
-        self._unit_head = self.unit_coeffs[:-1] + (0,) if self.nfree else ()
+            d, m = _direction(f.coeffs)
+            group = dirs.setdefault(d, [0, []])
+            group[0] += m if f.in_num else -m
+            group[1].append((-m, i, f.in_num))
+        # (d, net, terms) of the directions that vary per row (d_last = 0),
+        # per column (d = (0, ..., 0, 1)) and per node
+        self._row, self._col, self._node = [], [], []
+        for d, (net, terms) in dirs.items():
+            kind = (self._row if d[-1] == 0 else
+                    self._col if not any(d[:-1]) else self._node)
+            kind.append((d, net, tuple(terms)))
         self._rot = np.exp(2j * np.pi * np.array(
             [float(f.const) for f in self.factors], dtype=float))
         self._shift = np.array([f.shift for f in self.factors], dtype=float)
@@ -312,48 +484,32 @@ class FactorProgram:
         return at[1], at[2]
 
     def eval_phasors(self, ph: Phasors, s: complex) -> np.ndarray:
-        """Evaluate at the point s on the nodes of ``ph``: an array of shape
-        ``ph.nodes``.  The row factors and the monomial's head make one array
-        shaped like H, the lane factors and Y^{net b} one shaped like Y;
-        their product is written to the output, and the mixed factors are
-        multiplied into it.  On a grid chunk ``ComponentModel._times_phi``
-        runs it in ``_small_buffers``."""
+        """Evaluate at the point s on the nodes of ``ph``: a new array of
+        shape ``ph.nodes``.  The scalar and the per-row directions make one
+        array shaped like the chunk's head, the per-column direction one
+        shaped like its last axis; their product is written to the output,
+        and every other direction is multiplied into it.  On a grid chunk
+        ``ComponentModel._times_phi`` runs it in ``_small_buffers``."""
         scalar, a = self._at(s)
+        out = np.empty(ph.nodes, dtype=complex)
         if not self.nfree:
-            return np.full(ph.nodes, scalar, dtype=complex)
-        last = self.nfree - 1
-        row = ph.monomial(self._unit_head, scalar)
-        for head, _, f, in_num in self._row:
-            term = 1.0 - ph.monomial(head, a[f])
-            row = row * term if in_num else row / term
-        lane = np.empty(ph.power(last, 1).shape, dtype=complex)
-        lane[...] = ph.power(last, self._net) if self._net else 1.0
-        self._times_factors(lane, ph, self._lane, a)
-        out = lane if lane.shape == ph.nodes else np.empty(ph.nodes,
-                                                           dtype=complex)
-        np.multiply(row, lane, out=out)
-        return self._times_factors(out, ph, self._mixed, a)
-
-    def _times_factors(self, out, ph, terms, a) -> np.ndarray:
-        """out times the product of Y^{-b} - a_f H over the numerator terms
-        over that of the denominator terms, in place and two passes a term:
-        each is written into one buffer, which the first denominator term
-        keeps as the denominator."""
-        last = self.nfree - 1
-        den = buf = None
-        for head, k, f, in_num in terms:
-            if buf is None:
-                buf = np.empty_like(out)
-            np.subtract(ph.power(last, k), ph.monomial(head, a[f]), out=buf)
-            if in_num:
-                out *= buf
-            elif den is None:
-                den, buf = buf, None
-            else:
-                den *= buf
-        if den is not None:
-            out /= den
+            out[...] = scalar
+            return out
+        row, col = scalar, 1.0
+        for d, net, terms in self._row:
+            row = row * self._along(ph, s, d, net, terms, a)
+        for d, net, terms in self._col:
+            col = self._along(ph, s, d, net, terms, a)
+        np.multiply(row, col, out=out)
+        for d, net, terms in self._node:
+            out *= self._along(ph, s, d, net, terms, a)
         return out
+
+    def _along(self, ph, s, d, net, terms, a) -> np.ndarray:
+        """The product of direction d's factors and monomial at the nodes of
+        ``ph``; a grid keeps it per program, s and d."""
+        return ph.direction(d, (self, s, d), functools.partial(
+            _direction_product, net=net, terms=terms, a=a))
 
 
 # -- test functions ----------------------------------------------------------------
@@ -574,9 +730,11 @@ class QuadConfig:
     extrap_order: int = 3
 
     def __post_init__(self):
-        """Refuse settings that leave no s-sequence, an empty grid or a
-        tolerance no run can meet: the limit is taken from s0 > 0 down,
-        every grid has a node, and tol > 0 also sizes the left grid."""
+        """Refuse settings that leave no s-sequence, an empty grid, a
+        tolerance no run can meet, nodes that are not numbers or no
+        extrapolation rule: the limit is taken from s0 > 0 down, every grid
+        has a node at a finite offset, tol > 0 also sizes the left grid,
+        and Richardson eliminates a whole number of terms (0: none)."""
         for name in ("s0", "tol"):
             if not (math.isfinite(getattr(self, name))
                     and getattr(self, name) > 0):
@@ -586,6 +744,12 @@ class QuadConfig:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, "
                                  f"got {getattr(self, name)}")
+        if not math.isfinite(self.offset):
+            raise ValueError(f"offset must be finite, got {self.offset}")
+        if not (isinstance(self.extrap_order, numbers.Integral)
+                and self.extrap_order >= 0):
+            raise ValueError(f"extrap_order must be a non-negative integer, "
+                             f"got {self.extrap_order!r}")
 
 
 def lhs_covering_order(triple: OrthTriple) -> int:
@@ -782,33 +946,34 @@ class ComponentModel:
 
 def _grid_chunks(dim: int, n: int, offset: float):
     """The ``Phasors`` of each chunk of the grid of ``_grid_mean``, in node
-    order.  A chunk is a block of whole rows of the last axis, BLOCK // n of
-    them, or when n > BLOCK a segment of one row.  Its last axis is a
-    (1, cols) array of the axis phasors e((i + 1/2 + offset) / n), and its
-    row coordinates are (rows, 1), gathered by row index.  The axis phasors
-    are made once per grid; when n > BLOCK they are made per segment and
-    per row instead, so that no array outgrows a chunk.  No grid node takes
-    an exp or a coordinate of its own."""
+    order.  With dim >= 2 and n <= BLOCK a chunk is BLOCK // n whole rows of
+    the last axis, fewer where the outer coordinates (all but the last two)
+    carry, so that its rows form one arithmetic run: a ``GridChunk`` of one
+    ``_ResidueGrid``, which reads every function of e(c.t) from a table of
+    its n residues.  Otherwise a chunk is one row of the last axis, or when
+    n > BLOCK a segment of one, with its axis phasors e((i + 1/2 + offset) /
+    n) made per segment and per row, so that no array outgrows a chunk and
+    a 1-D grid keeps no table.  No grid node takes an exp or a coordinate of
+    its own."""
     if dim == 0:
         yield Phasors([], (1,))
+        return
+    block = FactorProgram.BLOCK
+    if dim > 1 and n <= block:
+        grid, rows = _ResidueGrid(dim, n, offset), min(n, block // n)
+        for outer in itertools.product(range(n), repeat=dim - 2):
+            for i in range(0, n, rows):
+                yield GridChunk(grid, outer, i, min(rows, n - i))
         return
 
     def axis(i):
         return np.exp(2j * np.pi * ((i + 0.5 + offset) / n))
 
-    block = FactorProgram.BLOCK
-    nrows, rows, cols = n ** (dim - 1), max(1, block // n), min(n, block)
-    whole = axis(np.arange(n)) if cols == n else None
-    for i in range(0, nrows, rows):
-        idx = span = np.arange(i, min(nrows, i + rows))
-        head = []
-        for _ in range(dim - 1):
-            idx, k = np.divmod(idx, n)
-            head.insert(0, (axis(k) if whole is None else whole[k])[:, None])
-        for j in range(0, n, cols):
-            last = axis(np.arange(j, min(n, j + cols))) if whole is None \
-                else whole
-            yield Phasors(head + [last[None, :]], (len(span), len(last)))
+    for row in itertools.product(range(n), repeat=dim - 1):
+        head = [axis(np.array([[k]])) for k in row]
+        for j in range(0, n, block):
+            last = axis(np.arange(j, min(n, j + block)))[None, :]
+            yield Phasors(head + [last], last.shape)
 
 
 def _grid_mean(fun: Callable, dim: int, n: int, offset: float) -> complex:

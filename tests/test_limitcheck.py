@@ -333,35 +333,54 @@ def test_coarse_grid_stays_inside_the_budget():
     assert 0 < nodes - n ** 2 <= n ** 2
 
 
-def _per_factor_eval(atoms, spec, nfree, regularize, t, s):
-    """The gamma factor as a product of one exponential per factor and node:
-    e(unit) q^{qpow - exponent s} prod_num g / prod_den g with
-    g = 1 - e(const + c.t) q^{-(sdir s + shift)}.  Returns the values and,
-    per node, the smallest |g| and sum 1/|g| over the kept factors."""
+def _atom_parts(atoms, spec, nfree, regularize):
+    """(q, unit, qpow, exponent, factors) of the gamma factor of atoms, read
+    from gamma_parts, with each kept factor as (angle, shift, sdir, in_num)."""
     unit, qpow, exponent, num, den = gamma_parts(atoms, spec.psi_level)
-    q = spec.q
+    factors = []
+    for group, in_num in ((num, True), (den, False)):
+        for (a, r, sd) in group:
+            a = limitcheck._as_affine(a, nfree)
+            if not (regularize and in_num and r == 0
+                    and a.is_identically_zero()):
+                factors.append((a, float(r), sd, in_num))
+    return (spec.q, limitcheck._as_affine(unit, nfree), float(qpow),
+            float(exponent), factors)
+
+
+def _program_parts(prog):
+    """The same parts read from a compiled program."""
+    return (prog.q, AffineAngle(prog.unit_const, prog.unit_coeffs),
+            prog.qpow, prog.exponent,
+            [(AffineAngle(f.const, f.coeffs), f.shift, f.sdir, f.in_num)
+             for f in prog.factors])
+
+
+def _per_factor_eval(parts, t, s, phasor=None):
+    """The gamma factor of ``parts`` (``_atom_parts``, ``_program_parts``)
+    as a product of one exponential per factor and node: e(unit) q^{qpow -
+    exponent s} prod_num g / prod_den g with g = 1 - e(const + c.t)
+    q^{-(sdir s + shift)}.  ``phasor(a)`` gives e(const + c.t) at the nodes
+    (default: one exp of the angle from t).  Returns the values and, per
+    node, the smallest |g| and sum 1/|g| over the factors."""
+    q, unit, qpow, exponent, factors = parts
 
     def e(a):
+        if phasor is not None:
+            return phasor(a)
         return np.exp(2j * np.pi * (float(a.const)
                                     + np.array(a.coeffs, dtype=float) @ t))
 
-    val = (e(limitcheck._as_affine(unit, nfree)) * q ** float(qpow)
-           * q ** (-float(exponent) * s))
+    val = e(unit) * q ** qpow * q ** (-exponent * s)
     smallest = np.full(t.shape[1], np.inf)
     cond = np.zeros(t.shape[1])
-    kept = 0
-    for factors, in_num in ((num, True), (den, False)):
-        for (a, r, sd) in factors:
-            a = limitcheck._as_affine(a, nfree)
-            if regularize and in_num and r == 0 and a.is_identically_zero():
-                continue
-            g = 1.0 - e(a) * q ** (-(sd * s + float(r)))
-            val = val * g if in_num else val / g
-            smallest = np.minimum(smallest, np.abs(g))
-            with np.errstate(divide="ignore"):  # kept factors vanishing at s = 0
-                cond = cond + 1.0 / np.abs(g)
-            kept += 1
-    return val, smallest, cond, kept
+    for a, r, sd, in_num in factors:
+        g = 1.0 - e(a) * q ** (-(sd * s + r))
+        val = val * g if in_num else val / g
+        smallest = np.minimum(smallest, np.abs(g))
+        with np.errstate(divide="ignore"):  # kept factors vanishing at s = 0
+            cond = cond + 1.0 / np.abs(g)
+    return val, smallest, cond
 
 
 def test_phasor_evaluator_matches_per_factor_formula():
@@ -385,11 +404,11 @@ def test_phasor_evaluator_matches_per_factor_formula():
         t = np.array([[rng.random() for _ in range(257)]
                       for _ in range(nfree)]).reshape(nfree, 257)
         for s in (0.0, 0.37, 0.05 - 0.4j):
-            want, smallest, cond, kept = _per_factor_eval(
-                atoms, spec, nfree, regularize, t, s)
+            parts = _atom_parts(atoms, spec, nfree, regularize)
+            want, smallest, cond = _per_factor_eval(parts, t, s)
             got = prog.eval(t, s)
             assert got.shape == (t.shape[1] if nfree else 1,)
-            assert len(prog.factors) == kept
+            assert len(prog.factors) == len(parts[4])
             ok = smallest >= 1e-6
             compared += int(ok.sum())
             # each factor's rounding is a few 1e-16 in both formulas, so
@@ -463,11 +482,11 @@ def test_fused_integrand_matches_separate_programs():
         ad = limitcheck.ad_over_center_atoms(model.lhs_atoms)
         angles = np.array([float(a.const) + np.array(a.coeffs) @ t
                            for a, _ in model.lhs_atoms])
-        _, small_ad, cond_ad, _ = _per_factor_eval(ad, SPEC3, nfree, True, t,
-                                                   0.0)
+        _, small_ad, cond_ad = _per_factor_eval(
+            _atom_parts(ad, SPEC3, nfree, True), t, 0.0)
         for s in (0.2, 0.0125):
-            _, small_sym, cond_sym, _ = _per_factor_eval(sym2, SPEC3, nfree,
-                                                         False, t, s)
+            _, small_sym, cond_sym = _per_factor_eval(
+                _atom_parts(sym2, SPEC3, nfree, False), t, s)
             ok = np.minimum(small_ad, small_sym) >= 1e-6
             for phi in phis:
                 want = (phi.values(model.dims, angles)
@@ -511,9 +530,39 @@ def test_quotient_matches_ratio_of_programs():
     assert units > 10
 
 
+def _grid_index(dim, n):
+    """The index I of each node of the dim-axis grid, in node order."""
+    return np.stack([m.ravel() for m in np.meshgrid(*[np.arange(n)] * dim,
+                                                     indexing="ij")])
+
+
 def _full_grid(dim, n, offset):
-    axes = [(np.arange(n) + 0.5 + offset) / n] * dim
-    return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")])
+    return (_grid_index(dim, n) + 0.5 + offset) / n
+
+
+def _exact_phasor(turns):
+    """e(turns) for an exact rational angle, to about 1.6e-16: the nearest
+    quarter turn j / 4 is split off exactly and its phasor i^j is exact."""
+    j = round(4 * turns)
+    return (1, 1j, -1, -1j)[j % 4] * np.exp(2j * np.pi
+                                            * float(turns - F(j, 4)))
+
+
+def _exact_on_grid(n, offset):
+    """phasor(a, index): e(const + c.t) at the grid nodes of these indices,
+    where t = (I + 1/2 + offset) / n, from the exact angle const + (c.I mod
+    n + sum_r c_r (1/2 + offset)) / n at each residue of c.I."""
+    half = F(1, 2) + F(offset)
+    tables = {}
+
+    def phasor(a, index):
+        c = tuple(int(x) for x in a.coeffs)
+        if (a.const, c) not in tables:
+            tables[a.const, c] = np.array([
+                _exact_phasor(a.const + (k + sum(c) * half) / n)
+                for k in range(n)])
+        return tables[a.const, c][np.array(c, dtype=int) @ index % n]
+    return phasor
 
 
 def test_streamed_means_match_full_grid(monkeypatch):
@@ -579,8 +628,12 @@ def test_non_finite_grid_sum_raises_pole_error(monkeypatch):
 
 def test_grid_chunks_are_the_grid_phasors(monkeypatch):
     """Each chunk of _grid_chunks holds, in node order, E_r = e(t_r) of its
-    nodes and block phasors equal to those made from the nodes themselves:
-    dims 0-3, ragged last chunks, a chunk per row segment when n > BLOCK."""
+    nodes and block phasors equal to those of its nodes: dims 0-3, ragged
+    last chunks, a chunk per row segment when n > BLOCK.  A segment makes
+    them as ``Phasors.of_nodes`` does, from powers of E_r; a residue grid
+    chunk reads them from its grid's tables, which are compared with the
+    phasor of the exact angle const + (c.I mod n + sum_r c_r (1/2 +
+    offset)) / n at the node of index I."""
     offset = QuadConfig().offset
     rng = random.Random(4)
     block = FactorProgram.BLOCK
@@ -592,17 +645,26 @@ def test_grid_chunks_are_the_grid_phasors(monkeypatch):
                               tuple(rng.randint(-2, 2) for _ in range(dim))), 1)
                  for _ in range(4)]
         grid = _full_grid(dim, n, offset) if dim else np.zeros((0, 1))
+        index = _grid_index(dim, n) if dim else grid
+        exact = _exact_on_grid(n, offset)
         start, sizes = 0, []
         for ph in limitcheck._grid_chunks(dim, n, offset):
             m = ph.shape[1]
             assert ph.shape == (dim, m) and math.prod(ph.nodes) == m <= chunk
-            t = grid[:, start:start + m]
+            t, nodes = grid[:, start:start + m], index[:, start:start + m]
             start += m
             sizes.append(m)
+            if isinstance(ph, limitcheck.GridChunk):
+                axes = [exact(AffineAngle(F(0), tuple(int(i == r)
+                                                      for i in range(dim))),
+                              nodes) for r in range(dim)]
+                ref = [exact(a, nodes) for a, _ in atoms]
+            else:
+                axes = np.exp(2j * np.pi * t)
+                ref = limitcheck.Phasors.of_nodes(t).blocks(atoms)
             for r in range(dim):
                 got = np.broadcast_to(ph.power(r, 1), ph.nodes).ravel()
-                assert np.abs(got - np.exp(2j * np.pi * t[r])).max() <= 1e-15
-            ref = limitcheck.Phasors.of_nodes(t).blocks(atoms)
+                assert np.abs(got - axes[r]).max() <= 1e-15
             for got, want in zip(ph.blocks(atoms), ref):
                 got = np.broadcast_to(got, ph.nodes).ravel()
                 assert np.abs(got - want).max() <= 1e-15
@@ -676,8 +738,8 @@ def test_random_programs_on_grid_chunks_match_flattened_nodes(monkeypatch):
                     np.broadcast_to(prog.eval_phasors(ph, s), ph.nodes).ravel()
                     for ph in limitcheck._grid_chunks(nfree, n, offset)])
                 want = prog.eval(t, s)
-                _, smallest, cond, _ = _per_factor_eval(atoms, spec, nfree,
-                                                        regularize, t, s)
+                _, smallest, cond = _per_factor_eval(
+                    _atom_parts(atoms, spec, nfree, regularize), t, s)
                 ok = smallest >= 1e-6
                 compared += int(ok.sum())
                 rel = np.abs(got - want)[ok] / np.abs(want)[ok]
@@ -686,6 +748,79 @@ def test_random_programs_on_grid_chunks_match_flattened_nodes(monkeypatch):
     assert compared > 30000
     assert min(kinds[k] for k in ("row", "lane", "mixed", "scalar")) > 20
     assert kinds["unit"] > 10, kinds
+
+
+def test_factors_on_one_direction_on_grid_chunks(monkeypatch):
+    """Random programs with factors at c, -c, 2c and -3c and the unit
+    monomial along c, beside a few factors in other directions, for R = 1,
+    2 and 3: on every chunk of residue grids (ragged chunks, n below
+    |c|_1) and of one-row segments (BLOCK is small), the chunk values are
+    what ``eval`` gives on the flattened nodes, and those are the product
+    of the factors one by one."""
+    monkeypatch.setattr(FactorProgram, "BLOCK", 16)
+    offset = QuadConfig().offset
+    rng = random.Random(2024)
+    grids = {1: (3, 37), 2: (2, 7, 23), 3: (3, 5)}
+    compared = backward = 0
+
+    def vector(nfree):
+        while True:
+            c = tuple(rng.randint(-3, 3) for _ in range(nfree))
+            if any(c):
+                return c
+
+    def factor(c):
+        return limitcheck._Factor(F(rng.randint(0, 59), 60), c,
+                                  rng.choice((0.0, 0.5, 1.0)),
+                                  rng.choice((-1, 0, 1)), rng.random() < 0.5)
+
+    for case in range(36):
+        nfree = 1 + case % 3
+        c = vector(nfree)
+        factors = [factor(tuple(m * x for x in c)) for m in (1, -1, 2, -3)]
+        factors += [factor(vector(nfree)) for _ in range(rng.randint(0, 3))]
+        rng.shuffle(factors)
+        unit = rng.choice((1, -1, 2, -3, 0))
+        prog = FactorProgram(
+            q=rng.choice((3, 4, 5, 9)), nfree=nfree,
+            unit_const=F(rng.randint(0, 59), 60),
+            unit_coeffs=tuple(unit * x for x in c), qpow=rng.uniform(-2, 2),
+            exponent=rng.uniform(-3, 3), factors=factors)
+        # a direction that steps back along the rows or the columns
+        backward += any(x < 0 for x in limitcheck._direction(c)[0])
+        for n in grids[nfree]:
+            t, index = _full_grid(nfree, n, offset), _grid_index(nfree, n)
+            exact = _exact_on_grid(n, offset)
+            for s in (0.0, 0.37, 0.05 - 0.4j):
+                got = np.concatenate([
+                    np.broadcast_to(prog.eval_phasors(ph, s), ph.nodes).ravel()
+                    for ph in limitcheck._grid_chunks(nfree, n, offset)])
+                want = prog.eval(t, s)
+                # the factors' phasors from exact angles: a float angle of
+                # up to 1.6 |c|_1 turns would round by about 1e-15 |c|_1
+                ref, smallest, cond = _per_factor_eval(
+                    _program_parts(prog), t, s, lambda a: exact(a, index))
+                ok = smallest >= 1e-6
+                compared += int(ok.sum())
+                for val, base in ((got, want), (want, ref)):
+                    rel = np.abs(val - base)[ok] / np.abs(base)[ok]
+                    assert np.all(rel <= 1e-12 + 1e-14 * cond[ok]), \
+                        (case, n, s, float(rel.max()))
+    assert compared > 20000 and backward > 5, (compared, backward)
+
+
+def test_quad_config_refuses_bad_offset_and_extrap_order():
+    """A node offset that is not finite puts no node on a number, and an
+    extrapolation order below 0 or not whole names no Richardson rule:
+    both are refused when the config is made."""
+    for bad in ({"offset": math.nan}, {"offset": math.inf},
+                {"offset": -math.inf}, {"extrap_order": -1},
+                {"extrap_order": 1.5}, {"extrap_order": 3.0},
+                {"extrap_order": "3"}):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            QuadConfig(**bad)
+    assert QuadConfig(offset=0.0, extrap_order=0).extrap_order == 0
+    assert QuadConfig(extrap_order=np.int64(2)).extrap_order == 2
 
 
 def test_grid_means_take_no_node_angles(monkeypatch):
@@ -725,11 +860,13 @@ def test_phi_on_broadcast_phasors():
         assert np.abs(got - want).max() <= 1e-15
 
 
-def test_chunk_evaluation_holds_three_chunk_arrays():
+def test_chunk_evaluation_holds_only_its_output():
     """One evaluation of the fused program of T_D3 on a full chunk of BLOCK
     nodes, in the small-buffer scope that ``lhs_integrand`` gives it, holds
-    at most its output, the denominator and one reused buffer at a time:
-    below four chunk-sized complex arrays at its peak."""
+    its output and the grid's residue tables, which are a few n long: every
+    direction is a strided view of its table, and no factor has a buffer or
+    a denominator of its own.  Its peak stays below two chunk-sized complex
+    arrays; a direction copied out of its table would reach two."""
     import tracemalloc
 
     model = ComponentModel(T_D3, SPEC3)
@@ -744,7 +881,7 @@ def test_chunk_evaluation_holds_three_chunk_arrays():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 4 * chunk, peak / chunk
+    assert peak < 2 * chunk, peak / chunk
 
 
 def test_lhs_mean_memory_does_not_grow_with_the_grid():

@@ -257,9 +257,9 @@ def cmd_limit_verify(args) -> int:
 
 def _parse_s_seq(text: str):
     try:
-        parts = text.split(",")
-        return float(parts[0]), int(parts[1])
-    except (IndexError, ValueError) as e:
+        start, count = text.split(",")
+        return float(start), int(count)
+    except ValueError as e:
         raise InputError(f"--s-seq expects START,COUNT, got {text!r}: {e}")
 
 

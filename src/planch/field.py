@@ -7,6 +7,7 @@ quadratic characters are all decided exactly (no p-adic truncation).
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -19,12 +20,19 @@ class FieldError(ValueError):
 
 
 def read_number(x, kind=Fraction):
-    """kind(x) for a number read from input: a value that does not parse as
-    one raises TypeError, which the command line reports as malformed."""
+    """kind(x) for a number read from input.  A value that does not parse as
+    one raises TypeError, which the command line reports as malformed, and
+    so do a JSON boolean, a float or complex that is not finite, and an int
+    read from a number of another value (1.5 is not the int 1)."""
     try:
-        return kind(x)
+        v = kind(x)
     except (ValueError, ZeroDivisionError, OverflowError) as e:
         raise TypeError(f"{x!r} is not a {kind.__name__}") from e
+    if (isinstance(x, bool)
+            or (kind in (float, complex) and not cmath.isfinite(v))
+            or (kind is int and not isinstance(x, str) and v != x)):
+        raise TypeError(f"{x!r} is not a {kind.__name__}")
+    return v
 
 
 def _is_prime(n: int) -> bool:

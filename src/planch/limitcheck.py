@@ -18,13 +18,14 @@ ln(100 / tol) ||c||_inf / (s log q) as s -> 0.  A program groups its
 factors by primitive direction d; along d every factor, and the monomial,
 is a function of w = e(d.t) alone.  On a grid of n nodes per axis, w at the
 node of index I is e((d.I mod n + sum_r d_r (1/2 + offset)) / n): it takes
-only n values.  So on a grid of two or more axes each direction's product
-is tabulated once per grid on those n residues, and a chunk (a block of
-whole rows of the last axis) reads it through a strided view of the table,
-with no exp and no copy: a direction in the head coordinates gives one
-value per row, one in the last coordinate one per column, and each other
-direction costs one in-place multiply over the chunk.  A 1-D grid is
-costed on its axis phasors e((i + 1/2 + offset) / n), segment by segment.
+only n values.  So on any grid of two or more axes each direction's
+product is tabulated once per grid on those n residues, and a chunk (a
+block of whole rows of the last axis, or a segment of one row) reads it
+through a strided view of the table, with no exp and no copy: a direction
+in the head coordinates gives one value per row, one in the last
+coordinate one per column, and each other direction costs one in-place
+multiply over the chunk.  A 1-D grid is one row, costed on its axis
+phasors e((i + 1/2 + offset) / n), segment by segment.
 The s -> 0 limit is taken by Richardson extrapolation.  The order of a
 triple's blocks and their pairing into mirror rows, which both sides and
 the constants joining them depend on, are decided in one place,
@@ -39,11 +40,10 @@ import dataclasses
 import functools
 import itertools
 import math
-import numbers
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -159,13 +159,13 @@ def _direction(c: tuple) -> tuple[tuple, int]:
 
 
 class Phasors:
-    """The phasors E_r = e(t_r) of one chunk of nodes, ``shape`` (nfree, m).
-    Each E_r is an array that broadcasts to the chunk's ``nodes`` shape: on a
-    one-row grid chunk (``_grid_chunks``) a head coordinate is (1, 1) and
-    the last axis (1, cols), so a monomial in one coordinate costs only its
-    own values.  Each power E_r^k is built once, by squaring or as the
-    conjugate of E_r^-k, and kept for the chunk.  ``GridChunk`` gives the
-    same values from a grid's residue tables."""
+    """The phasors E_r = e(t_r) of one chunk of nodes, ``shape`` (nfree, m):
+    arbitrary nodes (``of_nodes``), a point, or a segment of a 1-D grid
+    (``_grid_chunks``).  Each E_r is an array of the chunk's ``nodes``
+    shape.  Each power E_r^k is built once, by squaring or as the
+    conjugate of E_r^-k, and kept for the chunk.  On a grid of two or more
+    axes ``GridChunk`` answers ``direction`` and ``blocks`` from the grid's
+    residue tables instead."""
 
     def __init__(self, e: list, nodes: tuple):
         self.nodes = nodes
@@ -236,10 +236,8 @@ class _ResidueGrid:
     w_k = e((k + sigma_c) / n), and a chunk (``GridChunk``) reads its values
     as a slice of a strided view of that table."""
 
-    def __init__(self, dim: int, n: int, offset: float):
-        self.dim, self.n, self.offset = dim, n, offset
-        # 1/2 + offset as an exact ratio of integers
-        self._half = (Fraction(1, 2) + Fraction(offset)).as_integer_ratio()
+    def __init__(self, dim: int, n: int):
+        self.dim, self.n = dim, n
         self._roots = _unit_roots(n)
         self._tables = {}
 
@@ -258,7 +256,7 @@ class _ResidueGrid:
             # residue k sits at (k + shift) / n turns, shift = sum_r c_r
             # (1/2 + offset) + n const, split exactly into whole + frac:
             # e(k / n) rotated by whole places and scaled by e(frac / n)
-            num, den = self._half
+            num, den = _HALF
             p, r = const.numerator, const.denominator
             whole, frac = divmod(int(sum(c)) * num * r + n * p * den, den * r)
             values = np.roll(self._roots, -whole) * cmath.exp(
@@ -282,47 +280,36 @@ class _ResidueGrid:
         return view
 
 
-class GridChunk(Phasors):
-    """The rows first ... first + rows - 1 of the last axis of a
-    ``_ResidueGrid`` at the outer coordinates ``outer`` (dim - 2 of them),
-    so that c.I runs by c_head down the rows and by c_last along them.
-    It answers every call of ``Phasors``: each direction, power, monomial
-    and block phasor is a slice of a residue table's view, so the chunk
-    builds no array of its own (a scaled ``monomial`` aside)."""
+class GridChunk:
+    """The nodes at rows ``rows`` and columns ``cols`` (ranges) of the last
+    two axes of a ``_ResidueGrid``, at the outer coordinates ``outer``
+    (dim - 2 of them), so that c.I runs by c_head down the rows and by
+    c_last along them: whole rows, or a segment of one row.  It answers
+    ``Phasors.direction`` and ``Phasors.blocks``, each value a slice of a
+    residue table's view, so the chunk builds no array of its own."""
 
-    def __init__(self, grid: _ResidueGrid, outer: tuple, first: int,
-                 rows: int):
+    def __init__(self, grid: _ResidueGrid, outer: tuple, rows: range,
+                 cols: range):
         self.grid, self.outer = grid, outer
-        self._rows = slice(first, first + rows)
-        self.nodes = (rows, grid.n)
-        self.shape = (grid.dim, rows * grid.n)
+        self._rows = slice(rows.start, rows.stop)
+        self._cols = slice(cols.start, cols.stop)
+        self.nodes = (len(rows), len(cols))
+        self.shape = (grid.dim, len(rows) * len(cols))
 
     def direction(self, c, key, fn):
         return self._read(self.grid.table(key, c, fn), c)
 
     def _read(self, view, c):
         f = sum(k * i for k, i in zip(c, self.outer)) % self.grid.n
-        return view[f, self._rows if c[-2] else slice(None)]
-
-    def _phasor(self, c, const):
-        """e(const + c.t) for c != 0, one exp per residue of c.I."""
-        return self._read(self.grid.table((c, const), c, None, const), c)
-
-    def power(self, r, k):
-        return self._phasor(tuple(k if i == r else 0
-                                  for i in range(self.grid.dim)), 0)
-
-    def monomial(self, c, scale=None):
-        if not any(c):
-            return scale
-        return self._phasor(c, 0) if scale is None else \
-            scale * self._phasor(c, 0)
+        return view[f, self._rows if c[-2] else slice(None),
+                    self._cols if c[-1] else slice(None)]
 
     def blocks(self, atoms):
         """Each atom's phasor with its constant inside the tabulated angle,
         so that e(const + c.t) takes one exp per residue and no product."""
-        return [self._phasor(a.coeffs, a.const) if any(a.coeffs)
-                else a.phase for a, _ in atoms]
+        return [self._read(self.grid.table((a.coeffs, a.const), a.coeffs,
+                                           None, a.const), a.coeffs)
+                if any(a.coeffs) else a.phase for a, _ in atoms]
 
 
 def _direction_product(w: np.ndarray, net: int, terms: tuple,
@@ -365,10 +352,10 @@ class FactorProgram:
 
     so a direction costs w^net prod (w^{-m} - a_f)^{+-1}, all its w^m joined
     in one power (``_direction_product``).  ``eval_phasors`` asks its
-    ``Phasors`` for each direction's product (``Phasors.direction``): on
-    arbitrary nodes it is costed per node; on a grid chunk (``GridChunk``)
-    it is costed once per grid on the n residues of d.I and read through a
-    strided view.  A direction in the head coordinates only gives one value
+    chunk for each direction's product (``direction``): on ``Phasors`` it
+    is costed per node; on a chunk of a grid of two or more axes
+    (``GridChunk``) it is costed once per grid on the n residues of d.I and
+    read through a strided view.  A direction in the head coordinates only gives one value
     per row, (0, ..., 0, 1) one per column; their product is written to the
     output in one pass, and each other direction is multiplied into it in
     place, one pass each.  ``factors`` keeps one entry per kept factor;
@@ -483,7 +470,7 @@ class FactorProgram:
             at = self._at_s = (s, complex(scalar), a.tolist())
         return at[1], at[2]
 
-    def eval_phasors(self, ph: Phasors, s: complex) -> np.ndarray:
+    def eval_phasors(self, ph: Phasors | GridChunk, s: complex) -> np.ndarray:
         """Evaluate at the point s on the nodes of ``ph``: a new array of
         shape ``ph.nodes``.  The scalar and the per-row directions make one
         array shaped like the chunk's head, the per-column direction one
@@ -562,8 +549,8 @@ class TrigPhi(TestFunction):
 
     def __init__(self, terms: Sequence[tuple], const: float = 1.0):
         # terms: (h, k, coeff)
-        self.terms = [(read_number(h, int), read_number(k, int), complex(c))
-                      for (h, k, c) in terms]
+        self.terms = [(read_number(h, int), read_number(k, int),
+                       read_number(c, complex)) for (h, k, c) in terms]
         self.const = read_number(const, float)
 
     values = TestFunction.values
@@ -726,15 +713,14 @@ class QuadConfig:
     s_count: int = 6
     tol: float = 1e-3
     max_nodes: int = 2 ** 22
-    offset: float = 0.5 * (math.sqrt(5) - 1)  # golden offset, dodges exact hits
-    extrap_order: int = 3
+    # every grid's node offset and Richardson's order, the same for all runs
+    offset: ClassVar[float] = 0.5 * (math.sqrt(5) - 1)  # golden: dodges hits
+    extrap_order: ClassVar[int] = 3
 
     def __post_init__(self):
-        """Refuse settings that leave no s-sequence, an empty grid, a
-        tolerance no run can meet, nodes that are not numbers or no
-        extrapolation rule: the limit is taken from s0 > 0 down, every grid
-        has a node at a finite offset, tol > 0 also sizes the left grid,
-        and Richardson eliminates a whole number of terms (0: none)."""
+        """Refuse settings that leave no s-sequence, an empty grid or a
+        tolerance no run can meet: the limit is taken from s0 > 0 down, and
+        tol > 0 also sizes the left grid."""
         for name in ("s0", "tol"):
             if not (math.isfinite(getattr(self, name))
                     and getattr(self, name) > 0):
@@ -744,12 +730,10 @@ class QuadConfig:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, "
                                  f"got {getattr(self, name)}")
-        if not math.isfinite(self.offset):
-            raise ValueError(f"offset must be finite, got {self.offset}")
-        if not (isinstance(self.extrap_order, numbers.Integral)
-                and self.extrap_order >= 0):
-            raise ValueError(f"extrap_order must be a non-negative integer, "
-                             f"got {self.extrap_order!r}")
+
+
+# 1/2 + offset as an exact ratio of integers, for ``_ResidueGrid``
+_HALF = (Fraction(1, 2) + Fraction(QuadConfig.offset)).as_integer_ratio()
 
 
 def lhs_covering_order(triple: OrthTriple) -> int:
@@ -837,8 +821,8 @@ class ComponentModel:
 
     def _times_phi(self, prog, phi, t, s, atoms) -> np.ndarray:
         """prog(t, s) times phi at its block phasors, both read from one
-        ``Phasors``: the grid chunk t itself, or made from the nodes t."""
-        ph = t if isinstance(t, Phasors) else Phasors.of_nodes(t)
+        chunk: the grid chunk t itself, or ``Phasors`` of the nodes t."""
+        ph = Phasors.of_nodes(t) if isinstance(t, np.ndarray) else t
         with _small_buffers():
             out = prog.eval_phasors(ph, s)
             out *= phi.phasor_values(self.dims, ph.blocks(atoms))
@@ -888,9 +872,9 @@ class ComponentModel:
             return self.lhs_integrand(phi, t, s)
 
         if dim == 0:
-            return _grid_mean(integrand, 0, 1, cfg.offset), 0.0, 1, 1, False
+            return _grid_mean(integrand, 0, 1), 0.0, 1, 1, False
         n, capped = self.lhs_grid_size(s, cfg)
-        mean = _grid_mean(integrand, dim, n, cfg.offset)
+        mean = _grid_mean(integrand, dim, n)
         # self-consistency estimate on a coarser incommensurate grid, never
         # larger than the fine one, so that the budget holds for both.  It
         # takes the fine grid's parity: the integrand's Fourier modes span a
@@ -901,7 +885,7 @@ class ComponentModel:
         # parity the coarse aliases are the fine ones scaled by n2 / n.
         n2 = int(n / math.sqrt(2))
         n2 = max(1, n2 - (n - n2) % 2)
-        mean2 = _grid_mean(integrand, dim, n2, cfg.offset)
+        mean2 = _grid_mean(integrand, dim, n2)
         err = abs(mean - mean2)
         return mean, err, n, n ** dim + n2 ** dim, capped
 
@@ -923,7 +907,7 @@ class ComponentModel:
         the Jacobian factor (D d' / P) (2 pi / log q)^{2N - S - c} is exactly
         1, as ``__init__`` checks."""
         mean = _grid_mean(lambda t: self.rhs_integrand(phi, t), self.R_rhs,
-                          cfg.rhs_n, cfg.offset)
+                          cfg.rhs_n)
         const = (2 * (self.chi_minus_one ** (self.d - 1))
                  / (self.F_rhs * 2 ** self.consts.c))
         return const * mean
@@ -937,58 +921,55 @@ class ComponentModel:
         empty = FactorProgram.compile([], self.spec, self.R_lhs, False)
         mean = _grid_mean(lambda t: self._times_phi(empty, phi, t, 0.0,
                                                     self.lhs_atoms),
-                          self.R_lhs, cfg.n_base, cfg.offset)
+                          self.R_lhs, cfg.n_base)
         return float(self.J_k) / (c.P * self.F_lhs) * mean.real
 
 
 # -- grids -----------------------------------------------------------------------
 
 
-def _grid_chunks(dim: int, n: int, offset: float):
-    """The ``Phasors`` of each chunk of the grid of ``_grid_mean``, in node
-    order.  With dim >= 2 and n <= BLOCK a chunk is BLOCK // n whole rows of
-    the last axis, fewer where the outer coordinates (all but the last two)
-    carry, so that its rows form one arithmetic run: a ``GridChunk`` of one
-    ``_ResidueGrid``, which reads every function of e(c.t) from a table of
-    its n residues.  Otherwise a chunk is one row of the last axis, or when
-    n > BLOCK a segment of one, with its axis phasors e((i + 1/2 + offset) /
-    n) made per segment and per row, so that no array outgrows a chunk and
-    a 1-D grid keeps no table.  No grid node takes an exp or a coordinate of
-    its own."""
+def _grid_chunks(dim: int, n: int):
+    """The chunks of the grid of ``_grid_mean``, in node order, each of at
+    most BLOCK nodes.  A point is one ``Phasors`` of no coordinate.  A 1-D
+    grid is one row, cut into segments whose axis phasors e((i + 1/2 +
+    offset) / n) are made per segment, so that it keeps no table.  With
+    dim >= 2 a chunk is a ``GridChunk`` of one ``_ResidueGrid``, which reads
+    every function of e(c.t) from a table of its n residues: BLOCK // n
+    whole rows of the last axis, fewer where the outer coordinates (all but
+    the last two) carry, so that its rows form one arithmetic run, or when
+    n > BLOCK a segment of one row.  No grid node takes an exp or a
+    coordinate of its own."""
     if dim == 0:
         yield Phasors([], (1,))
         return
     block = FactorProgram.BLOCK
-    if dim > 1 and n <= block:
-        grid, rows = _ResidueGrid(dim, n, offset), min(n, block // n)
-        for outer in itertools.product(range(n), repeat=dim - 2):
-            for i in range(0, n, rows):
-                yield GridChunk(grid, outer, i, min(rows, n - i))
-        return
-
-    def axis(i):
-        return np.exp(2j * np.pi * ((i + 0.5 + offset) / n))
-
-    for row in itertools.product(range(n), repeat=dim - 1):
-        head = [axis(np.array([[k]])) for k in row]
+    if dim == 1:
         for j in range(0, n, block):
-            last = axis(np.arange(j, min(n, j + block)))[None, :]
-            yield Phasors(head + [last], last.shape)
+            i = np.arange(j, min(n, j + block))
+            axis = np.exp(2j * np.pi * ((i + 0.5 + QuadConfig.offset) / n))
+            yield Phasors([axis], axis.shape)
+        return
+    grid, rows = _ResidueGrid(dim, n), max(1, block // n)
+    for outer in itertools.product(range(n), repeat=dim - 2):
+        for i in range(0, n, rows):
+            for j in range(0, n, block):
+                yield GridChunk(grid, outer, range(i, min(n, i + rows)),
+                                range(j, min(n, j + block)))
 
 
-def _grid_mean(fun: Callable, dim: int, n: int, offset: float) -> complex:
+def _grid_mean(fun: Callable, dim: int, n: int) -> complex:
     """Mean of fun over the uniform offset grid of n^dim nodes (n^0 = 1: a
     point), node (i_1..i_dim) at ((i_r + 1/2 + offset) / n)_r.  For periodic
     integrands this is the trapezoid rule up to translation, hence
     spectrally accurate; the golden offset keeps nodes off the exact
-    singular loci.  fun takes each chunk's ``Phasors`` (``_grid_chunks``),
-    whose ``shape`` is (dim, nodes in the chunk), and its values are summed
+    singular loci.  fun takes each chunk of ``_grid_chunks``, whose
+    ``shape`` is (dim, nodes in the chunk), and its values are summed
     at once, so memory does not grow with the grid and no node takes an exp
     or a coordinate.  A sum that is not finite met a pole (see
     ``FactorProgram``) and raises ``PoleError``."""
     size = n ** dim
     total = 0j
-    for ph in _grid_chunks(dim, n, offset):
+    for ph in _grid_chunks(dim, n):
         total += complex(fun(ph).sum())
     if not cmath.isfinite(total):
         raise PoleError(f"the mean over {size} nodes is not finite")

@@ -260,7 +260,9 @@ class TripleConstants:
 
 
 def appendix_constants(t: OrthTriple) -> TripleConstants:
-    """The closed-form constants attached to an orthogonal-locus triple."""
+    """The closed-form constants attached to an orthogonal-locus triple;
+    ``weyl_orders`` refuses an odd symplectic multiplicity."""
+    w, wp = t.weyl_orders()
     P = 1
     for a, m in t.dual_pairs:
         P *= a.sp ** (2 * m)
@@ -271,10 +273,6 @@ def appendix_constants(t: OrthTriple) -> TripleConstants:
     S = (sum(2 * m for _, m in t.dual_pairs)
          + sum(p for _, p in t.symplectic)
          + sum(q for _, q in t.orthogonal))
-    for _, p in t.symplectic:
-        if p % 2 != 0:
-            raise ValueError("symplectic multiplicities must be even "
-                             "on the orthogonal locus")
     D = 1
     for a, m in t.dual_pairs:
         D *= a.sp ** m
@@ -286,7 +284,6 @@ def appendix_constants(t: OrthTriple) -> TripleConstants:
          + sum(p // 2 for _, p in t.symplectic)
          + sum((q + 1) // 2 for _, q in t.orthogonal))
     c = sum(1 for _, q in t.orthogonal if q % 2 == 1)
-    w, wp = t.weyl_orders()
     return TripleConstants(P=P, S=S, D=D, N=N, c=c, W=w, Wprime=wp)
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -149,14 +150,26 @@ def test_value_that_is_not_a_number_exits_2(tmp_path, capsys):
                        {"Io": [{"angle": angle, "sp": 1, "q": 1}]})
         assert main(["limit-verify", "--triple", triple, "--q", "3"]) == 2
         assert "input error" in capsys.readouterr().err
-    rep = write(tmp_path, "rep.json", {"atoms": [{"angle": "0", "sp": "x"}]})
-    assert main(["gamma", "--rep-file", rep, "--q", "3"]) == 2
+    # an int read from a number of another value, or from a boolean
+    in_pair = write(tmp_path, "t.json",
+                    {"In": [{"angle": "1/5", "sp": 1.5, "m": 1}]})
+    assert main(["limit-verify", "--triple", in_pair, "--q", "3"]) == 2
+    for sp in ("x", 2.9, True):
+        rep = write(tmp_path, "rep.json",
+                    {"atoms": [{"angle": "0", "sp": sp}]})
+        assert main(["gamma", "--rep-file", rep, "--q", "3"]) == 2
     good = write(tmp_path, "good.json", {"Io": [{"angle": "0", "q": 1}]})
     for bad in ({"kind": "constant", "c": "1/2"},
-                {"kind": "trig", "terms": [[1, 1]]}):
+                {"kind": "trig", "terms": [[1, 1]]},
+                {"kind": "trig", "terms": [[1.5, 1, [0.1, 0]]]},
+                {"kind": "constant", "c": math.nan},
+                {"kind": "trig", "terms": [[1, 1, [math.nan, 0]]]},
+                {"kind": "gaussian", "width": math.inf}):
         phi = write(tmp_path, "phi.json", bad)
         assert main(["limit-verify", "--triple", good, "--phi", phi,
                      "--q", "3"]) == 2
+    assert main(["limit-verify", "--triple", good, "--q", "3",
+                 "--s-seq", "0.2,3,9"]) == 2
     self_dual = write(tmp_path, "sd.json",
                       {"In": [{"angle": "1/2", "sp": 1, "m": 1}]})
     assert main(["limit-verify", "--triple", self_dual, "--q", "3"]) == 3

@@ -317,7 +317,7 @@ def test_error_estimate_bounds_the_gap_to_a_doubled_grid():
                 mean, err, n, _, _ = model.lhs_mean(phi, s, cfg)
                 ref = limitcheck._grid_mean(
                     lambda t: model.lhs_integrand(phi, t, s), model.R_lhs,
-                    2 * n, cfg.offset)
+                    2 * n)
                 assert abs(mean - ref) <= err, (q, triple, s)
 
 
@@ -628,12 +628,13 @@ def test_non_finite_grid_sum_raises_pole_error(monkeypatch):
 
 def test_grid_chunks_are_the_grid_phasors(monkeypatch):
     """Each chunk of _grid_chunks holds, in node order, E_r = e(t_r) of its
-    nodes and block phasors equal to those of its nodes: dims 0-3, ragged
-    last chunks, a chunk per row segment when n > BLOCK.  A segment makes
-    them as ``Phasors.of_nodes`` does, from powers of E_r; a residue grid
-    chunk reads them from its grid's tables, which are compared with the
-    phasor of the exact angle const + (c.I mod n + sum_r c_r (1/2 +
-    offset)) / n at the node of index I."""
+    nodes, read as the block phasors of unit atoms, and block phasors equal
+    to those of its nodes: dims 0-3, ragged last chunks, a chunk per row
+    segment when n > BLOCK.  A 1-D segment makes them as
+    ``Phasors.of_nodes`` does, from powers of E_r.  Every chunk of a grid
+    of two or more axes is a ``GridChunk`` and reads them from its grid's
+    tables, which are compared with the phasor of the exact angle const +
+    (c.I mod n + sum_r c_r (1/2 + offset)) / n at the node of index I."""
     offset = QuadConfig().offset
     rng = random.Random(4)
     block = FactorProgram.BLOCK
@@ -648,23 +649,24 @@ def test_grid_chunks_are_the_grid_phasors(monkeypatch):
         index = _grid_index(dim, n) if dim else grid
         exact = _exact_on_grid(n, offset)
         start, sizes = 0, []
-        for ph in limitcheck._grid_chunks(dim, n, offset):
+        units = [(AffineAngle(F(0), tuple(int(i == r) for i in range(dim))), 1)
+                 for r in range(dim)]
+        for ph in limitcheck._grid_chunks(dim, n):
             m = ph.shape[1]
             assert ph.shape == (dim, m) and math.prod(ph.nodes) == m <= chunk
             t, nodes = grid[:, start:start + m], index[:, start:start + m]
             start += m
             sizes.append(m)
-            if isinstance(ph, limitcheck.GridChunk):
-                axes = [exact(AffineAngle(F(0), tuple(int(i == r)
-                                                      for i in range(dim))),
-                              nodes) for r in range(dim)]
+            if dim >= 2:
+                assert isinstance(ph, limitcheck.GridChunk)
+                axes = [exact(a, nodes) for a, _ in units]
                 ref = [exact(a, nodes) for a, _ in atoms]
             else:
                 axes = np.exp(2j * np.pi * t)
                 ref = limitcheck.Phasors.of_nodes(t).blocks(atoms)
-            for r in range(dim):
-                got = np.broadcast_to(ph.power(r, 1), ph.nodes).ravel()
-                assert np.abs(got - axes[r]).max() <= 1e-15
+            for got, want in zip(ph.blocks(units), axes):
+                got = np.broadcast_to(got, ph.nodes).ravel()
+                assert np.abs(got - want).max() <= 1e-15
             for got, want in zip(ph.blocks(atoms), ref):
                 got = np.broadcast_to(got, ph.nodes).ravel()
                 assert np.abs(got - want).max() <= 1e-15
@@ -688,7 +690,7 @@ def test_grid_integrands_equal_node_integrands(monkeypatch):
         grid = _full_grid(dim, n, offset) if dim else np.zeros((0, 1))
         got = np.concatenate([
             np.broadcast_to(model.lhs_integrand(phi, ph, 0.1), ph.nodes).ravel()
-            for ph in limitcheck._grid_chunks(dim, n, offset)])
+            for ph in limitcheck._grid_chunks(dim, n)])
         want = model.lhs_integrand(phi, grid, 0.1)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -736,7 +738,7 @@ def test_random_programs_on_grid_chunks_match_flattened_nodes(monkeypatch):
             for s in (0.0, 0.37, 0.05 - 0.4j):
                 got = np.concatenate([
                     np.broadcast_to(prog.eval_phasors(ph, s), ph.nodes).ravel()
-                    for ph in limitcheck._grid_chunks(nfree, n, offset)])
+                    for ph in limitcheck._grid_chunks(nfree, n)])
                 want = prog.eval(t, s)
                 _, smallest, cond = _per_factor_eval(
                     _atom_parts(atoms, spec, nfree, regularize), t, s)
@@ -794,7 +796,7 @@ def test_factors_on_one_direction_on_grid_chunks(monkeypatch):
             for s in (0.0, 0.37, 0.05 - 0.4j):
                 got = np.concatenate([
                     np.broadcast_to(prog.eval_phasors(ph, s), ph.nodes).ravel()
-                    for ph in limitcheck._grid_chunks(nfree, n, offset)])
+                    for ph in limitcheck._grid_chunks(nfree, n)])
                 want = prog.eval(t, s)
                 # the factors' phasors from exact angles: a float angle of
                 # up to 1.6 |c|_1 turns would round by about 1e-15 |c|_1
@@ -807,20 +809,6 @@ def test_factors_on_one_direction_on_grid_chunks(monkeypatch):
                     assert np.all(rel <= 1e-12 + 1e-14 * cond[ok]), \
                         (case, n, s, float(rel.max()))
     assert compared > 20000 and backward > 5, (compared, backward)
-
-
-def test_quad_config_refuses_bad_offset_and_extrap_order():
-    """A node offset that is not finite puts no node on a number, and an
-    extrapolation order below 0 or not whole names no Richardson rule:
-    both are refused when the config is made."""
-    for bad in ({"offset": math.nan}, {"offset": math.inf},
-                {"offset": -math.inf}, {"extrap_order": -1},
-                {"extrap_order": 1.5}, {"extrap_order": 3.0},
-                {"extrap_order": "3"}):
-        with pytest.raises(ValueError, match=next(iter(bad))):
-            QuadConfig(**bad)
-    assert QuadConfig(offset=0.0, extrap_order=0).extrap_order == 0
-    assert QuadConfig(extrap_order=np.int64(2)).extrap_order == 2
 
 
 def test_grid_means_take_no_node_angles(monkeypatch):
@@ -871,7 +859,7 @@ def test_chunk_evaluation_holds_only_its_output():
 
     model = ComponentModel(T_D3, SPEC3)
     n = 128
-    ph = next(limitcheck._grid_chunks(2, n, QuadConfig().offset))
+    ph = next(limitcheck._grid_chunks(2, n))
     assert ph.nodes == (FactorProgram.BLOCK // n, n)
     chunk = FactorProgram.BLOCK * np.dtype(complex).itemsize
     tracemalloc.start()

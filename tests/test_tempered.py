@@ -155,8 +155,10 @@ def test_appendix_constants_invariants():
         assert total == t.d
         assert c.N <= c.S
         assert 2 * c.N == c.S + c.c  # pairs plus odd middles
-    with pytest.raises(ValueError):
-        OrthTriple(symplectic=((WDAtom(F(0), 2), 1),)).weyl_orders()
+    odd = OrthTriple(symplectic=((WDAtom(F(0), 2), 1),))
+    for constants in (odd.weyl_orders, lambda: appendix_constants(odd)):
+        with pytest.raises(ValueError, match="must be even"):
+            constants()
 
 
 def test_triple_validation():

@@ -300,6 +300,7 @@ def cmd_so_embed(args) -> int:
     if args.ubar:
         g = _from_json(lambda rows: mat([[read_number(x) for x in row]
                                          for row in rows]), _load_json(args.ubar))
+        g = emb.element(g)
         bg = b_of_g(emb, g)
         result = {"d": args.d, "B_g": bg.to_dict()["matrix"],
                   "in_open_cell": bg.is_nondegenerate()}

@@ -8,7 +8,9 @@ denominators first and run in Python integers, so they stay exact and build
 one ``Fraction`` per result entry rather than one per arithmetic step.  One
 fraction-free (Bareiss) Gauss-Jordan elimination, ``_reduce``, is the only
 row reduction: ``det``, ``rank``, ``solve``, ``inverse`` and the kernel basis
-all read it.  ``symmetric_diagonalize`` is a congruence, not a row reduction.
+all read it.  A matrix is checked to lie in SO(2d+1) once, where it enters
+``OddSOEmbedding.element``; the elements the embedding builds, and the ones
+that element returns, carry that as the type ``SOElement``.
 """
 
 from __future__ import annotations
@@ -243,45 +245,6 @@ class OrbitLabel:
         return self.kind
 
 
-def symmetric_diagonalize(s: Matrix) -> list[Fraction]:
-    """Exact congruence diagonalization of a symmetric matrix; returns the
-    diagonal entries (including zeros)."""
-    a = [list(r) for r in s]
-    n = len(a)
-    for i in range(n):
-        if a[i][i] == 0:
-            # find j > i with a[j][j] != 0 or a[i][j] != 0 and fix the pivot
-            piv = next((j for j in range(i, n) if a[j][j] != 0), None)
-            if piv is not None and piv != i:
-                _congr_swap(a, i, piv)
-            elif piv is None:
-                j = next((j for j in range(i + 1, n) if a[i][j] != 0), None)
-                if j is None:
-                    continue  # whole row/col zero from here on this index
-                _congr_add(a, i, j, Fraction(1))  # row/col_i += row/col_j
-        if a[i][i] == 0:
-            continue
-        for j in range(i + 1, n):
-            if a[i][j] != 0:
-                _congr_add(a, j, i, -a[i][j] / a[i][i])
-    return [a[i][i] for i in range(n)]
-
-
-def _congr_swap(a, i, j):
-    a[i], a[j] = a[j], a[i]
-    for row in a:
-        row[i], row[j] = row[j], row[i]
-
-
-def _congr_add(a, i, j, c):
-    """row_i += c * row_j, then col_i += c * col_j (congruence)."""
-    n = len(a)
-    for k in range(n):
-        a[i][k] += c * a[j][k]
-    for k in range(n):
-        a[k][i] += c * a[k][j]
-
-
 def classify_sharp(b: BilForm, p: int) -> OrbitLabel:
     """Orbit label of a nondegenerate form: gamma_t if the symmetric part has
     rank one of class t and the alternating part has maximal rank, gamma_0
@@ -294,8 +257,8 @@ def classify_sharp(b: BilForm, p: int) -> OrbitLabel:
     if rs == 0:  # nondegenerate and alternating, so d is even
         return OrbitLabel("gamma_0")
     if rs == 1 and rank(a) == d - d % 2:
-        # a congruence keeps the rank: one nonzero diagonal entry
-        t = next(x for x in symmetric_diagonalize(s) if x != 0)
+        # s = c v v^T, so each nonzero s_ii = c v_i^2 has the class of c
+        t = next(s[i][i] for i in range(d) if s[i][i] != 0)
         return OrbitLabel("gamma_t", square_class(t, p))
     return OrbitLabel("outside_sharp")
 
@@ -439,6 +402,12 @@ def weyl_discriminant_twisted(b: BilForm, p: int, q: int) -> float:
 # -- odd special orthogonal embedding --------------------------------------------
 
 
+class SOElement(tuple):
+    """A matrix known to lie in SO(2d+1) of the embedding of its size: one
+    that ``OddSOEmbedding.element`` checked, or that the embedding built in
+    the group.  It indexes like the plain matrix it is."""
+
+
 @dataclass(frozen=True)
 class OddSOEmbedding:
     """U = V + L + V* with Q((x,l,x*),(y,m,y*)) = <x,y*> + <y,x*> + l m."""
@@ -463,14 +432,22 @@ class OddSOEmbedding:
             return False, "det(g) != 1"
         return True, ""
 
-    def check_in_group(self, g: Matrix):
+    def element(self, g: Matrix) -> SOElement:
+        """g as an element of the group: an ``SOElement`` of this size as it
+        is, any other matrix once checked (``NotInGroupError`` if it is not
+        in the group).  The only membership check of the module."""
+        if isinstance(g, SOElement) and len(g) == self.dim:
+            return g
         ok, why = self.is_in_group(g)
         if not ok:
             raise NotInGroupError(why)
+        return SOElement(g)
 
-    def levi_element(self, a: Matrix) -> Matrix:
+    def levi_element(self, a: Matrix) -> SOElement:
         """diag(A, 1, A^{-T}) in GL(V) = the common Levi."""
         d, n = self.d, self.dim
+        if len(a) != d or any(len(row) != d for row in a):
+            raise ValueError(f"A must be {d} x {d}")
         ai = transpose(inverse(a))
         g = [[Fraction(0)] * n for _ in range(n)]
         for i in range(d):
@@ -478,30 +455,16 @@ class OddSOEmbedding:
                 g[i][j] = a[i][j]
                 g[d + 1 + i][d + 1 + j] = ai[i][j]
         g[d][d] = Fraction(1)
-        return mat(g)
+        return SOElement(mat(g))
 
-    def n_bar_element(self, ell: Sequence, s: Matrix) -> Matrix:
+    def n_bar_element(self, ell: Sequence, s: Matrix) -> SOElement:
         """The element of the lower unipotent radical with linear form ell
-        and V -> V* block S; S + S^T = -ell ell^T is checked, and with it the
-        element is in the group."""
-        d, n = self.d, self.dim
-        ell = [Fraction(x) for x in ell]
-        s = mat(s)
-        need = mat([[-ell[i] * ell[j] for j in range(d)] for i in range(d)])
-        if not mat_eq(mat_add(s, transpose(s)), need):
-            raise NotInGroupError("S + S^T != -ell ell^T")
-        g = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(d):
-            g[i][i] = Fraction(1)
-            g[d + 1 + i][d + 1 + i] = Fraction(1)
-            g[d][i] = ell[i]
-            g[d + 1 + i][d] = -ell[i]
-            for j in range(d):
-                g[d + 1 + i][j] = s[i][j]
-        g[d][d] = Fraction(1)
-        return mat(g)
+        and V -> V* block S, the transpose of ``n_element(ell, S^T)`` (Q^2 =
+        1): S + S^T = -ell ell^T is checked, and with it the element is in
+        the group."""
+        return SOElement(transpose(self.n_element(ell, transpose(s))))
 
-    def n_element(self, w: Sequence, u: Matrix) -> Matrix:
+    def n_element(self, w: Sequence, u: Matrix) -> SOElement:
         """Upper unipotent: V* -> V block U and column w with
         U + U^T = -w w^T (checked; with it the element is in the group)."""
         d, n = self.d, self.dim
@@ -519,7 +482,7 @@ class OddSOEmbedding:
             for j in range(d):
                 g[i][d + 1 + j] = u[i][j]
         g[d][d] = Fraction(1)
-        return mat(g)
+        return SOElement(mat(g))
 
 
 @lru_cache(maxsize=None)
@@ -539,17 +502,9 @@ def build_odd_so(d: int) -> OddSOEmbedding:
     return OddSOEmbedding(d)
 
 
-# The public entries below check their argument's group membership once;
-# what they build from it is in the group by construction.
-
-
 def b_of_g(emb: OddSOEmbedding, g: Matrix) -> BilForm:
     """B_g(x, y) = Q(g x, y) restricted to V: the V x V block of g^T Q."""
-    emb.check_in_group(g)
-    return _b_of_g(emb, g)
-
-
-def _b_of_g(emb: OddSOEmbedding, g: Matrix) -> BilForm:
+    g = emb.element(g)
     d = emb.d
     tq = mat_mul(transpose(g), emb.gram())
     return BilForm(tuple(tuple(tq[i][j] for j in range(d)) for i in range(d)))
@@ -561,14 +516,10 @@ def in_g_prime(emb: OddSOEmbedding, g: Matrix) -> bool:
 
 def bruhat_factor(emb: OddSOEmbedding, g: Matrix):
     """Factor g in G' as u1 * mtilde * u2 with u1, u2 upper unipotent and
-    mtilde in the twisted Levi component; returns (u1, mtilde, u2)."""
-    emb.check_in_group(g)
-    return _bruhat_factor(emb, g)
-
-
-def _bruhat_factor(emb: OddSOEmbedding, g: Matrix):
-    """``bruhat_factor`` of a group element g: u1 and u2 are unipotent by
-    construction, and mtilde = u1^{-1} g u2^{-1}, checked exactly."""
+    mtilde in the twisted Levi component; returns (u1, mtilde, u2).  u1 and
+    u2 are in the group by construction, and mtilde = u1^{-1} g u2^{-1},
+    checked exactly."""
+    g = emb.element(g)
     d, n = emb.d, emb.dim
 
     def blk(r0, c0, nr, nc):
@@ -600,16 +551,17 @@ def _bruhat_factor(emb: OddSOEmbedding, g: Matrix):
     mt = mat(mt)
     if not mat_eq(mat_mul(u1, mat_mul(mt, u2)), g):
         raise ArithmeticError("Bruhat factorization failed to reconstruct g")
-    return u1, mt, u2
+    return u1, SOElement(mt), u2
 
 
 def m_tilde_of(emb: OddSOEmbedding, ubar: Matrix) -> Optional[BilForm]:
     """The twisted-Levi component of an element of the lower unipotent
     radical, as a bilinear form on V; None when B_ubar is degenerate."""
+    ubar = emb.element(ubar)
     if not in_g_prime(emb, ubar):
         return None
-    _, mt, _ = _bruhat_factor(emb, ubar)
-    return _b_of_g(emb, mt)
+    _, mt, _ = bruhat_factor(emb, ubar)
+    return b_of_g(emb, mt)
 
 
 def closure_family_member(t: SquareClass, d: int, lam) -> BilForm:

@@ -551,6 +551,8 @@ class TrigPhi(TestFunction):
         # terms: (h, k, coeff)
         self.terms = [(read_number(h, int), read_number(k, int),
                        read_number(c, complex)) for (h, k, c) in terms]
+        if any(k < 1 for _, k, _ in self.terms):
+            raise ValueError("a trig term's block size k must be >= 1")
         self.const = read_number(const, float)
 
     values = TestFunction.values
@@ -582,6 +584,8 @@ class GaussianPhi(TestFunction):
         self.width = read_number(width, float)
         self.center = read_number(center, float)
         self.hmax = read_number(hmax, int)
+        if self.hmax < 0:
+            raise ValueError("hmax must be >= 0")
 
     values = TestFunction.values
 
@@ -966,13 +970,17 @@ def _grid_mean(fun: Callable, dim: int, n: int) -> complex:
     ``shape`` is (dim, nodes in the chunk), and its values are summed
     at once, so memory does not grow with the grid and no node takes an exp
     or a coordinate.  A sum that is not finite met a pole (see
-    ``FactorProgram``) and raises ``PoleError``."""
+    ``FactorProgram``) or a value beyond floating range, and raises
+    ``PoleError``; that check is the guard, so numpy's overflow and invalid
+    warnings, from the chunks' products and from their sums, are hidden."""
     size = n ** dim
     total = 0j
-    for ph in _grid_chunks(dim, n):
-        total += complex(fun(ph).sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        for ph in _grid_chunks(dim, n):
+            total += complex(fun(ph).sum())
     if not cmath.isfinite(total):
-        raise PoleError(f"the mean over {size} nodes is not finite")
+        raise PoleError(f"the mean over {size} nodes is not finite: a pole "
+                        f"or a value beyond floating range")
     return total / size
 
 

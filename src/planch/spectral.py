@@ -201,10 +201,6 @@ class SpectralFunction:
     # -- constructors and serialization --------------------------------------
 
     @classmethod
-    def one(cls, q: int) -> "SpectralFunction":
-        return cls(q=q)
-
-    @classmethod
     def zeta(cls, q: int) -> "SpectralFunction":
         """The local zeta factor (1 - q^{-s})^{-1}."""
         return cls(den=(GeometricFactor(Fraction(0), Fraction(0)),), q=q)

@@ -173,11 +173,11 @@ class WDRep:
 
     @classmethod
     def of(cls, *pairs) -> "WDRep":
-        return cls(tuple(WDAtom(Fraction(u), m) for (u, m) in pairs))
+        return cls.from_atom_list(pairs)
 
     @classmethod
     def from_atom_list(cls, atoms: Iterable[Atom]) -> "WDRep":
-        return cls(tuple(WDAtom(mod1(Fraction(u)), m) for (u, m) in atoms))
+        return cls(tuple(WDAtom(u, m) for (u, m) in atoms))
 
     def atom_list(self) -> list[Atom]:
         return [(a.angle, a.sp) for a in self.atoms]

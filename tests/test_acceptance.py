@@ -15,8 +15,7 @@ from planch.forms import (BilForm, OrbitLabel, char_poly_twisted, charpoly,
                           classify_sharp, closure_family_member,
                           correspond_char_poly, b_of_g, bruhat_factor,
                           build_odd_so, det, in_g_prime, mat, mat_eq, mat_mul,
-                          poly_mul, rank, symmetric_diagonalize,
-                          twisted_conjugate)
+                          poly_mul, twisted_conjugate)
 from planch.limitcheck import (ComponentModel, ConstantPhi, QuadConfig,
                                TrigPhi, component_blocks, eq13_values,
                                fit_divergence_exponent, mirror_structure,

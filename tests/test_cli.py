@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -103,19 +104,38 @@ D3 = {"In": [{"angle": "1/5", "sp": 1, "m": 1}],
 
 def test_degenerate_limit_settings_exit_3(tmp_path, capsys):
     """An s-sequence that is empty or not from s0 > 0 down, an empty grid, a
-    node budget below one node or a tolerance that is not finite and
-    positive is refused before any integration."""
+    node budget below one node, a tolerance that is not finite and positive,
+    a Gaussian hmax below 0 or a trig block size below 1 is refused before
+    any integration."""
     triple = write(tmp_path, "t.json", D3)
+    gauss = write(tmp_path, "g.json", {"kind": "gaussian", "hmax": -3})
+    trig = write(tmp_path, "tr.json",
+                 {"kind": "trig", "terms": [[1, 0, [0.1, 0]]]})
     for flags in (["--s-seq", "0.1,0"], ["--s-seq", "0.2,-1"],
                   ["--s-seq", "0,3"], ["--s-seq=-0.1,3"],
                   ["--s-seq", "nan,3"], ["--s-seq", "inf,3"],
                   ["--max-nodes", "0"], ["--grid", "-5"], ["--grid", "0"],
                   ["--tol", "0"], ["--tol=-1"], ["--tol", "nan"],
-                  ["--tol", "inf"]):
+                  ["--tol", "inf"], ["--phi", gauss], ["--phi", trig]):
         assert main(["limit-verify", "--triple", triple, "--p", "3",
                      "--q", "3", *flags]) == 3, flags
         err = capsys.readouterr().err
         assert "precondition violated" in err and "must be" in err, flags
+
+
+def test_huge_test_function_exits_3_without_a_warning(tmp_path, capsys):
+    """A finite Phi whose products leave floating range makes a left mean
+    that is not finite: exit 3 with a message that names the range, and no
+    numpy warning (one would raise here)."""
+    triple = write(tmp_path, "t.json", {"Io": [{"angle": "0", "q": 1}]})
+    phi = write(tmp_path, "p.json", {"kind": "constant", "c": 1e308})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["limit-verify", "--triple", triple, "--p", "3",
+                     "--q", "3", "--phi", phi]) == 3
+    err = capsys.readouterr().err
+    assert "beyond floating range" in err
+    assert "RuntimeWarning" not in err
 
 
 def test_one_node_grid_is_a_budget_exit(tmp_path, capsys):

@@ -13,7 +13,7 @@ from planch.forms import (BilForm, DegenerateFormError, NotRegularError,
                           disc_twisted, gamma_t_representative, identity,
                           inverse, mat, mat_eq, mat_mul, mat_scale, poly_mul,
                           rank, scale_form, solve, split_sym_alt,
-                          symmetric_diagonalize, transpose, twisted_conjugate,
+                          transpose, twisted_conjugate,
                           twisted_fixed_space, weyl_discriminant_twisted)
 
 WORKED = BilForm(mat([[-1, 1], [-1, 0]]))
@@ -56,6 +56,9 @@ def test_split_sym_alt():
 
 def test_classify_examples():
     assert classify_sharp(WORKED, 3) == OrbitLabel("gamma_t", square_class(1, 3))
+    # the symmetric part diag(0, 3, 0): its one nonzero entry is in the middle
+    middle = BilForm(mat([[0, 0, 1], [0, F(3, 2), 0], [-1, 0, 0]]))
+    assert classify_sharp(middle, 3) == OrbitLabel("gamma_t", square_class(3, 3))
     assert classify_sharp(BilForm(mat([[0, 1], [-1, 0]])), 3).kind == "gamma_0"
     assert classify_sharp(BilForm(identity(2)), 3).kind == "outside_sharp"
     with pytest.raises(DegenerateFormError):
@@ -196,21 +199,6 @@ def test_fixed_space_dim():
         assert len(twisted_fixed_space(b)) >= d // 2
 
 
-def test_symmetric_diagonalize():
-    rng = random.Random(7)
-    for _ in range(60):
-        d = rng.randint(1, 4)
-        m = mat([[F(rng.randint(-4, 4)) for _ in range(d)] for _ in range(d)])
-        s = mat_add_t(m)
-        diag = symmetric_diagonalize(s)
-        assert sum(1 for x in diag if x != 0) == rank(s)
-
-
-def mat_add_t(m):
-    return mat([[m[i][j] + m[j][i] for j in range(len(m))]
-                for i in range(len(m))])
-
-
 def random_rational(rng):
     if rng.random() < 0.3:
         return F(0)
@@ -325,7 +313,8 @@ def test_theta_matrix_matches_elementary_construction():
 
 
 def test_reductions_per_call(monkeypatch):
-    """``_bruhat_factor`` reduces its d x d block E once, as [E | 1], and
+    """``bruhat_factor`` of a built element reduces its d x d block E once,
+    as [E | 1], and
     ``weyl_discriminant_twisted`` never reduces the bare d x d Gram matrix;
     both still raise DegenerateFormError on singular input."""
     shapes = []
@@ -356,13 +345,13 @@ def test_reductions_per_call(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(forms, "_reduce", spy)
             shapes.clear()
-            forms._bruhat_factor(emb, g)
+            forms.bruhat_factor(emb, g)
             assert shapes == [(d, 2 * d)]
             shapes.clear()
             weyl_discriminant_twisted(b, 3, 3)
             assert shapes and (d, d) not in shapes
         with pytest.raises(DegenerateFormError):
-            forms._bruhat_factor(emb, identity(2 * d + 1))
+            forms.bruhat_factor(emb, identity(2 * d + 1))
         singular = BilForm(mat([[int(i == j < d - 1) for j in range(d)]
                                 for i in range(d)]))
         for call in (weyl_discriminant_twisted, lambda f, p, q:

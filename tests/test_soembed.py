@@ -31,8 +31,7 @@ def mtilde_element(emb, e):
     if not emb.is_in_group(gm)[0]:
         g[d][d] = F(-1)
         gm = mat(g)
-    emb.check_in_group(gm)
-    return gm
+    return emb.element(gm)
 
 
 def test_quadratic_space():
@@ -48,8 +47,10 @@ def test_levi_membership():
     emb = build_odd_so(2)
     a = mat([[1, 2], [0, 3]])
     g = emb.levi_element(a)
-    emb.check_in_group(g)
+    assert emb.is_in_group(g)[0]
     assert not in_g_prime(emb, g)  # Levi elements preserve V
+    with pytest.raises(ValueError):  # its blocks would not be inverse
+        emb.levi_element(mat([[0, 1, 0], [0, 0, 1], [1, 0, 0]]))
 
 
 def test_group_membership_errors():
@@ -57,7 +58,7 @@ def test_group_membership_errors():
     bad = [[F(1 if i == j else 0) for j in range(5)] for i in range(5)]
     bad[0][0] = F(2)
     with pytest.raises(NotInGroupError):
-        emb.check_in_group(mat(bad))
+        emb.element(mat(bad))
     with pytest.raises(NotInGroupError):
         emb.n_bar_element([1, 0], mat([[0, 0], [0, 0]]))  # S+S^T != -ll^T
 
@@ -121,7 +122,7 @@ def test_sym_part_class_is_minus_square():
     """The symmetric part of a form from the unipotent radical has rank at
     most one, and its nonzero value is -1 times a square."""
     from planch.field import square_class
-    from planch.forms import rank, symmetric_diagonalize
+    from planch.forms import rank
     rng = random.Random(2)
     for d in (2, 3):
         emb = build_odd_so(d)
@@ -129,7 +130,8 @@ def test_sym_part_class_is_minus_square():
             g, ell, _ = random_nbar(emb, rng)
             bg = b_of_g(emb, g)
             assert rank(bg.sym_part()) <= 1
-            diag = [x for x in symmetric_diagonalize(bg.sym_part()) if x != 0]
+            sym = bg.sym_part()
+            diag = [sym[i][i] for i in range(d) if sym[i][i] != 0]
             if not diag:
                 continue
             for p in (3, 5, 2):
@@ -137,10 +139,12 @@ def test_sym_part_class_is_minus_square():
 
 
 def test_membership_checked_once_per_public_entry(monkeypatch):
-    """n_bar_element -> b_of_g -> in_g_prime -> bruhat_factor checks group
-    membership at most three times, once per public entry after the
-    structure-built element; each entry still rejects a non-member."""
-    from planch.forms import OddSOEmbedding
+    """n_bar_element -> b_of_g -> in_g_prime -> bruhat_factor -> m_tilde_of
+    checks group membership no time at all: every element there was built
+    in the group.  A plain matrix costs one check per public entry, an
+    ``SOElement`` of another d is checked and refused, and each entry
+    still refuses a non-member."""
+    from planch.forms import OddSOEmbedding, SOElement
 
     calls = []
     original = OddSOEmbedding.is_in_group
@@ -150,6 +154,7 @@ def test_membership_checked_once_per_public_entry(monkeypatch):
         return original(self, g)
 
     monkeypatch.setattr(OddSOEmbedding, "is_in_group", spy)
+    entries = (b_of_g, in_g_prime, bruhat_factor, m_tilde_of)
     rng = random.Random(11)
     inside = 0
     for d in (2, 3):
@@ -157,25 +162,73 @@ def test_membership_checked_once_per_public_entry(monkeypatch):
         for _ in range(20):
             calls.clear()
             g, _, _ = random_nbar(emb, rng)
+            assert isinstance(g, SOElement)
             b_of_g(emb, g)
             if in_g_prime(emb, g):
-                bruhat_factor(emb, g)
+                u1, mt, u2 = bruhat_factor(emb, g)
+                assert all(isinstance(x, SOElement) for x in (u1, mt, u2))
                 inside += 1
-            assert len(calls) <= 3
-            calls.clear()
             m_tilde_of(emb, g)
-            assert len(calls) == 1
+            assert calls == []
+            plain = tuple(g)
+            for entry in entries:
+                if entry is bruhat_factor and not in_g_prime(emb, g):
+                    continue
+                calls.clear()
+                entry(emb, plain)
+                assert len(calls) == 1, entry.__name__
     assert inside > 10
     emb = build_odd_so(2)
+    other = build_odd_so(3).n_bar_element([1, 0, 0], mat(
+        [[F(-1, 2), 0, 0], [0, 0, 0], [0, 0, 0]]))
+    calls.clear()
+    with pytest.raises(NotInGroupError):
+        emb.element(other)
+    assert len(calls) == 1
     scaled = [[F(1 if i == j else 0) for j in range(5)] for i in range(5)]
     scaled[0][0] = F(2)
     minus = [[F(-1 if i == j else 0) for j in range(5)] for i in range(5)]
     # g^T Q g != Q; det(g) = -1; the wrong size, which mat_mul and mat_eq,
     # zipping rows and columns, would not see
-    for bad in (mat(scaled), mat(minus), identity(3)):
-        for entry in (b_of_g, in_g_prime, bruhat_factor, m_tilde_of):
+    for bad in (mat(scaled), mat(minus), identity(3), other):
+        for entry in entries:
             with pytest.raises(NotInGroupError):
                 entry(emb, bad)
+
+
+def test_built_elements_are_in_the_group():
+    """What the embedding returns as an ``SOElement`` without a check is in
+    the group: random outputs of n_element, n_bar_element, levi_element and
+    the mtilde of bruhat_factor pass ``is_in_group``."""
+    from planch.forms import SOElement
+
+    rng = random.Random(12)
+    seen = 0
+    for d in (1, 2, 3, 4):
+        emb = build_odd_so(d)
+        for _ in range(15):
+            w = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(d)]
+            t = [[F(rng.randint(-4, 4)) for _ in range(d)] for _ in range(d)]
+            u = mat([[t[i][j] - t[j][i] - w[i] * w[j] / 2 for j in range(d)]
+                     for i in range(d)])
+            while True:
+                a = mat([[F(rng.randint(-3, 3)) for _ in range(d)]
+                         for _ in range(d)])
+                if det(a) != 0:
+                    break
+            g, _, _ = random_nbar(emb, rng)
+            nbar = emb.n_bar_element(w, u)
+            # row d holds w and the V -> V* block is U itself
+            assert list(nbar[d][:d]) == w
+            assert tuple(tuple(row[:d]) for row in nbar[d + 1:]) == u
+            built = [emb.n_element(w, u), nbar, emb.levi_element(a), g]
+            if in_g_prime(emb, g):
+                built.append(bruhat_factor(emb, g)[1])
+                seen += 1
+            for x in built:
+                assert isinstance(x, SOElement)
+                assert emb.is_in_group(x) == (True, "")
+    assert seen > 20
 
 
 def test_bruhat_reconstruction_failure_raises(monkeypatch):

@@ -457,17 +457,29 @@ class OddSOEmbedding:
         g[d][d] = Fraction(1)
         return SOElement(mat(g))
 
+    def _check_shape(self, w: Sequence, u: Matrix):
+        """Refuse a column w of other than d entries or a block U other than
+        d x d: ``mat_eq`` and the block fill read only the overlap."""
+        d = self.d
+        if len(w) != d or len(u) != d or any(len(row) != d for row in u):
+            raise ValueError(f"the column must have {d} entries and the "
+                             f"block be {d} x {d}")
+
     def n_bar_element(self, ell: Sequence, s: Matrix) -> SOElement:
         """The element of the lower unipotent radical with linear form ell
         and V -> V* block S, the transpose of ``n_element(ell, S^T)`` (Q^2 =
         1): S + S^T = -ell ell^T is checked, and with it the element is in
         the group."""
+        self._check_shape(ell, s)
         return SOElement(transpose(self.n_element(ell, transpose(s))))
 
     def n_element(self, w: Sequence, u: Matrix) -> SOElement:
         """Upper unipotent: V* -> V block U and column w with
-        U + U^T = -w w^T (checked; with it the element is in the group)."""
+        U + U^T = -w w^T (checked; with it the element is in the group).
+        A w of other than d entries or a U other than d x d raises
+        ``ValueError``."""
         d, n = self.d, self.dim
+        self._check_shape(w, u)
         w = [Fraction(x) for x in w]
         u = mat(u)
         need = mat([[-w[i] * w[j] for j in range(d)] for i in range(d)])

@@ -8,10 +8,12 @@ atom angles become affine forms in the free torus coordinates, with exact
 detection of identically-vanishing factors), so that a chunk of nodes is
 costed from the phasors E_r = e(t_r) of its free coordinates, ``Phasors``.
 The left integrand Ad(t, 0) / Sym^2(t, s) is one such program.  A test
-function is given by its phasor form, ``phasor_values``, and is evaluated
-from the same phasors as the program.  Both sides are integrated on uniform
-offset midpoint grids, summed chunk by chunk.  The left grid is sized from
-the poles of its program and the tolerance (``lhs_grid_size``): a
+function is given by its phasor form, ``phasor_values``: it is built from
+functions of one block phasor, fn(z_b), which it reads from the chunk
+through a block accessor, from the same phasors as the program; a Phi that
+is one scalar scales the program's constant.  Both sides are integrated on
+uniform offset midpoint grids, summed chunk by chunk.  The left grid is
+sized from the poles of its program and the tolerance (``lhs_grid_size``): a
 denominator 1 - a e(c.t) with |a| = q^{-(sdir s + shift)} costs the rule
 about e^{-n (sdir s + shift) log q / ||c||_inf}, so n grows like
 ln(100 / tol) ||c||_inf / (s log q) as s -> 0.  A program groups its
@@ -24,8 +26,11 @@ block of whole rows of the last axis, or a segment of one row) reads it
 through a strided view of the table, with no exp and no copy: a direction
 in the head coordinates gives one value per row, one in the last
 coordinate one per column, and each other direction costs one in-place
-multiply over the chunk.  A 1-D grid is one row, costed on its axis
-phasors e((i + 1/2 + offset) / n), segment by segment.
+multiply over the chunk.  A test function's block b, with angle const_b +
+c_b.t, is read the same way: each fn(z_b) it asks for is tabulated once per
+grid on the n residues of c_b.I, so no node takes a block power.  A 1-D
+grid is one row, costed on its axis phasors e((i + 1/2 + offset) / n),
+segment by segment.
 The s -> 0 limit is taken by Richardson extrapolation.  The order of a
 triple's blocks and their pairing into mirror rows, which both sides and
 the constants joining them depend on, are decided in one place,
@@ -165,7 +170,9 @@ class Phasors:
     shape.  Each power E_r^k is built once, by squaring or as the
     conjugate of E_r^-k, and kept for the chunk.  On a grid of two or more
     axes ``GridChunk`` answers ``direction`` and ``blocks`` from the grid's
-    residue tables instead."""
+    residue tables instead.  Both take a function of one phasor, fn(w), and
+    a key that names it: ``direction`` for a program direction w = e(c.t),
+    ``blocks`` for a test function's block phasor w = e(const + c.t)."""
 
     def __init__(self, e: list, nodes: tuple):
         self.nodes = nodes
@@ -204,10 +211,17 @@ class Phasors:
         does not write to it."""
         return fn(self.monomial(c))
 
-    def blocks(self, atoms) -> list:
-        """Each atom's phasor, to read and not to write: for the angle
-        const + c.t, e(const) prod_r E_r^{c_r}."""
-        return [self.monomial(a.coeffs, a.phase) for a, _ in atoms]
+    def blocks(self, atoms) -> Callable:
+        """The chunk's block accessor z for ``TestFunction.phasor_values``:
+        z(b, key, fn) is fn at the phasor of atom b, for the angle const +
+        c.t the phasor e(const) prod_r E_r^{c_r}, on the chunk's nodes.  It
+        is an array that broadcasts to ``nodes``, or a scalar, to read and
+        not to write.  Here fn is costed on the nodes; ``key`` names fn for
+        a grid that keeps its values (``GridChunk``)."""
+        def z(b, key, fn):
+            a = atoms[b][0]
+            return fn(self.monomial(a.coeffs, a.phase))
+        return z
 
 
 _QUARTER_TURNS = np.array([1, 1j, -1, -1j])
@@ -241,15 +255,16 @@ class _ResidueGrid:
         self._roots = _unit_roots(n)
         self._tables = {}
 
-    def table(self, key, c: tuple, fn: Optional[Callable],
+    def table(self, key, c: tuple, fn: Callable,
               const: Fraction = 0) -> np.ndarray:
-        """fn(e(const + c.t)) on the grid, or e(const + c.t) itself when fn
-        is None, as a read-only view W of the periodic extension of its n
-        residue values: W[f, i, j] is its value at row i and column j of the
-        last two axes where the outer coordinates give c.I = f mod n.  W
-        steps by 1 along f, by c_head (the coefficient of the row
-        coordinate) along i and by c_last along j; an axis along which c.I
-        does not move has length 1."""
+        """fn(e(const + c.t)) on the grid, as a read-only complex view W of
+        the periodic extension of its n residue values: W[f, i, j] is its
+        value at row i and column j of the last two axes where the outer
+        coordinates give c.I = f mod n.  W steps by 1 along f, by c_head
+        (the coefficient of the row coordinate) along i and by c_last along
+        j; an axis along which c.I does not move has length 1.  A real fn
+        is stored complex: a chunk that mixes float64 with complex operands
+        in ``_small_buffers`` pays a cast per buffer of 16."""
         view = self._tables.get(key)
         if view is None:
             n = self.n
@@ -259,10 +274,8 @@ class _ResidueGrid:
             num, den = _HALF
             p, r = const.numerator, const.denominator
             whole, frac = divmod(int(sum(c)) * num * r + n * p * den, den * r)
-            values = np.roll(self._roots, -whole) * cmath.exp(
-                2j * math.pi * (frac / (den * r * n)))
-            if fn is not None:
-                values = fn(values)
+            values = np.asarray(fn(np.roll(self._roots, -whole) * cmath.exp(
+                2j * math.pi * (frac / (den * r * n)))), dtype=complex)
             steps = (1, c[-2], c[-1])
             shape = (n if self.dim > 2 else 1,) + tuple(n if k else 1
                                                       for k in steps[1:])
@@ -286,7 +299,8 @@ class GridChunk:
     (dim - 2 of them), so that c.I runs by c_head down the rows and by
     c_last along them: whole rows, or a segment of one row.  It answers
     ``Phasors.direction`` and ``Phasors.blocks``, each value a slice of a
-    residue table's view, so the chunk builds no array of its own."""
+    residue table's view, so the chunk builds no array of its own and no
+    node takes a power."""
 
     def __init__(self, grid: _ResidueGrid, outer: tuple, rows: range,
                  cols: range):
@@ -305,11 +319,18 @@ class GridChunk:
                     self._cols if c[-1] else slice(None)]
 
     def blocks(self, atoms):
-        """Each atom's phasor with its constant inside the tabulated angle,
-        so that e(const + c.t) takes one exp per residue and no product."""
-        return [self._read(self.grid.table((a.coeffs, a.const), a.coeffs,
-                                           None, a.const), a.coeffs)
-                if any(a.coeffs) else a.phase for a, _ in atoms]
+        """The block accessor of ``Phasors.blocks``, fn of atom b read from
+        the grid's table of fn(e(const + c.t)) on its n residues, one per
+        atom and key: the constant sits inside the tabulated angle, so a
+        block takes one exp per residue and no product.  An atom with c = 0
+        is one phasor, e(const)."""
+        def z(b, key, fn):
+            a = atoms[b][0]
+            if not any(a.coeffs):
+                return fn(a.phase)
+            return self._read(self.grid.table((a, key), a.coeffs, fn, a.const),
+                              a.coeffs)
+        return z
 
 
 def _direction_product(w: np.ndarray, net: int, terms: tuple,
@@ -419,18 +440,17 @@ class FactorProgram:
         unit, qpow, exponent, num, den = gamma_parts(atoms, spec.psi_level)
         unit = _as_affine(unit, nfree)
         factors = []
-        for (a, r, sd) in num:
-            a = _as_affine(a, nfree)
-            if regularize and r == 0 and a.is_identically_zero():
-                continue
-            factors.append(_Factor(mod1(a.const), _int_coeffs(a), float(r), sd,
-                                   True))
-        for (a, r, sd) in den:
-            a = _as_affine(a, nfree)
-            if r == 0 and a.is_identically_zero():
-                raise ArithmeticError("denominator factor vanishes identically")
-            factors.append(_Factor(mod1(a.const), _int_coeffs(a), float(r), sd,
-                                   False))
+        for group, in_num in ((num, True), (den, False)):
+            for (a, r, sd) in group:
+                a = _as_affine(a, nfree)
+                if r == 0 and a.is_identically_zero():
+                    if not in_num:
+                        raise ArithmeticError(
+                            "denominator factor vanishes identically")
+                    if regularize:
+                        continue
+                factors.append(_Factor(mod1(a.const), _int_coeffs(a),
+                                       float(r), sd, in_num))
         return cls(q=spec.q, nfree=nfree, unit_const=mod1(unit.const),
                    unit_coeffs=_int_coeffs(unit),
                    qpow=float(qpow), exponent=float(exponent), factors=factors)
@@ -470,14 +490,18 @@ class FactorProgram:
             at = self._at_s = (s, complex(scalar), a.tolist())
         return at[1], at[2]
 
-    def eval_phasors(self, ph: Phasors | GridChunk, s: complex) -> np.ndarray:
-        """Evaluate at the point s on the nodes of ``ph``: a new array of
-        shape ``ph.nodes``.  The scalar and the per-row directions make one
-        array shaped like the chunk's head, the per-column direction one
-        shaped like its last axis; their product is written to the output,
-        and every other direction is multiplied into it.  On a grid chunk
-        ``ComponentModel._times_phi`` runs it in ``_small_buffers``."""
+    def eval_phasors(self, ph: Phasors | GridChunk, s: complex,
+                     scale: complex = 1.0) -> np.ndarray:
+        """Evaluate at the point s on the nodes of ``ph``, times ``scale``: a
+        new array of shape ``ph.nodes``.  The scalar and the per-row
+        directions make one array shaped like the chunk's head, the
+        per-column direction one shaped like its last axis; their product
+        is written to the output, and every other direction is multiplied
+        into it.  ``scale`` joins the scalar, so it costs no pass over the
+        nodes.  On a grid chunk ``ComponentModel._times_phi`` runs it in
+        ``_small_buffers``."""
         scalar, a = self._at(s)
+        scalar = scalar * scale
         out = np.empty(ph.nodes, dtype=complex)
         if not self.nfree:
             out[...] = scalar
@@ -504,10 +528,15 @@ class FactorProgram:
 
 class TestFunction:
     """A smooth Weyl-invariant function Phi of a tempered point, given by its
-    phasor form ``phasor_values``.  ``values``, at per-block angles of shape
-    (S, M), is the one wrapper over it; a subclass may not define another.
-    The classes below bind it in their own class dict, so that each can be
-    wrapped (traced) on its own."""
+    phasor form ``phasor_values``, in which Phi is a function of the block
+    phasors z_b = e(theta_b) built from functions of one block, fn(z_b).  A
+    chunk hands it a block accessor, z(b, key, fn) = fn(z_b) on its nodes
+    (``Phasors.blocks``): on a grid of two or more axes fn is tabulated once
+    per grid and key on the n residues of block b's angle and read as a
+    strided view, so no node takes a block power.  ``values``, at per-block
+    angles of shape (S, M), is the one wrapper over it; a subclass may not
+    define another.  The classes below bind it in their own class dict, so
+    that each can be wrapped (traced) on its own."""
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -517,12 +546,18 @@ class TestFunction:
                             f"is given by phasor_values")
 
     def values(self, dims: tuple, angles: np.ndarray) -> np.ndarray:
-        vals = self.phasor_values(dims, np.exp(2j * np.pi * angles))
+        z = np.exp(2j * np.pi * angles)
+        vals = self.phasor_values(dims, lambda b, key, fn: fn(z[b]))
         return np.broadcast_to(vals, angles.shape[1:]).astype(complex)
 
-    def phasor_values(self, dims: tuple, z) -> np.ndarray:
-        """Phi at block phasors z: S rows, arrays (or scalars) that broadcast
-        against each other to the nodes' shape; or one scalar."""
+    def phasor_values(self, dims: tuple, z: Callable):
+        """Phi on a chunk's nodes, from its block accessor z: z(b, key, fn)
+        is fn(z_b) at block b's phasors, an array that broadcasts to the
+        nodes' shape, or a scalar, to read and not to write.  fn maps one
+        phasor array (or scalar) to its values without writing to it, and
+        ``key`` names it on a grid: fn and key stay paired, as in (self,
+        dims[b]).  The result is an array or scalar that broadcasts to the
+        nodes; one scalar when Phi does not vary."""
         raise NotImplementedError
 
     def describe(self) -> dict:
@@ -542,10 +577,19 @@ class ConstantPhi(TestFunction):
         return {"kind": "constant", "c": self.c}
 
 
+def _real_power_sum(terms: tuple, w):
+    """Re sum c w^h over the (h, c) of ``terms``, h != 0."""
+    return functools.reduce(np.add, (c * _phasor_power(w, h)
+                                     for h, c in terms)).real
+
+
 class TrigPhi(TestFunction):
     """const + Re( sum of coeff * powersum_{h,k} ), where powersum_{h,k} is
     the sum of z_b^h = e^{2 pi i h theta_b} over blocks of size k.
-    Invariant under any permutation of equal-size blocks."""
+    Invariant under any permutation of equal-size blocks.  In phasor form
+    it is const + sum_b g_{k_b}(z_b), g_k(z) = Re sum c z^h over the terms
+    of block size k with h != 0, one function of one block; a term with h
+    = 0 adds Re(c) times the number of blocks of size k to the constant."""
 
     def __init__(self, terms: Sequence[tuple], const: float = 1.0):
         # terms: (h, k, coeff)
@@ -554,19 +598,20 @@ class TrigPhi(TestFunction):
         if any(k < 1 for _, k, _ in self.terms):
             raise ValueError("a trig term's block size k must be >= 1")
         self.const = read_number(const, float)
+        by_size = {}
+        for h, k, c in self.terms:
+            if h:
+                by_size.setdefault(k, []).append((h, c))
+        self._g = {k: functools.partial(_real_power_sum, tuple(t))
+                   for k, t in by_size.items()}
 
     values = TestFunction.values
 
     def phasor_values(self, dims, z):
-        out = self.const
-        for (h, k, c) in self.terms:
-            rows = [b for b, kb in enumerate(dims) if kb == k]
-            if h == 0:
-                out = out + (c * len(rows)).real
-            else:
-                out = out + (c * sum(_phasor_power(z[b], h)
-                                     for b in rows)).real
-        return out
+        const = sum(((c * dims.count(k)).real for h, k, c in self.terms
+                     if h == 0), self.const)
+        return sum((z(b, (self, k), self._g[k]) for b, k in enumerate(dims)
+                    if k in self._g), const)
 
     def describe(self):
         return {"kind": "trig", "const": self.const,
@@ -578,7 +623,8 @@ class GaussianPhi(TestFunction):
     bump, 1 + sum_{h <= hmax} 2 e^{-(width h)^2} cos 2 pi h (theta - center),
     whose cosines are Re(e(-h center) z^h); multiset-invariant by
     construction.  Truncated, it is not non-negative: its minimum on a
-    circle is about -8.9e-5 with the defaults and -0.022 at (0.3, 0.1, 6)."""
+    circle is about -8.9e-5 with the defaults and -0.022 at (0.3, 0.1, 6).
+    In phasor form it is prod_b bump(z_b), one function of one block."""
 
     def __init__(self, width: float = 0.35, center: float = 0.0, hmax: int = 8):
         self.width = read_number(width, float)
@@ -586,19 +632,22 @@ class GaussianPhi(TestFunction):
         self.hmax = read_number(hmax, int)
         if self.hmax < 0:
             raise ValueError("hmax must be >= 0")
+        self._coeffs = [2 * math.exp(-(self.width * h) ** 2)
+                        * cmath.exp(-2j * math.pi * h * self.center)
+                        for h in range(1, self.hmax + 1)]
 
     values = TestFunction.values
 
-    def phasor_values(self, dims, z):
-        out = 1.0
-        for zb in z:
-            bump, power = 1.0, 1.0
-            for h in range(1, self.hmax + 1):
-                power = power * zb
-                bump = bump + (2 * math.exp(-(self.width * h) ** 2) * cmath.exp(
-                    -2j * math.pi * h * self.center) * power).real
-            out = out * bump
+    def _bump(self, w):
+        out, power = 1.0, 1.0
+        for c in self._coeffs:
+            power = power * w
+            out = out + (c * power).real
         return out
+
+    def phasor_values(self, dims, z):
+        return math.prod((z(b, self, self._bump) for b in range(len(dims))),
+                         start=1.0)
 
     def describe(self):
         return {"kind": "gaussian", "width": self.width, "center": self.center,
@@ -623,8 +672,7 @@ def check_weyl_invariance(phi: TestFunction, dims: tuple, rng,
     """Reject test functions that change under permutations of equal-size
     blocks (sampled)."""
     dims = tuple(dims)
-    s = len(dims)
-    angles = rng.random((s, samples))
+    angles = rng.random((len(dims), samples))
     ref = phi.values(dims, angles)
     for _ in range(8):
         perm = _random_dim_preserving_permutation(dims, rng)
@@ -735,6 +783,10 @@ class QuadConfig:
                 raise ValueError(f"{name} must be at least 1, "
                                  f"got {getattr(self, name)}")
 
+    def s_values(self) -> list:
+        """The geometric s-sequence s0, s0 / 2, ... of s_count terms."""
+        return [self.s0 * 2.0 ** (-k) for k in range(self.s_count)]
+
 
 # 1/2 + offset as an exact ratio of integers, for ``_ResidueGrid``
 _HALF = (Fraction(1, 2) + Fraction(QuadConfig.offset)).as_integer_ratio()
@@ -825,11 +877,16 @@ class ComponentModel:
 
     def _times_phi(self, prog, phi, t, s, atoms) -> np.ndarray:
         """prog(t, s) times phi at its block phasors, both read from one
-        chunk: the grid chunk t itself, or ``Phasors`` of the nodes t."""
+        chunk: the grid chunk t itself, or ``Phasors`` of the nodes t.  A
+        phi that is one scalar on the chunk joins the program's scalar
+        instead of a pass over the nodes."""
         ph = Phasors.of_nodes(t) if isinstance(t, np.ndarray) else t
         with _small_buffers():
+            phi_t = phi.phasor_values(self.dims, ph.blocks(atoms))
+            if np.ndim(phi_t) == 0:
+                return prog.eval_phasors(ph, s, phi_t)
             out = prog.eval_phasors(ph, s)
-            out *= phi.phasor_values(self.dims, ph.blocks(atoms))
+            out *= phi_t
         return out
 
     # -- quadrature ---------------------------------------------------------------
@@ -897,14 +954,9 @@ class ComponentModel:
         """d * gamma(s, 1, psi) * (component constants) * mean, with the
         rest of ``lhs_mean``'s tuple."""
         mean, err, n, nodes, flag = self.lhs_mean(phi, s, cfg)
-        pref = self.lhs_prefactor(s)
+        pref = (self.d * self.chi_minus_one ** (self.d - 1) * float(self.J_k)
+                / (self.consts.P * self.F_lhs) * self._gamma_triv.evaluate(s))
         return pref * mean, abs(pref) * err, n, nodes, flag
-
-    def lhs_prefactor(self, s: float) -> complex:
-        c = self.consts
-        const = self.d * (self.chi_minus_one ** (self.d - 1)) * \
-            float(self.J_k) / (c.P * self.F_lhs)
-        return const * self._gamma_triv.evaluate(s)
 
     def rhs_value(self, phi: TestFunction, cfg: QuadConfig) -> complex:
         """2 chi(-1)^{d-1} / (F 2^c) times the mean over the free coordinates:
@@ -1018,21 +1070,12 @@ class LimitReport:
     grid_n: list
 
     def to_dict(self) -> dict:
-        return {
-            "s_values": list(self.s_values),
-            "lhs_values": [[v.real, v.imag] for v in self.lhs_values],
-            "lhs_errors": list(self.lhs_errors),
-            "lhs_extrapolated": [self.lhs_extrapolated.real,
-                                 self.lhs_extrapolated.imag],
-            "rhs": [self.rhs.real, self.rhs.imag],
-            "abs_discrepancy": self.abs_discrepancy,
-            "rel_discrepancy": self.rel_discrepancy,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "nodes_used": self.nodes_used,
-            "budget_exceeded": self.budget_exceeded,
-            "grid_n": list(self.grid_n),
-        }
+        """The fields in order, each complex number as [re, im]."""
+        d = dataclasses.asdict(self)
+        d["lhs_values"] = [[v.real, v.imag] for v in self.lhs_values]
+        for k in ("lhs_extrapolated", "rhs"):
+            d[k] = [d[k].real, d[k].imag]
+        return d
 
 
 def verify(triple: OrthTriple, phi: TestFunction, spec: LocalFieldSpec,
@@ -1045,15 +1088,10 @@ def verify(triple: OrthTriple, phi: TestFunction, spec: LocalFieldSpec,
     if rng is None:
         rng = np.random.default_rng(20240901)
     check_weyl_invariance(phi, model.dims, rng)
-    s_values = [cfg.s0 * 2.0 ** (-k) for k in range(cfg.s_count)]
-    lhs_vals, lhs_errs, grid_n, nodes, budget = [], [], [], 0, False
-    for s in s_values:
-        v, e, n, m, f = model.lhs_value(phi, s, cfg)
-        lhs_vals.append(v)
-        lhs_errs.append(e)
-        grid_n.append(n)
-        nodes += m
-        budget = budget or f
+    s_values = cfg.s_values()
+    lhs_vals, lhs_errs, grid_n, nodes, flags = map(list, zip(*(
+        model.lhs_value(phi, s, cfg) for s in s_values)))
+    budget = any(flags)
     extrap = richardson(s_values, lhs_vals, cfg.extrap_order)
     rhs = model.rhs_value(phi, cfg)
     absd = abs(extrap - rhs)
@@ -1063,7 +1101,7 @@ def verify(triple: OrthTriple, phi: TestFunction, spec: LocalFieldSpec,
         lhs_extrapolated=extrap, rhs=rhs, abs_discrepancy=absd,
         rel_discrepancy=reld, tolerance=cfg.tol,
         passed=bool(reld < cfg.tol and not budget),
-        nodes_used=nodes, budget_exceeded=budget, grid_n=grid_n)
+        nodes_used=sum(nodes), budget_exceeded=budget, grid_n=grid_n)
 
 
 # -- exact pointwise checks -----------------------------------------------------------
@@ -1155,16 +1193,12 @@ def singular_exponent(triple: OrthTriple, twists: Sequence[Fraction]) -> int:
         count += sum(1 for x in xs for xv in xvs if mod1(x + xv) == 0)
         i0 += m
     pos = 2 * offset_dual
-    for a, p in triple.symplectic:
-        ys = twists[pos:pos + p]
-        count += sum(1 for i in range(p) for j in range(i + 1, p)
-                     if mod1(ys[i] + ys[j]) == 0)
-        pos += p
-    for a, q in triple.orthogonal:
-        zs = twists[pos:pos + q]
-        count += sum(1 for i in range(q) for j in range(i, q)
-                     if mod1(zs[i] + zs[j]) == 0)
-        pos += q
+    for groups, above in ((triple.symplectic, 1), (triple.orthogonal, 0)):
+        for a, p in groups:
+            ys = twists[pos:pos + p]
+            count += sum(1 for i in range(p) for j in range(i + above, p)
+                         if mod1(ys[i] + ys[j]) == 0)
+            pos += p
     return count
 
 
@@ -1181,12 +1215,6 @@ def fit_divergence_exponent(triple: OrthTriple, phi: TestFunction,
     """Log-log slope of the raw component integral against s: close to -1
     whenever singular loci meet the support."""
     model = ComponentModel(triple, spec, chi_minus_one)
-    s_values = [cfg.s0 * 2.0 ** (-k) for k in range(cfg.s_count)]
-    ys = []
-    for s in s_values:
-        mean = model.lhs_mean(phi, s, cfg)[0]
-        ys.append(abs(mean))
-    xs = np.log(s_values)
-    ys = np.log(ys)
-    slope = np.polyfit(xs, ys, 1)[0]
-    return float(slope)
+    s_values = cfg.s_values()
+    ys = [abs(model.lhs_mean(phi, s, cfg)[0]) for s in s_values]
+    return float(np.polyfit(np.log(s_values), np.log(ys), 1)[0])

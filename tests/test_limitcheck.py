@@ -1,11 +1,15 @@
+import copy
 import dataclasses
 import math
 import random
 from collections import Counter
 from fractions import Fraction as F
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import planch.limitcheck as limitcheck
 from planch.field import LocalFieldSpec
@@ -46,7 +50,7 @@ class LopsidedPhi(TestFunction):
     """Deliberately not Weyl-invariant: depends on the first block only."""
 
     def phasor_values(self, dims, z):
-        return z[0].real
+        return z(0, "real", np.real)
 
     def describe(self):
         return {"kind": "lopsided"}
@@ -626,12 +630,16 @@ def test_non_finite_grid_sum_raises_pole_error(monkeypatch):
         model.lhs_mean(ConstantPhi(1.0), 0.1, FAST)
 
 
+def _same(w):
+    return w
+
+
 def test_grid_chunks_are_the_grid_phasors(monkeypatch):
     """Each chunk of _grid_chunks holds, in node order, E_r = e(t_r) of its
-    nodes, read as the block phasors of unit atoms, and block phasors equal
-    to those of its nodes: dims 0-3, ragged last chunks, a chunk per row
-    segment when n > BLOCK.  A 1-D segment makes them as
-    ``Phasors.of_nodes`` does, from powers of E_r.  Every chunk of a grid
+    nodes, read through the block accessor as the phasors of unit atoms,
+    and block phasors equal to those of its nodes: dims 0-3, ragged last
+    chunks, a chunk per row segment when n > BLOCK.  A 1-D segment makes
+    them as ``Phasors.of_nodes`` does, from powers of E_r.  Every chunk of a grid
     of two or more axes is a ``GridChunk`` and reads them from its grid's
     tables, which are compared with the phasor of the exact angle const +
     (c.I mod n + sum_r c_r (1/2 + offset)) / n at the node of index I."""
@@ -653,6 +661,7 @@ def test_grid_chunks_are_the_grid_phasors(monkeypatch):
                  for r in range(dim)]
         for ph in limitcheck._grid_chunks(dim, n):
             m = ph.shape[1]
+            zu, za = ph.blocks(units), ph.blocks(atoms)
             assert ph.shape == (dim, m) and math.prod(ph.nodes) == m <= chunk
             t, nodes = grid[:, start:start + m], index[:, start:start + m]
             start += m
@@ -663,12 +672,13 @@ def test_grid_chunks_are_the_grid_phasors(monkeypatch):
                 ref = [exact(a, nodes) for a, _ in atoms]
             else:
                 axes = np.exp(2j * np.pi * t)
-                ref = limitcheck.Phasors.of_nodes(t).blocks(atoms)
-            for got, want in zip(ph.blocks(units), axes):
-                got = np.broadcast_to(got, ph.nodes).ravel()
+                zr = limitcheck.Phasors.of_nodes(t).blocks(atoms)
+                ref = [zr(b, "id", _same) for b in range(len(atoms))]
+            for b, want in enumerate(axes):
+                got = np.broadcast_to(zu(b, "id", _same), ph.nodes).ravel()
                 assert np.abs(got - want).max() <= 1e-15
-            for got, want in zip(ph.blocks(atoms), ref):
-                got = np.broadcast_to(got, ph.nodes).ravel()
+            for b, want in enumerate(ref):
+                got = np.broadcast_to(za(b, "id", _same), ph.nodes).ravel()
                 assert np.abs(got - want).max() <= 1e-15
         assert start == n ** dim
         if n ** dim > chunk:
@@ -829,9 +839,9 @@ def test_grid_means_take_no_node_angles(monkeypatch):
 
 
 def test_phi_on_broadcast_phasors():
-    """Each test function gives on block phasors of shapes (rows, 1),
-    (1, n), (rows, n) and a scalar the values it gives on the flattened
-    nodes."""
+    """Each test function gives, from a block accessor whose phasors have
+    shapes (rows, 1), (1, n), (rows, n) and a scalar, the values it gives
+    from one on the flattened nodes."""
     rng = np.random.default_rng(6)
     rows, n = 5, 7
     a = np.exp(2j * np.pi * rng.random((rows, 1)))
@@ -843,9 +853,73 @@ def test_phi_on_broadcast_phasors():
                 TrigPhi([(1, 1, 0.3 + 0.1j), (2, 2, -0.2 + 0j), (0, 1, 0.5)],
                         const=0.7),
                 GaussianPhi(width=0.4, center=0.25)):
-        got = np.broadcast_to(phi.phasor_values(dims, z), (rows, n)).ravel()
-        want = np.broadcast_to(phi.phasor_values(dims, flat), rows * n)
+        got = np.broadcast_to(phi.phasor_values(
+            dims, lambda b, key, fn: fn(z[b])), (rows, n)).ravel()
+        want = np.broadcast_to(phi.phasor_values(
+            dims, lambda b, key, fn: fn(flat[b])), rows * n)
         assert np.abs(got - want).max() <= 1e-15
+
+
+_MODELS = {2: ComponentModel(T_D3, SPEC3),
+           3: ComponentModel(OrthTriple(dual_pairs=((WDAtom(F(1, 3), 1), 2),)),
+                             SPEC3)}
+
+
+@st.composite
+def _phi_on_atoms(draw):
+    """A test function, a grid of 2 or 3 axes with a chunk size from one
+    node to a few rows, and random block atoms over its coordinates: any
+    coefficients in -3 ... 3 (all zero among them), denominators up to 60
+    and block sizes 1 and 2."""
+    dim = draw(st.sampled_from((2, 3)))
+    n = draw(st.integers(2, 23 if dim == 2 else 7))
+    block = draw(st.integers(1, 3 * n))
+    atoms = draw(st.lists(st.tuples(
+        st.fractions(0, 1, max_denominator=60),
+        st.tuples(*[st.integers(-3, 3)] * dim),
+        st.sampled_from((1, 2))), min_size=1, max_size=4))
+    coeff = st.complex_numbers(max_magnitude=1.0)
+    phi = draw(st.one_of(
+        st.builds(ConstantPhi, st.floats(-2.0, 2.0)),
+        st.builds(TrigPhi, st.lists(st.tuples(st.integers(-3, 3),
+                                               st.sampled_from((1, 2)), coeff),
+                                     max_size=5), st.floats(-2.0, 2.0)),
+        st.builds(GaussianPhi, st.floats(0.1, 1.0), st.floats(-1.0, 1.0),
+                  st.integers(0, 6))))
+    return dim, n, block, atoms, phi
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_phi_on_atoms())
+@example((2, 23, 16, [(F(1, 5), (1, 0), 1), (F(0), (-1, 1), 2),
+                      (F(7, 12), (0, -1), 1), (F(1, 2), (0, 0), 2)],
+          TrigPhi([(1, 1, 0.3 + 0.1j), (0, 2, 0.4), (-2, 2, 0.2 - 0.3j),
+                   (-1, 1, 0.1j)], 0.5)))
+@example((3, 5, 4, [(F(1, 3), (1, -2, 0), 1), (F(0), (0, 1, 3), 2),
+                    (F(1, 7), (-1, 0, -1), 2)],
+          TrigPhi([(2, 1, -0.2 + 0j), (0, 1, 0.5), (-3, 2, 0.1 + 0.1j)], 1.0)))
+@example((3, 6, 5, [(F(2, 5), (2, 1, -1), 1), (F(0), (0, 0, 1), 1)],
+          GaussianPhi(0.3, 0.1, 6)))
+def test_phi_on_grid_chunks_matches_flattened_nodes(case):
+    """lhs_integrand with ConstantPhi, TrigPhi (h = 0, negative h, two
+    block sizes) and GaussianPhi, over random block atoms: on every chunk of
+    grids of 2 and 3 axes, ragged chunks and one-row segments among them,
+    it gives what it gives on the chunk's flattened nodes, to 1e-13 of the
+    largest value.  The grid reads phi from tables on the n residues of
+    each block's angle, the flattened nodes from per-node phasors."""
+    dim, n, block, atoms, phi = case
+    model = copy.copy(_MODELS[dim])
+    model.lhs_atoms = [(AffineAngle(u, c), k) for u, c, k in atoms]
+    model.dims = tuple(k for _, _, k in atoms)
+    grid = _full_grid(dim, n, QuadConfig().offset)
+    with mock.patch.object(FactorProgram, "BLOCK", block):
+        chunks = list(limitcheck._grid_chunks(dim, n))
+        got = np.concatenate([np.broadcast_to(
+            model.lhs_integrand(phi, ph, 0.1), ph.nodes).ravel()
+            for ph in chunks])
+    assert all(isinstance(ph, limitcheck.GridChunk) for ph in chunks)
+    want = model.lhs_integrand(phi, grid, 0.1)
+    assert np.abs(got - want).max() <= 1e-13 * max(np.abs(want).max(), 1e-300)
 
 
 def test_chunk_evaluation_holds_only_its_output():
@@ -854,22 +928,35 @@ def test_chunk_evaluation_holds_only_its_output():
     its output and the grid's residue tables, which are a few n long: every
     direction is a strided view of its table, and no factor has a buffer or
     a denominator of its own.  Its peak stays below two chunk-sized complex
-    arrays; a direction copied out of its table would reach two."""
+    arrays; a direction copied out of its table would reach two.  The whole
+    ``lhs_integrand`` with TrigPhi or GaussianPhi, whose blocks are read
+    from tables too, adds phi's one array: below 2.5 chunk-sized arrays,
+    where a block power made per node would reach 3.5."""
     import tracemalloc
+
+    def peak_of(call):
+        ph = next(limitcheck._grid_chunks(2, n))
+        assert ph.nodes == (FactorProgram.BLOCK // n, n)
+        tracemalloc.start()
+        try:
+            call(ph)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak / (FactorProgram.BLOCK * np.dtype(complex).itemsize)
+
+    def program(ph):
+        with limitcheck._small_buffers():
+            model.lhs_program.eval_phasors(ph, 0.05)
 
     model = ComponentModel(T_D3, SPEC3)
     n = 128
-    ph = next(limitcheck._grid_chunks(2, n))
-    assert ph.nodes == (FactorProgram.BLOCK // n, n)
-    chunk = FactorProgram.BLOCK * np.dtype(complex).itemsize
-    tracemalloc.start()
-    try:
-        with limitcheck._small_buffers():
-            model.lhs_program.eval_phasors(ph, 0.05)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * chunk, peak / chunk
+    peak = peak_of(program)
+    assert peak < 2, peak
+    for phi in (TrigPhi([(1, 1, 0.3 + 0.1j), (2, 1, -0.2 + 0j)]),
+                GaussianPhi()):
+        peak = peak_of(lambda ph: model.lhs_integrand(phi, ph, 0.05))
+        assert peak < 2.5, (phi.describe(), peak)
 
 
 def test_lhs_mean_memory_does_not_grow_with_the_grid():

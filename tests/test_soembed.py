@@ -63,6 +63,24 @@ def test_group_membership_errors():
         emb.n_bar_element([1, 0], mat([[0, 0], [0, 0]]))  # S+S^T != -ll^T
 
 
+def test_unipotent_elements_refuse_wrong_shapes():
+    """A column of other than d entries or a block other than d x d raises
+    ValueError, in n_element and through n_bar_element, before the form
+    check could read only their overlap and return the identity."""
+    emb = build_odd_so(2)
+    zero = [[0, 0], [0, 0]]
+    for w, u in (([0, 0, 7], [[0, 0, 0], [0, 0, 0], [0, 0, 9]]),
+                 ([0], zero), ([0, 0], [[0, 0]]), ([0, 0], [[0, 0], [0]]),
+                 ([0, 0], [[0, 0, 1], [0, 0, 1]]),
+                 ([0, 0], [[0, 0], [0, 0, 1]])):
+        with pytest.raises(ValueError, match="2 entries"):
+            emb.n_element(w, u)
+        with pytest.raises(ValueError, match="2 entries"):
+            emb.n_bar_element(w, u)
+    assert mat_eq(emb.n_element([0, 0], zero), identity(5))
+    assert mat_eq(emb.n_bar_element([0, 0], zero), identity(5))
+
+
 def test_mtilde_form_is_b_g():
     """On the twisted Levi component, g -> B_g is the identification with
     nondegenerate forms."""

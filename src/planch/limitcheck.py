@@ -18,19 +18,21 @@ denominator 1 - a e(c.t) with |a| = q^{-(sdir s + shift)} costs the rule
 about e^{-n (sdir s + shift) log q / ||c||_inf}, so n grows like
 ln(100 / tol) ||c||_inf / (s log q) as s -> 0.  A program groups its
 factors by primitive direction d; along d every factor, and the monomial,
-is a function of w = e(d.t) alone.  On a grid of n nodes per axis, w at the
-node of index I is e((d.I mod n + sum_r d_r (1/2 + offset)) / n): it takes
-only n values.  So on any grid of two or more axes each direction's
-product is tabulated once per grid on those n residues, and a chunk (a
-block of whole rows of the last axis, or a segment of one row) reads it
-through a strided view of the table, with no exp and no copy: a direction
-in the head coordinates gives one value per row, one in the last
-coordinate one per column, and each other direction costs one in-place
-multiply over the chunk.  A test function's block b, with angle const_b +
-c_b.t, is read the same way: each fn(z_b) it asks for is tabulated once per
-grid on the n residues of c_b.I, so no node takes a block power.  A 1-D
-grid is one row, costed on its axis phasors e((i + 1/2 + offset) / n),
-segment by segment.
+is a function of w = e(d.t) alone, and a test function is built from
+functions of its block phasors e(const_b + c_b.t).  So every integrand asks
+a chunk one question, ``at(a, fn)``: fn at the phasor of an affine angle a,
+with a = d.t for a direction and a = const_b + c_b.t for a block.  On a grid
+of n nodes per axis, e(const + c.t) at the node of index I is e(const +
+(c.I mod n + sum_r c_r (1/2 + offset)) / n): it takes only n values.  So on
+any grid of two or more axes fn is tabulated once per grid and pair (a, fn)
+on those n residues, and a chunk (a block of whole rows of the last axis,
+or a segment of one row) reads it through a strided view of the table,
+with no exp and no copy: a direction in the head coordinates gives one
+value per row, one in the last coordinate one per column, and each other
+direction costs one in-place multiply over the chunk.  Each caller hands
+the same fn to every chunk, so the grid finds its table again.  A 1-D grid
+is one row, costed on its axis phasors e((i + 1/2 + offset) / n), segment
+by segment.
 The s -> 0 limit is taken by Richardson extrapolation.  The order of a
 triple's blocks and their pairing into mirror rows, which both sides and
 the constants joining them depend on, are decided in one place,
@@ -154,7 +156,7 @@ def _phasor_power(e: np.ndarray, k: int) -> np.ndarray:
     return out * e if k % 2 else out
 
 
-def _direction(c: tuple) -> tuple[tuple, int]:
+def _primitive(c: tuple) -> tuple[tuple, int]:
     """(d, m) with c = m d, for c != 0: d is primitive and its first nonzero
     entry is positive."""
     g = math.gcd(*c)
@@ -168,11 +170,11 @@ class Phasors:
     arbitrary nodes (``of_nodes``), a point, or a segment of a 1-D grid
     (``_grid_chunks``).  Each E_r is an array of the chunk's ``nodes``
     shape.  Each power E_r^k is built once, by squaring or as the
-    conjugate of E_r^-k, and kept for the chunk.  On a grid of two or more
-    axes ``GridChunk`` answers ``direction`` and ``blocks`` from the grid's
-    residue tables instead.  Both take a function of one phasor, fn(w), and
-    a key that names it: ``direction`` for a program direction w = e(c.t),
-    ``blocks`` for a test function's block phasor w = e(const + c.t)."""
+    conjugate of E_r^-k, and kept for the chunk.  A chunk answers one
+    question, ``at(a, fn)``: a function of one phasor at the phasor of an
+    affine angle a, which is a program direction (const 0, c = d) or a
+    test function's block (const_b + c_b.t).  On a grid of two or more
+    axes ``GridChunk`` answers it from the grid's residue tables instead."""
 
     def __init__(self, e: list, nodes: tuple):
         self.nodes = nodes
@@ -194,34 +196,19 @@ class Phasors:
             self._powers[r, k] = p
         return p
 
-    def monomial(self, c: tuple, scale: Optional[complex] = None):
-        """scale * prod_r E_r^{c_r}, broadcast over the coordinates it uses
-        (a scalar when scaled and c = 0); for c != 0 unscaled it may be a kept
-        power: read it, do not write to it."""
-        out = scale
-        for r, k in enumerate(c):
+    def at(self, a: AffineAngle, fn: Callable):
+        """fn(w) at the phasors w = e(a.const + a.coeffs.t) of the nodes, here
+        costed on them as e(const) prod_r E_r^{c_r} (e(const) left out when
+        const = 0); for c = 0 it is fn(a.phase).  The result broadcasts to
+        ``nodes``, or is a scalar: read it, do not write to it.  fn maps
+        one phasor array (or scalar) to its values without writing to it,
+        and is the same object, or an equal one, on every chunk of a grid:
+        ``GridChunk`` keeps its values per (a, fn)."""
+        w = a.phase if a.const else None
+        for r, k in enumerate(a.coeffs):
             if k:
-                out = self.power(r, k) if out is None else out * self.power(r, k)
-        return out
-
-    def direction(self, c: tuple, key, fn: Callable) -> np.ndarray:
-        """fn(w) at the phasors w = e(c.t) of the nodes, c != 0: an array that
-        broadcasts to ``nodes``, to read and not to write.  ``key`` names fn
-        for a grid that keeps its values (``GridChunk``); fn reads w and
-        does not write to it."""
-        return fn(self.monomial(c))
-
-    def blocks(self, atoms) -> Callable:
-        """The chunk's block accessor z for ``TestFunction.phasor_values``:
-        z(b, key, fn) is fn at the phasor of atom b, for the angle const +
-        c.t the phasor e(const) prod_r E_r^{c_r}, on the chunk's nodes.  It
-        is an array that broadcasts to ``nodes``, or a scalar, to read and
-        not to write.  Here fn is costed on the nodes; ``key`` names fn for
-        a grid that keeps its values (``GridChunk``)."""
-        def z(b, key, fn):
-            a = atoms[b][0]
-            return fn(self.monomial(a.coeffs, a.phase))
-        return z
+                w = self.power(r, k) if w is None else w * self.power(r, k)
+        return fn(a.phase if w is None else w)
 
 
 _QUARTER_TURNS = np.array([1, 1j, -1, -1j])
@@ -245,29 +232,31 @@ class _ResidueGrid:
         e(c.t) = e((c.I mod n + sigma_c) / n),
         sigma_c = sum_r c_r (1/2 + offset),
 
-    takes only n values, and so does any function of it.  ``table``
-    tabulates such a function once per grid and key, on the residue phasors
-    w_k = e((k + sigma_c) / n), and a chunk (``GridChunk``) reads its values
-    as a slice of a strided view of that table."""
+    takes only n values, and so do e(const + c.t) and any function of it.
+    ``table`` tabulates such a function once per grid on the residue
+    phasors w_k = e((k + sigma_c) / n + const), and a chunk (``GridChunk``)
+    reads its values as a slice of a strided view of that table."""
 
     def __init__(self, dim: int, n: int):
         self.dim, self.n = dim, n
         self._roots = _unit_roots(n)
         self._tables = {}
 
-    def table(self, key, c: tuple, fn: Callable,
-              const: Fraction = 0) -> np.ndarray:
-        """fn(e(const + c.t)) on the grid, as a read-only complex view W of
-        the periodic extension of its n residue values: W[f, i, j] is its
-        value at row i and column j of the last two axes where the outer
-        coordinates give c.I = f mod n.  W steps by 1 along f, by c_head
-        (the coefficient of the row coordinate) along i and by c_last along
-        j; an axis along which c.I does not move has length 1.  A real fn
-        is stored complex: a chunk that mixes float64 with complex operands
-        in ``_small_buffers`` pays a cast per buffer of 16."""
-        view = self._tables.get(key)
+    def table(self, a: AffineAngle, fn: Callable) -> np.ndarray:
+        """fn(e(const + c.t)) on the grid for a = const + c.t, c != 0, as a
+        read-only complex view W of the periodic extension of its n residue
+        values: W[f, i, j] is its value at row i and column j of the last
+        two axes where the outer coordinates give c.I = f mod n.  W steps
+        by 1 along f, by c_head (the coefficient of the row coordinate)
+        along i and by c_last along j; an axis along which c.I does not move
+        has length 1.  It is kept per (a, fn), the one key of the grid's
+        tables: fn is tabulated again for every fn that is not equal to it,
+        so a caller passes the same fn on every chunk.  A real fn is stored
+        complex: a chunk that mixes float64 with complex operands in
+        ``_small_buffers`` pays a cast per buffer of 16."""
+        view = self._tables.get((a, fn))
         if view is None:
-            n = self.n
+            n, c, const = self.n, a.coeffs, a.const
             # residue k sits at (k + shift) / n turns, shift = sum_r c_r
             # (1/2 + offset) + n const, split exactly into whole + frac:
             # e(k / n) rotated by whole places and scaled by e(frac / n)
@@ -287,7 +276,7 @@ class _ResidueGrid:
                 max(0, k) * (m - 1) for k, m in zip(steps, shape)))
             ext.flags.writeable = False
             item = ext.itemsize
-            view = self._tables[key] = np.ndarray(
+            view = self._tables[a, fn] = np.ndarray(
                 shape, complex, buffer=ext, offset=start * item,
                 strides=tuple(k * item for k in steps))
         return view
@@ -298,9 +287,10 @@ class GridChunk:
     two axes of a ``_ResidueGrid``, at the outer coordinates ``outer``
     (dim - 2 of them), so that c.I runs by c_head down the rows and by
     c_last along them: whole rows, or a segment of one row.  It answers
-    ``Phasors.direction`` and ``Phasors.blocks``, each value a slice of a
-    residue table's view, so the chunk builds no array of its own and no
-    node takes a power."""
+    ``Phasors.at(a, fn)`` with a slice of the view of the grid's table of
+    fn(e(const + c.t)) on its n residues: the constant sits inside the
+    tabulated angle, so the chunk builds no array of its own and no node
+    takes an exp or a power.  An angle with c = 0 is one phasor, e(const)."""
 
     def __init__(self, grid: _ResidueGrid, outer: tuple, rows: range,
                  cols: range):
@@ -310,27 +300,13 @@ class GridChunk:
         self.nodes = (len(rows), len(cols))
         self.shape = (grid.dim, len(rows) * len(cols))
 
-    def direction(self, c, key, fn):
-        return self._read(self.grid.table(key, c, fn), c)
-
-    def _read(self, view, c):
+    def at(self, a: AffineAngle, fn: Callable):
+        c = a.coeffs
+        if not any(c):
+            return fn(a.phase)
         f = sum(k * i for k, i in zip(c, self.outer)) % self.grid.n
-        return view[f, self._rows if c[-2] else slice(None),
-                    self._cols if c[-1] else slice(None)]
-
-    def blocks(self, atoms):
-        """The block accessor of ``Phasors.blocks``, fn of atom b read from
-        the grid's table of fn(e(const + c.t)) on its n residues, one per
-        atom and key: the constant sits inside the tabulated angle, so a
-        block takes one exp per residue and no product.  An atom with c = 0
-        is one phasor, e(const)."""
-        def z(b, key, fn):
-            a = atoms[b][0]
-            if not any(a.coeffs):
-                return fn(a.phase)
-            return self._read(self.grid.table((a, key), a.coeffs, fn, a.const),
-                              a.coeffs)
-        return z
+        return self.grid.table(a, fn)[f, self._rows if c[-2] else slice(None),
+                                      self._cols if c[-1] else slice(None)]
 
 
 def _direction_product(w: np.ndarray, net: int, terms: tuple,
@@ -358,7 +334,7 @@ def _direction_product(w: np.ndarray, net: int, terms: tuple,
     return out
 
 
-@dataclass(eq=False)  # hashed by identity: a grid keys its tables by program
+@dataclass
 class FactorProgram:
     """A gamma factor of a family of representations, ready for grid
     evaluation.  Every factor is 1 - a_f e(c.t) with an integer vector c
@@ -366,21 +342,21 @@ class FactorProgram:
     the factors with c = 0 fold, with the monomial's e(unit) q^{qpow -
     exponent s}, into one scalar per s.  Every other factor, and the
     monomial's e(u.t), joins the group of its primitive direction d
-    (``_direction``: c = m d).  Along d it is a function of the direction
+    (``_primitive``: c = m d).  Along d it is a function of the direction
     phasor w = e(d.t) alone, and as every phasor has modulus 1
 
         1 - a_f w^m = w^m (w^{-m} - a_f),
 
     so a direction costs w^net prod (w^{-m} - a_f)^{+-1}, all its w^m joined
     in one power (``_direction_product``).  ``eval_phasors`` asks its
-    chunk for each direction's product (``direction``): on ``Phasors`` it
-    is costed per node; on a chunk of a grid of two or more axes
-    (``GridChunk``) it is costed once per grid on the n residues of d.I and
-    read through a strided view.  A direction in the head coordinates only gives one value
-    per row, (0, ..., 0, 1) one per column; their product is written to the
-    output in one pass, and each other direction is multiplied into it in
-    place, one pass each.  ``factors`` keeps one entry per kept factor;
-    ``quotient`` joins two programs into one.
+    chunk for each direction's product at the angle d.t (``at``): on
+    ``Phasors`` it is costed per node; on a chunk of a grid of two or more
+    axes (``GridChunk``) it is costed once per grid on the n residues of d.I
+    and read through a strided view.  A direction in the head coordinates
+    only gives one value per row, (0, ..., 0, 1) one per column; their
+    product is written to the output in one pass, and each other direction
+    is multiplied into it in place, one pass each.  ``factors`` keeps one
+    entry per kept factor; ``quotient`` joins two programs into one.
 
     Poles: ``SpectralFunction.evaluate`` refuses a denominator factor below
     1e-14; no node here is guarded, as for s > 0 no program meets a pole:
@@ -408,23 +384,23 @@ class FactorProgram:
         # primitive direction d -> [net power of w, [(-m, factor, in num)]]
         dirs = {}
         if self.unit_coeffs != zero:
-            d, m = _direction(self.unit_coeffs)
+            d, m = _primitive(self.unit_coeffs)
             dirs[d] = [m, []]
         for i, f in enumerate(self.factors):
             if f.coeffs == zero:
                 (self._scalar_num if f.in_num else self._scalar_den).append(i)
                 continue
-            d, m = _direction(f.coeffs)
+            d, m = _primitive(f.coeffs)
             group = dirs.setdefault(d, [0, []])
             group[0] += m if f.in_num else -m
             group[1].append((-m, i, f.in_num))
-        # (d, net, terms) of the directions that vary per row (d_last = 0),
-        # per column (d = (0, ..., 0, 1)) and per node
-        self._row, self._col, self._node = [], [], []
+        # (angle d.t, net, terms) of the directions that vary per row
+        # (d_last = 0), per column (d = (0, ..., 0, 1)) and per node
+        self._dirs = [], [], []
         for d, (net, terms) in dirs.items():
-            kind = (self._row if d[-1] == 0 else
-                    self._col if not any(d[:-1]) else self._node)
-            kind.append((d, net, tuple(terms)))
+            kind = 0 if d[-1] == 0 else 1 if not any(d[:-1]) else 2
+            self._dirs[kind].append((AffineAngle(Fraction(0), d), net,
+                                     tuple(terms)))
         self._rot = np.exp(2j * np.pi * np.array(
             [float(f.const) for f in self.factors], dtype=float))
         self._shift = np.array([f.shift for f in self.factors], dtype=float)
@@ -477,9 +453,11 @@ class FactorProgram:
                                  else Phasors([], (1,)), s)
 
     def _at(self, s: complex) -> tuple:
-        """(scalar, a) at the point s: the monomial's constant times the
-        factors with c = 0, and a_f of each factor as a list.  Made once per
-        s and kept until the program is evaluated at another s."""
+        """(scalar, row, col, node) at the point s: the monomial's constant
+        times the factors with c = 0, and the (angle, fn) of each direction
+        per row, per column and per node, fn its ``_direction_product`` at
+        s.  Made once per s and kept until the program is evaluated at
+        another s, so that a grid finds each direction's fn again."""
         at = self._at_s
         if at is None or at[0] != s:
             a = self._rot * self.q ** (-(self._sdir * s + self._shift))
@@ -487,8 +465,12 @@ class FactorProgram:
                       * (self.q ** self.qpow) * self.q ** (-self.exponent * s))
             scalar = scalar * np.prod(1.0 - a[self._scalar_num]) \
                 / np.prod(1.0 - a[self._scalar_den])
-            at = self._at_s = (s, complex(scalar), a.tolist())
-        return at[1], at[2]
+            a = a.tolist()
+            at = self._at_s = (s, complex(scalar)) + tuple(
+                [(angle, functools.partial(_direction_product, net=net,
+                                           terms=terms, a=a))
+                 for angle, net, terms in kind] for kind in self._dirs)
+        return at[1:]
 
     def eval_phasors(self, ph: Phasors | GridChunk, s: complex,
                      scale: complex = 1.0) -> np.ndarray:
@@ -500,27 +482,17 @@ class FactorProgram:
         into it.  ``scale`` joins the scalar, so it costs no pass over the
         nodes.  On a grid chunk ``ComponentModel._times_phi`` runs it in
         ``_small_buffers``."""
-        scalar, a = self._at(s)
-        scalar = scalar * scale
+        scalar, rows, cols, nodes = self._at(s)
         out = np.empty(ph.nodes, dtype=complex)
-        if not self.nfree:
-            out[...] = scalar
-            return out
-        row, col = scalar, 1.0
-        for d, net, terms in self._row:
-            row = row * self._along(ph, s, d, net, terms, a)
-        for d, net, terms in self._col:
-            col = self._along(ph, s, d, net, terms, a)
+        row, col = scalar * scale, 1.0
+        for a, fn in rows:
+            row = row * ph.at(a, fn)
+        for a, fn in cols:
+            col = ph.at(a, fn)
         np.multiply(row, col, out=out)
-        for d, net, terms in self._node:
-            out *= self._along(ph, s, d, net, terms, a)
+        for a, fn in nodes:
+            out *= ph.at(a, fn)
         return out
-
-    def _along(self, ph, s, d, net, terms, a) -> np.ndarray:
-        """The product of direction d's factors and monomial at the nodes of
-        ``ph``; a grid keeps it per program, s and d."""
-        return ph.direction(d, (self, s, d), functools.partial(
-            _direction_product, net=net, terms=terms, a=a))
 
 
 # -- test functions ----------------------------------------------------------------
@@ -530,13 +502,13 @@ class TestFunction:
     """A smooth Weyl-invariant function Phi of a tempered point, given by its
     phasor form ``phasor_values``, in which Phi is a function of the block
     phasors z_b = e(theta_b) built from functions of one block, fn(z_b).  A
-    chunk hands it a block accessor, z(b, key, fn) = fn(z_b) on its nodes
-    (``Phasors.blocks``): on a grid of two or more axes fn is tabulated once
-    per grid and key on the n residues of block b's angle and read as a
-    strided view, so no node takes a block power.  ``values``, at per-block
-    angles of shape (S, M), is the one wrapper over it; a subclass may not
-    define another.  The classes below bind it in their own class dict, so
-    that each can be wrapped (traced) on its own."""
+    chunk hands it a block accessor, z(b, fn) = fn(z_b) on its nodes, which
+    is the chunk's ``at`` at block b's angle: on a grid of two or more axes
+    fn is tabulated once per grid on the n residues of that angle and read
+    as a strided view, so no node takes a block power.  ``values``, at
+    per-block angles of shape (S, M), is the one wrapper over it; a subclass
+    may not define another.  The classes below bind it in their own class
+    dict, so that each can be wrapped (traced) on its own."""
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -547,17 +519,20 @@ class TestFunction:
 
     def values(self, dims: tuple, angles: np.ndarray) -> np.ndarray:
         z = np.exp(2j * np.pi * angles)
-        vals = self.phasor_values(dims, lambda b, key, fn: fn(z[b]))
+        vals = self.phasor_values(dims, lambda b, fn: fn(z[b]))
         return np.broadcast_to(vals, angles.shape[1:]).astype(complex)
 
     def phasor_values(self, dims: tuple, z: Callable):
-        """Phi on a chunk's nodes, from its block accessor z: z(b, key, fn)
-        is fn(z_b) at block b's phasors, an array that broadcasts to the
-        nodes' shape, or a scalar, to read and not to write.  fn maps one
-        phasor array (or scalar) to its values without writing to it, and
-        ``key`` names it on a grid: fn and key stay paired, as in (self,
-        dims[b]).  The result is an array or scalar that broadcasts to the
-        nodes; one scalar when Phi does not vary."""
+        """Phi on a chunk's nodes, from its block accessor z: z(b, fn) is
+        fn(z_b) at block b's phasors, an array that broadcasts to the nodes'
+        shape, or a scalar, to read and not to write.  fn maps one phasor
+        array (or scalar) to its values without writing to it.  It is the
+        same object, or an equal one, on every chunk, such as a function
+        made once per test function or a bound method: a grid keeps fn's
+        values per block angle and fn, so a fresh lambda per chunk gives the
+        same values but tabulates them again on every chunk.  The result is
+        an array or scalar that broadcasts to the nodes; one scalar when Phi
+        does not vary."""
         raise NotImplementedError
 
     def describe(self) -> dict:
@@ -610,7 +585,7 @@ class TrigPhi(TestFunction):
     def phasor_values(self, dims, z):
         const = sum(((c * dims.count(k)).real for h, k, c in self.terms
                      if h == 0), self.const)
-        return sum((z(b, (self, k), self._g[k]) for b, k in enumerate(dims)
+        return sum((z(b, self._g[k]) for b, k in enumerate(dims)
                     if k in self._g), const)
 
     def describe(self):
@@ -646,7 +621,7 @@ class GaussianPhi(TestFunction):
         return out
 
     def phasor_values(self, dims, z):
-        return math.prod((z(b, self, self._bump) for b in range(len(dims))),
+        return math.prod((z(b, self._bump) for b in range(len(dims))),
                          start=1.0)
 
     def describe(self):
@@ -670,14 +645,17 @@ def phi_from_dict(d: dict) -> TestFunction:
 def check_weyl_invariance(phi: TestFunction, dims: tuple, rng,
                           samples: int = 32, tol: float = 1e-12):
     """Reject test functions that change under permutations of equal-size
-    blocks (sampled)."""
+    blocks (sampled) by more than tol relative to their largest sampled
+    value, or tol absolute when that is below 1: a permutation reorders
+    sums, and so moves the rounding of a large Phi."""
     dims = tuple(dims)
     angles = rng.random((len(dims), samples))
     ref = phi.values(dims, angles)
+    bound = tol * max(1.0, np.max(np.abs(ref)))
     for _ in range(8):
         perm = _random_dim_preserving_permutation(dims, rng)
         vals = phi.values(dims, angles[perm, :])
-        if np.max(np.abs(vals - ref)) > tol:
+        if np.max(np.abs(vals - ref)) > bound:
             raise NotWeylInvariant("test function is not invariant under "
                                    "permutations of equal blocks")
 
@@ -877,12 +855,14 @@ class ComponentModel:
 
     def _times_phi(self, prog, phi, t, s, atoms) -> np.ndarray:
         """prog(t, s) times phi at its block phasors, both read from one
-        chunk: the grid chunk t itself, or ``Phasors`` of the nodes t.  A
-        phi that is one scalar on the chunk joins the program's scalar
-        instead of a pass over the nodes."""
+        chunk: the grid chunk t itself, or ``Phasors`` of the nodes t.  The
+        block accessor is the chunk's ``at`` at each block's angle.  A phi
+        that is one scalar on the chunk joins the program's scalar instead
+        of a pass over the nodes."""
         ph = Phasors.of_nodes(t) if isinstance(t, np.ndarray) else t
         with _small_buffers():
-            phi_t = phi.phasor_values(self.dims, ph.blocks(atoms))
+            phi_t = phi.phasor_values(self.dims,
+                                      lambda b, fn: ph.at(atoms[b][0], fn))
             if np.ndim(phi_t) == 0:
                 return prog.eval_phasors(ph, s, phi_t)
             out = prog.eval_phasors(ph, s)

@@ -150,12 +150,13 @@ class OrthTriple:
         object.__setattr__(self, "dual_pairs", tuple(self.dual_pairs))
         object.__setattr__(self, "symplectic", tuple(self.symplectic))
         object.__setattr__(self, "orthogonal", tuple(self.orthogonal))
+        if any(m < 1 for _, m in
+               self.dual_pairs + self.symplectic + self.orthogonal):
+            raise ValueError("multiplicities must be >= 1")
         seen = set()
         for atom, m in self.dual_pairs:
             if atom.is_self_dual():
                 raise ValueError(f"dual-pair atom {atom} is self-dual")
-            if m < 1:
-                raise ValueError("multiplicities must be >= 1")
             if atom in seen or atom.dual() in seen:
                 raise ValueError("dual-pair atoms must be distinct as unordered pairs")
             seen.add(atom)

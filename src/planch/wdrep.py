@@ -37,19 +37,13 @@ def sp_tensor(m: int, n: int) -> list[int]:
 
 
 def sp_sym2(m: int) -> list[int]:
-    out, k = [], 2 * m - 1
-    while k >= 1:
-        out.append(k)
-        k -= 4
-    return out
+    """Sym^2 Sp(m) = Sp(2m - 1) + Sp(2m - 5) + ..."""
+    return list(range(2 * m - 1, 0, -4))
 
 
 def sp_wedge2(m: int) -> list[int]:
-    out, k = [], 2 * m - 3
-    while k >= 1:
-        out.append(k)
-        k -= 4
-    return out
+    """wedge^2 Sp(m) = Sp(2m - 3) + Sp(2m - 7) + ..."""
+    return list(range(2 * m - 3, 0, -4))
 
 
 # -- atom-list calculus (angle-generic) --------------------------------------
@@ -67,24 +61,25 @@ def dual_atoms(a: Sequence[Atom]) -> list[Atom]:
     return [(-u, m) for (u, m) in a]
 
 
-def sym2_atoms(a: Sequence[Atom]) -> list[Atom]:
+def _square_atoms(a: Sequence[Atom], own) -> list[Atom]:
+    """Sym^2 or wedge^2 of an atom list: each atom's own square, ``own``
+    (sp_sym2 or sp_wedge2) at twice its angle, and each pair of atoms'
+    tensor product."""
     out = []
     atoms = list(a)
     for i, (u, m) in enumerate(atoms):
-        out.extend((u + u, k) for k in sp_sym2(m))
+        out.extend((u + u, k) for k in own(m))
         for (v, n) in atoms[i + 1:]:
             out.extend((u + v, k) for k in sp_tensor(m, n))
     return out
+
+
+def sym2_atoms(a: Sequence[Atom]) -> list[Atom]:
+    return _square_atoms(a, sp_sym2)
 
 
 def wedge2_atoms(a: Sequence[Atom]) -> list[Atom]:
-    out = []
-    atoms = list(a)
-    for i, (u, m) in enumerate(atoms):
-        out.extend((u + u, k) for k in sp_wedge2(m))
-        for (v, n) in atoms[i + 1:]:
-            out.extend((u + v, k) for k in sp_tensor(m, n))
-    return out
+    return _square_atoms(a, sp_wedge2)
 
 
 def ad_atoms(a: Sequence[Atom]) -> list[Atom]:

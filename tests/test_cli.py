@@ -123,6 +123,21 @@ def test_degenerate_limit_settings_exit_3(tmp_path, capsys):
         assert "precondition violated" in err and "must be" in err, flags
 
 
+def test_multiplicity_below_one_exits_3(tmp_path, capsys):
+    """An In, Is or Io multiplicity below 1 breaks a precondition of the
+    triple, alone or beside a real atom."""
+    for triple in ({"Io": [{"angle": "0", "sp": 1, "q": 0}]},
+                   {"Io": [{"angle": "0", "sp": 1, "q": -2}]},
+                   {"Is": [{"angle": "0", "sp": 2, "p": 0}]},
+                   {"In": [{"angle": "1/3", "sp": 1, "m": 0}]},
+                   {"Io": [{"angle": "0", "sp": 1, "q": 1},
+                           {"angle": "1/2", "sp": 1, "q": 0}]}):
+        path = write(tmp_path, "t.json", triple)
+        assert main(["limit-verify", "--triple", path, "--p", "3",
+                     "--q", "3"]) == 3, triple
+        assert "multiplicities must be >= 1" in capsys.readouterr().err
+
+
 def test_huge_test_function_exits_3_without_a_warning(tmp_path, capsys):
     """A finite Phi whose products leave floating range makes a left mean
     that is not finite: exit 3 with a message that names the range, and no

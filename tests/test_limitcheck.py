@@ -49,8 +49,11 @@ FAST = QuadConfig(s0=0.1, s_count=4, n_base=64, rhs_n=128)
 class LopsidedPhi(TestFunction):
     """Deliberately not Weyl-invariant: depends on the first block only."""
 
+    def __init__(self, scale: float = 1.0):
+        self.scale = scale
+
     def phasor_values(self, dims, z):
-        return z(0, "real", np.real)
+        return self.scale * z(0, np.real)
 
     def describe(self):
         return {"kind": "lopsided"}
@@ -64,6 +67,48 @@ def test_test_functions_invariant():
         check_weyl_invariance(phi, (1, 1, 2, 2), rng)
     with pytest.raises(NotWeylInvariant):
         check_weyl_invariance(LopsidedPhi(), (1, 1), rng)
+
+
+def test_weyl_check_is_relative_to_phi():
+    """Permuting equal blocks reorders Phi's sums, which moves its rounding
+    in proportion to its size: large invariant test functions pass the
+    check (an absolute 1e-12 refused each of these), and a lopsided one is
+    refused at any scale."""
+    dims = ComponentModel(T_D3, SPEC3).dims
+    check_weyl_invariance(TrigPhi([(1, 1, 1e4), (2, 1, 3e3)]), dims,
+                          np.random.default_rng(20240901))
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        check_weyl_invariance(TrigPhi([(1, 1, 1e3)]), (1,) * 5, rng)
+        check_weyl_invariance(GaussianPhi(width=0.2), (1,) * 5, rng)
+    for scale in (1e-3, 1.0, 1e6):
+        with pytest.raises(NotWeylInvariant):
+            check_weyl_invariance(LopsidedPhi(scale), dims,
+                                  np.random.default_rng(1))
+
+
+@st.composite
+def _invariant_phi(draw):
+    """Block sizes 1 to 3, two to six blocks, and a TrigPhi with
+    coefficients and constant up to 1e6 on those sizes, or a GaussianPhi."""
+    dims = tuple(draw(st.lists(st.integers(1, 3), min_size=2, max_size=6)))
+    big = st.floats(-1e6, 1e6)
+    phi = draw(st.one_of(
+        st.builds(TrigPhi, st.lists(st.tuples(
+            st.integers(-4, 4), st.sampled_from(dims),
+            st.builds(complex, big, big)), max_size=6), big),
+        st.builds(GaussianPhi, st.floats(0.05, 1.0), st.floats(-1.0, 1.0),
+                  st.integers(0, 8))))
+    return dims, phi, draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_invariant_phi())
+def test_weyl_check_passes_invariant_phi(case):
+    """Every TrigPhi and GaussianPhi is invariant under permutations of
+    equal-size blocks, so the Weyl check passes them at any size."""
+    dims, phi, seed = case
+    check_weyl_invariance(phi, dims, np.random.default_rng(seed))
 
 
 def test_values_alone_is_refused():
@@ -636,11 +681,11 @@ def _same(w):
 
 def test_grid_chunks_are_the_grid_phasors(monkeypatch):
     """Each chunk of _grid_chunks holds, in node order, E_r = e(t_r) of its
-    nodes, read through the block accessor as the phasors of unit atoms,
-    and block phasors equal to those of its nodes: dims 0-3, ragged last
-    chunks, a chunk per row segment when n > BLOCK.  A 1-D segment makes
-    them as ``Phasors.of_nodes`` does, from powers of E_r.  Every chunk of a grid
-    of two or more axes is a ``GridChunk`` and reads them from its grid's
+    nodes, read through ``at`` as the phasors of unit angles, and block
+    phasors equal to those of its nodes: dims 0-3, ragged last chunks, a
+    chunk per row segment when n > BLOCK.  A 1-D segment makes them as
+    ``Phasors.of_nodes`` does, from powers of E_r.  Every chunk of a grid of
+    two or more axes is a ``GridChunk`` and reads them from its grid's
     tables, which are compared with the phasor of the exact angle const +
     (c.I mod n + sum_r c_r (1/2 + offset)) / n at the node of index I."""
     offset = QuadConfig().offset
@@ -661,7 +706,6 @@ def test_grid_chunks_are_the_grid_phasors(monkeypatch):
                  for r in range(dim)]
         for ph in limitcheck._grid_chunks(dim, n):
             m = ph.shape[1]
-            zu, za = ph.blocks(units), ph.blocks(atoms)
             assert ph.shape == (dim, m) and math.prod(ph.nodes) == m <= chunk
             t, nodes = grid[:, start:start + m], index[:, start:start + m]
             start += m
@@ -672,13 +716,10 @@ def test_grid_chunks_are_the_grid_phasors(monkeypatch):
                 ref = [exact(a, nodes) for a, _ in atoms]
             else:
                 axes = np.exp(2j * np.pi * t)
-                zr = limitcheck.Phasors.of_nodes(t).blocks(atoms)
-                ref = [zr(b, "id", _same) for b in range(len(atoms))]
-            for b, want in enumerate(axes):
-                got = np.broadcast_to(zu(b, "id", _same), ph.nodes).ravel()
-                assert np.abs(got - want).max() <= 1e-15
-            for b, want in enumerate(ref):
-                got = np.broadcast_to(za(b, "id", _same), ph.nodes).ravel()
+                pt = limitcheck.Phasors.of_nodes(t)
+                ref = [pt.at(a, _same) for a, _ in atoms]
+            for (a, _), want in zip(units + atoms, list(axes) + ref):
+                got = np.broadcast_to(ph.at(a, _same), ph.nodes).ravel()
                 assert np.abs(got - want).max() <= 1e-15
         assert start == n ** dim
         if n ** dim > chunk:
@@ -799,7 +840,7 @@ def test_factors_on_one_direction_on_grid_chunks(monkeypatch):
             unit_coeffs=tuple(unit * x for x in c), qpow=rng.uniform(-2, 2),
             exponent=rng.uniform(-3, 3), factors=factors)
         # a direction that steps back along the rows or the columns
-        backward += any(x < 0 for x in limitcheck._direction(c)[0])
+        backward += any(x < 0 for x in limitcheck._primitive(c)[0])
         for n in grids[nfree]:
             t, index = _full_grid(nfree, n, offset), _grid_index(nfree, n)
             exact = _exact_on_grid(n, offset)
@@ -854,10 +895,36 @@ def test_phi_on_broadcast_phasors():
                         const=0.7),
                 GaussianPhi(width=0.4, center=0.25)):
         got = np.broadcast_to(phi.phasor_values(
-            dims, lambda b, key, fn: fn(z[b])), (rows, n)).ravel()
+            dims, lambda b, fn: fn(z[b])), (rows, n)).ravel()
         want = np.broadcast_to(phi.phasor_values(
-            dims, lambda b, key, fn: fn(flat[b])), rows * n)
+            dims, lambda b, fn: fn(flat[b])), rows * n)
         assert np.abs(got - want).max() <= 1e-15
+
+
+def test_each_angle_and_fn_is_tabulated_once_per_grid(monkeypatch):
+    """A grid keys its tables by (angle, fn), and every caller hands each
+    chunk the same fn: a direction's product made once per s, a TrigPhi's
+    per-size function, a GaussianPhi's bound method.  So over the chunks of
+    a T_D3 grid each direction of the left program and each block is
+    tabulated once."""
+    monkeypatch.setattr(FactorProgram, "BLOCK", 256)
+    model = ComponentModel(T_D3, SPEC3)
+    made = Counter()
+    table = limitcheck._ResidueGrid.table
+
+    def counting(grid, a, fn):
+        made[a, fn] += (a, fn) not in grid._tables
+        return table(grid, a, fn)
+
+    monkeypatch.setattr(limitcheck._ResidueGrid, "table", counting)
+    directions = sum(map(len, model.lhs_program._dirs))
+    blocks = sum(any(a.coeffs) for a, _ in model.lhs_atoms)
+    for phi in (TrigPhi([(1, 1, 0.3 + 0.1j)]), GaussianPhi()):
+        made.clear()
+        limitcheck._grid_mean(lambda ph: model.lhs_integrand(phi, ph, 0.1),
+                              2, 64)
+        assert set(made.values()) == {1}
+        assert len(made) == directions + blocks
 
 
 _MODELS = {2: ComponentModel(T_D3, SPEC3),

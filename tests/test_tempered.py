@@ -170,6 +170,17 @@ def test_triple_validation():
         OrthTriple(dual_pairs=((WDAtom(F(0), 1), 1),))  # self-dual in In
     with pytest.raises(ValueError):
         OrthTriple(orthogonal=((WDAtom(F(0), 1), 1), (WDAtom(F(0), 1), 2)))
+    # every multiplicity is at least 1, also beside a real atom
+    for m in (0, -2):
+        with pytest.raises(ValueError, match="multiplicities"):
+            OrthTriple(orthogonal=((WDAtom(F(0), 1), m),))
+        with pytest.raises(ValueError, match="multiplicities"):
+            OrthTriple(symplectic=((WDAtom(F(0), 2), m),))
+        with pytest.raises(ValueError, match="multiplicities"):
+            OrthTriple(dual_pairs=((WDAtom(F(1, 3), 1), m),))
+        with pytest.raises(ValueError, match="multiplicities"):
+            OrthTriple(orthogonal=((WDAtom(F(0), 1), 1),
+                                   (WDAtom(F(1, 2), 1), m)))
     t = OrthTriple(dual_pairs=((WDAtom(F(1, 5), 2), 1),),
                    orthogonal=((WDAtom(F(0), 3), 2),))
     assert t.d == 4 + 6

@@ -5,9 +5,12 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planch.field import LocalFieldSpec, gamma_star_trivial, gamma_trivial
 from planch.limitcheck import AffineAngle
+from planch.spectral import GeometricFactor, SpectralFunction
 from planch.wdrep import (SELF_DUAL_BOTH, SELF_DUAL_NONE,
                           SELF_DUAL_ORTHOGONAL, SELF_DUAL_SYMPLECTIC, WDAtom,
                           WDRep, ad_atoms, ad_over_center_atoms,
@@ -179,6 +182,36 @@ def test_functional_equation():
         for _ in range(5):
             s = complex(rng.uniform(-1, 1), rng.uniform(0.05, 1.0))
             assert abs(g.evaluate(s) * gd.evaluate(1 - s) - 1) < 1e-10
+
+
+def _reflect(f: SpectralFunction) -> SpectralFunction:
+    """s -> f(1 - s), exactly: q^{-a(1 - s)} = q^{-a} q^{a s}, and the
+    factor with (shift, sdir) becomes the one with (shift + sdir, -sdir)."""
+    return SpectralFunction(
+        f.unit_angle, f.qpow - f.exponent, -f.exponent,
+        tuple(GeometricFactor(g.angle, g.shift + g.sdir, -g.sdir)
+              for g in f.num),
+        tuple(GeometricFactor(g.angle, g.shift + g.sdir, -g.sdir)
+              for g in f.den), f.q)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.fractions(0, 1, max_denominator=24),
+                          st.integers(1, 4)), min_size=1, max_size=4),
+       st.sampled_from(((2, 2), (2, 4), (3, 3), (5, 25), (7, 7))),
+       st.integers(-3, 3),
+       st.tuples(st.floats(0.1, 0.9), st.floats(0.05, 1.0)))
+def test_functional_equation_property(atoms, field, level, s):
+    """gamma(s, rho, psi) gamma(1 - s, rho dual, psi) = 1 for unramified
+    rho, whose determinant is trivial on -1: as spectral functions, exactly,
+    and in value at one s."""
+    spec = LocalFieldSpec(*field, level)
+    rho = WDRep.from_atom_list(atoms)
+    g = rho.gamma_factor(spec)
+    gd = rho.dual().gamma_factor(spec)
+    assert g.multiply(_reflect(gd)).is_one()
+    s = complex(*s)
+    assert abs(g.evaluate(s) * gd.evaluate(1 - s) - 1) < 1e-10
 
 
 def test_gamma_ord_equals_l_pole_order():

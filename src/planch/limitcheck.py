@@ -102,6 +102,15 @@ class AffineAngle:
         """e(const), made once per angle."""
         return cmath.exp(2j * math.pi * self.const)
 
+    def __hash__(self):
+        return self._hash
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        """The dataclass hash, made once per angle: a grid looks its tables
+        up by angle on every chunk, and a ``Fraction`` hashes slowly."""
+        return hash((self.const, self.coeffs))
+
     def is_identically_zero(self) -> bool:
         return mod1(self.const) == 0 and all(c == 0 for c in self.coeffs)
 
@@ -239,7 +248,9 @@ class _ResidueGrid:
 
     def __init__(self, dim: int, n: int):
         self.dim, self.n = dim, n
-        self._roots = _unit_roots(n)
+        roots = _unit_roots(n)
+        # two periods, so that roots rotated by any whole place are a slice
+        self._roots = np.concatenate((roots, roots))
         self._tables = {}
 
     def table(self, a: AffineAngle, fn: Callable) -> np.ndarray:
@@ -253,7 +264,9 @@ class _ResidueGrid:
         tables: fn is tabulated again for every fn that is not equal to it,
         so a caller passes the same fn on every chunk.  A real fn is stored
         complex: a chunk that mixes float64 with complex operands in
-        ``_small_buffers`` pays a cast per buffer of 16."""
+        ``_small_buffers`` pays a cast per buffer of 16.  Besides fn, a
+        table costs a constant number of numpy calls: a slice of the roots,
+        one multiply, and one broadcast copy into the extension."""
         view = self._tables.get((a, fn))
         if view is None:
             n, c, const = self.n, a.coeffs, a.const
@@ -263,22 +276,24 @@ class _ResidueGrid:
             num, den = _HALF
             p, r = const.numerator, const.denominator
             whole, frac = divmod(int(sum(c)) * num * r + n * p * den, den * r)
-            values = np.asarray(fn(np.roll(self._roots, -whole) * cmath.exp(
-                2j * math.pi * (frac / (den * r * n)))), dtype=complex)
-            steps = (1, c[-2], c[-1])
-            shape = (n if self.dim > 2 else 1,) + tuple(n if k else 1
-                                                      for k in steps[1:])
+            whole %= n
+            values = fn(self._roots[whole:whole + n] * cmath.exp(
+                2j * math.pi * (frac / (den * r * n))))
+            # W's steps along f, i and j; a step of 0 (f's when dim = 2)
+            # gives an axis of length 1
+            steps = (int(self.dim > 2), c[-2], c[-1])
             # W[0, 0, 0] sits at a multiple of n, so position p holds
             # values[p mod n]: the lowest position W reads is then >= 0
-            back = sum(max(0, -k) * (m - 1) for k, m in zip(steps, shape))
+            back = (n - 1) * sum(max(0, -k) for k in steps)
             start = -(-back // n) * n
-            ext = np.resize(values, start + 1 + sum(
-                max(0, k) * (m - 1) for k, m in zip(steps, shape)))
+            size = start + 1 + (n - 1) * sum(max(0, k) for k in steps)
+            ext = np.empty(-(-size // n) * n, complex)
+            ext.reshape(-1, n)[...] = values  # fn may return one scalar
             ext.flags.writeable = False
             item = ext.itemsize
             view = self._tables[a, fn] = np.ndarray(
-                shape, complex, buffer=ext, offset=start * item,
-                strides=tuple(k * item for k in steps))
+                tuple(n if k else 1 for k in steps), complex, buffer=ext,
+                offset=start * item, strides=tuple(k * item for k in steps))
         return view
 
 
@@ -374,9 +389,11 @@ class FactorProgram:
 
     # most nodes in one chunk of a streamed grid (``_grid_chunks``):
     # ``eval_phasors`` on a grid chunk holds one chunk-sized array, its
-    # output; of 2^11 ... 2^15, 2^13 and 2^14 gave the fastest limit-d3
-    # grids, within noise, on a 2-core Xeon with numpy 2.4
-    BLOCK = 1 << 13
+    # output.  limit-d3 ops_per_s through bench/run.py (10 alternating
+    # rounds of 10 s, 2-core Xeon, numpy 2.4, median [quartiles]): 2^13
+    # 60.3 [55.3, 62.9], 2^14 67.8 [60.3, 71.6], 2^15 73.5 [66.4, 76.1],
+    # 2^16 72.7 [66.2, 74.5]; 2^15 won 5 of the 10 rounds, 2^16 4
+    BLOCK = 1 << 15
 
     def __post_init__(self):
         zero = (0,) * self.nfree
@@ -645,19 +662,19 @@ def phi_from_dict(d: dict) -> TestFunction:
 def check_weyl_invariance(phi: TestFunction, dims: tuple, rng,
                           samples: int = 32, tol: float = 1e-12):
     """Reject test functions that change under permutations of equal-size
-    blocks (sampled) by more than tol relative to their largest sampled
+    blocks (8 sampled) by more than tol relative to their largest sampled
     value, or tol absolute when that is below 1: a permutation reorders
-    sums, and so moves the rounding of a large Phi."""
+    sums, and so moves the rounding of a large Phi.  The samples and all
+    their permutations take one call of ``values``."""
     dims = tuple(dims)
     angles = rng.random((len(dims), samples))
-    ref = phi.values(dims, angles)
-    bound = tol * max(1.0, np.max(np.abs(ref)))
-    for _ in range(8):
-        perm = _random_dim_preserving_permutation(dims, rng)
-        vals = phi.values(dims, angles[perm, :])
-        if np.max(np.abs(vals - ref)) > bound:
-            raise NotWeylInvariant("test function is not invariant under "
-                                   "permutations of equal blocks")
+    perms = [_random_dim_preserving_permutation(dims, rng) for _ in range(8)]
+    vals = phi.values(dims, np.concatenate(
+        [angles] + [angles[perm, :] for perm in perms], axis=1))
+    ref, vals = vals[:samples], vals[samples:].reshape(len(perms), samples)
+    if np.max(np.abs(vals - ref)) > tol * max(1.0, np.max(np.abs(ref))):
+        raise NotWeylInvariant("test function is not invariant under "
+                               "permutations of equal blocks")
 
 
 def _random_dim_preserving_permutation(dims, rng):

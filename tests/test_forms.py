@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import planch.forms as forms
 from planch.field import square_class
@@ -90,6 +92,46 @@ def test_classify_ad_invariance():
         assert classify_sharp(bc, 3) == classify_sharp(b, 3)
         assert char_poly_twisted(bc) == char_poly_twisted(b)
         assert disc_twisted(bc, 3) == disc_twisted(b, 3)
+
+
+@st.composite
+def _form_and_conjugator(draw):
+    """A nondegenerate form of dim 1 to 3 and an invertible m.  The form is
+    a random one (nearly always outside_sharp), a gamma_t representative,
+    or an alternating one of dim 2 (gamma_0), so that every orbit label
+    occurs; entries are small fractions."""
+    kind = draw(st.sampled_from(("random", "gamma_t", "gamma_0")))
+    d = 2 if kind == "gamma_0" else draw(st.integers(1, 3))
+    entry = st.fractions(-4, 4, max_denominator=3)
+
+    def square():
+        return mat(draw(st.lists(st.lists(entry, min_size=d, max_size=d),
+                                 min_size=d, max_size=d)))
+
+    if kind == "gamma_t":
+        b = gamma_t_representative(square_class(
+            draw(st.sampled_from((1, 2, 3, 5, 6, 7, 10))), 3), d)
+    elif kind == "gamma_0":
+        x = draw(entry.filter(bool))
+        b = BilForm(mat([[0, x], [-x, 0]]))
+    else:
+        b = BilForm(square())
+    assume(b.is_nondegenerate())
+    m = square()
+    assume(det(m) != 0)
+    return b, m
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_form_and_conjugator())
+def test_classify_and_char_poly_are_twisted_conjugation_invariant(case):
+    """classify_sharp at p = 2, 3 and 5 and char_poly_twisted do not change
+    under the twisted conjugation gram -> m^-T gram m^-1."""
+    b, m = case
+    bc = twisted_conjugate(b, m)
+    for p in (2, 3, 5):
+        assert classify_sharp(bc, p) == classify_sharp(b, p)
+    assert char_poly_twisted(bc) == char_poly_twisted(b)
 
 
 def test_classify_scaling_covariance():

@@ -1,3 +1,4 @@
+import cmath
 import copy
 import dataclasses
 import math
@@ -109,6 +110,55 @@ def test_weyl_check_passes_invariant_phi(case):
     equal-size blocks, so the Weyl check passes them at any size."""
     dims, phi, seed = case
     check_weyl_invariance(phi, dims, np.random.default_rng(seed))
+
+
+def _weyl_check_per_permutation(phi, dims, rng, samples=32, tol=1e-12):
+    """The Weyl check as one ``values`` call per permutation: True when it
+    passes."""
+    angles = rng.random((len(dims), samples))
+    ref = phi.values(dims, angles)
+    bound = tol * max(1.0, np.max(np.abs(ref)))
+    for _ in range(8):
+        perm = limitcheck._random_dim_preserving_permutation(dims, rng)
+        if np.max(np.abs(phi.values(dims, angles[perm, :]) - ref)) > bound:
+            return False
+    return True
+
+
+class TiltedPhi(TestFunction):
+    """An invariant test function plus tilt * Re z_0, which breaks its
+    invariance by about the tilt."""
+
+    def __init__(self, base, tilt):
+        self.base, self.tilt = base, tilt
+
+    def phasor_values(self, dims, z):
+        return self.base.phasor_values(dims, z) + self.tilt * z(0, np.real)
+
+    def describe(self):
+        return {"kind": "tilted"}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_invariant_phi(), st.sampled_from((0.0, 1e-14, 1e-12, 1e-10, 1e-6)))
+def test_weyl_check_in_one_call_decides_like_one_call_per_permutation(
+        case, tilt):
+    """The Weyl check costs Phi at the samples and their 8 permutations in
+    one ``values`` call: on random TrigPhi and GaussianPhi, invariant or
+    tilted across the bound, it decides as one call per permutation does,
+    from the same draws."""
+    dims, phi, seed = case
+    if tilt:
+        phi = TiltedPhi(phi, tilt * max(1.0, abs(phi.values(
+            dims, np.zeros((len(dims), 1)))[0])))
+    passes = _weyl_check_per_permutation(phi, dims,
+                                         np.random.default_rng(seed))
+    try:
+        check_weyl_invariance(phi, dims, np.random.default_rng(seed))
+    except NotWeylInvariant:
+        assert not passes
+    else:
+        assert passes
 
 
 def test_values_alone_is_refused():
@@ -1017,13 +1067,101 @@ def test_chunk_evaluation_holds_only_its_output():
             model.lhs_program.eval_phasors(ph, 0.05)
 
     model = ComponentModel(T_D3, SPEC3)
-    n = 128
+    # the least power of two whose square holds a chunk, so that BLOCK // n
+    # whole rows fit the grid and its first chunk is full
+    n = 1 << FactorProgram.BLOCK.bit_length() // 2
     peak = peak_of(program)
     assert peak < 2, peak
     for phi in (TrigPhi([(1, 1, 0.3 + 0.1j), (2, 1, -0.2 + 0j)]),
                 GaussianPhi()):
         peak = peak_of(lambda ph: model.lhs_integrand(phi, ph, 0.05))
         assert peak < 2.5, (phi.describe(), peak)
+
+
+def test_lhs_mean_does_not_depend_on_the_chunk_size(monkeypatch):
+    """lhs_mean on T_D3 with ConstantPhi, TrigPhi and GaussianPhi, and on
+    T_IN at an s whose 1-D grid is longer than BLOCK, gives the same mean,
+    error, n and node count with BLOCK as with chunks of 2^13 nodes: a
+    chunk's size only regroups the sum."""
+    cfg = QuadConfig()
+    phis = (ConstantPhi(1.3), TrigPhi([(1, 1, 0.3 + 0.1j), (2, 1, -0.2 + 0j)]),
+            GaussianPhi())
+    cases = [(T_D3, s, phi) for s in (0.1, 0.025) for phi in phis]
+    cases.append((T_IN, 3e-4, phis[1]))
+    assert ComponentModel(T_IN, SPEC3).lhs_grid_size(3e-4, cfg)[0] > \
+        FactorProgram.BLOCK
+    for triple, s, phi in cases:
+        model = ComponentModel(triple, SPEC3)
+        mean, err, n, nodes, capped = model.lhs_mean(phi, s, cfg)
+        with monkeypatch.context() as m:
+            m.setattr(FactorProgram, "BLOCK", 1 << 13)
+            mean0, err0, n0, nodes0, capped0 = model.lhs_mean(phi, s, cfg)
+        assert (n, nodes, capped) == (n0, nodes0, capped0)
+        assert abs(mean - mean0) <= 1e-13 * abs(mean0), (triple, s, phi)
+        assert abs(err - err0) <= 1e-13 * abs(mean0), (triple, s, phi)
+
+
+def _roll_resize_table(dim, n, a, fn):
+    """A residue table as ``_ResidueGrid.table`` first built it: the roots
+    rotated by np.roll, fn's values cast to complex and extended by
+    np.resize; returns the view and its buffer."""
+    num, den = limitcheck._HALF
+    c, p, r = a.coeffs, a.const.numerator, a.const.denominator
+    whole, frac = divmod(int(sum(c)) * num * r + n * p * den, den * r)
+    values = np.asarray(fn(np.roll(limitcheck._unit_roots(n), -whole)
+                           * cmath.exp(2j * math.pi * (frac / (den * r * n)))),
+                        dtype=complex)
+    steps = (1, c[-2], c[-1])
+    shape = (n if dim > 2 else 1,) + tuple(n if k else 1 for k in steps[1:])
+    back = sum(max(0, -k) * (m - 1) for k, m in zip(steps, shape))
+    start = -(-back // n) * n
+    ext = np.resize(values, start + 1 + sum(
+        max(0, k) * (m - 1) for k, m in zip(steps, shape)))
+    return np.ndarray(shape, complex, buffer=ext, offset=start * ext.itemsize,
+                      strides=tuple(k * ext.itemsize for k in steps)), ext
+
+
+def test_residue_tables_match_the_roll_resize_construction():
+    """Each residue table, made from a slice of the grid's roots and one
+    broadcast copy, is bit for bit the table np.roll and np.resize made:
+    the same shape, offset and strides (along each axis longer than 1), and
+    the same bytes wherever the view reads.  Random angles with negative and zero coefficients, dims 2
+    and 3, n from 1 to beyond BLOCK, and fns that return a complex array, a
+    real one, and a scalar (GaussianPhi with hmax = 0)."""
+    rng = random.Random(18)
+    prog = ComponentModel(T_D3, SPEC3).lhs_program
+    fns = [_same, np.real, GaussianPhi(hmax=0)._bump, GaussianPhi()._bump,
+           TrigPhi([(1, 1, 0.3 + 0.1j), (-2, 1, 0.2 + 0j)])._g[1]]
+    fns += [fn for kind in prog._at(0.05)[1:] for _, fn in kind]
+    sizes = (1, 2, 3, 7, 64, 131, FactorProgram.BLOCK + 3)
+    compared = 0
+    for case in range(120):
+        dim, n = 2 + case % 2, sizes[case // 2 % len(sizes)]
+        grid = limitcheck._ResidueGrid(dim, n)
+        while True:
+            c = tuple(rng.choice((-3, -2, -1, 0, 0, 1, 2, 3))
+                      for _ in range(dim))
+            if any(c):
+                break
+        a = AffineAngle(F(rng.randrange(60), rng.choice((1, 5, 12, 60))), c)
+        fn = fns[case % len(fns)]
+        got, want = grid.table(a, fn), _roll_resize_table(dim, n, a, fn)
+        want, ext = want
+        assert got.shape == want.shape
+        assert [k for k, m in zip(got.strides, got.shape) if m > 1] == \
+            [k for k, m in zip(want.strides, want.shape) if m > 1]
+        assert not got.flags.writeable
+        base = got.base
+        at = (got.__array_interface__["data"][0]
+              - base.__array_interface__["data"][0])
+        assert at == want.__array_interface__["data"][0] - \
+            ext.__array_interface__["data"][0]
+        # every position the view reads lies within the old buffer
+        assert base[:len(ext)].tobytes() == ext.tobytes()
+        if got.size <= 1 << 20:
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+            compared += 1
+    assert compared > 60
 
 
 def test_lhs_mean_memory_does_not_grow_with_the_grid():

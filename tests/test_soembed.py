@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from planch.forms import (BilForm, NotInGroupError, b_of_g, bruhat_factor,
                           build_odd_so, det, identity, in_g_prime, inverse,
@@ -126,6 +128,45 @@ def test_rank_one_property_and_roundtrip():
             assert mat_eq(mt_form.gram, bg.gram)
             u1, mt, u2 = bruhat_factor(emb, g)
             assert mat_eq(mat_mul(u1, mat_mul(mt, u2)), g)
+
+
+@st.composite
+def _nbar_in_g_prime(draw):
+    """A random element of the lower unipotent radical for d = 2 or 3, with
+    linear form ell and S = T - T^T - ell ell^T / 2 from small fractions,
+    that lies in G' (B_g nondegenerate)."""
+    d = draw(st.sampled_from((2, 3)))
+    entry = st.fractions(-4, 4, max_denominator=3)
+    ell = draw(st.lists(entry, min_size=d, max_size=d))
+    t = draw(st.lists(st.lists(entry, min_size=d, max_size=d), min_size=d,
+                      max_size=d))
+    s = mat([[t[i][j] - t[j][i] - ell[i] * ell[j] / 2 for j in range(d)]
+             for i in range(d)])
+    emb = build_odd_so(d)
+    g = emb.n_bar_element(ell, s)
+    assume(in_g_prime(emb, g))
+    return emb, g
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_nbar_in_g_prime())
+def test_bruhat_round_trip_property(case):
+    """For random nbar in G', bruhat_factor gives u1 mtilde u2 == g, with
+    u1 and u2 upper unipotent (each is n_element of its own column and
+    block) and mtilde in the twisted Levi component, whose form is B_g."""
+    emb, g = case
+    d = emb.d
+    u1, mt, u2 = bruhat_factor(emb, g)
+    assert mat_eq(mat_mul(u1, mat_mul(mt, u2)), g)
+    for u in (u1, u2):
+        w = [u[i][d] for i in range(d)]
+        block = [[u[i][d + 1 + j] for j in range(d)] for i in range(d)]
+        assert mat_eq(u, emb.n_element(w, block))
+    levi = {(i, j) for i in range(d) for j in range(d + 1, 2 * d + 1)}
+    levi |= {(j, i) for i, j in levi} | {(d, d)}
+    assert all(mt[i][j] == 0 for i in range(2 * d + 1)
+               for j in range(2 * d + 1) if (i, j) not in levi)
+    assert mat_eq(b_of_g(emb, mt).gram, b_of_g(emb, g).gram)
 
 
 def test_degenerate_ubar():

@@ -57,7 +57,7 @@ import numpy as np
 from .field import (LocalFieldSpec, gamma_star_trivial, gamma_trivial,
                     read_number)
 from .forms import det, mat
-from .spectral import PoleError, mod1
+from .spectral import PoleError, as_fraction, mod1
 from .tempered import OrthTriple, TripleConstants, appendix_constants
 from .wdrep import (WDRep, ad_over_center_atoms, gamma_parts, sym2_atoms,
                     wedge2_atoms)
@@ -85,7 +85,7 @@ class AffineAngle:
         if isinstance(other, AffineAngle):
             return AffineAngle(self.const + other.const,
                                tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-        return AffineAngle(self.const + Fraction(other), self.coeffs)
+        return AffineAngle(self.const + as_fraction(other), self.coeffs)
 
     __radd__ = __add__
 
@@ -112,13 +112,13 @@ class AffineAngle:
         return hash((self.const, self.coeffs))
 
     def is_identically_zero(self) -> bool:
-        return mod1(self.const) == 0 and all(c == 0 for c in self.coeffs)
+        return self.const.denominator == 1 and not any(self.coeffs)
 
 
 def _as_affine(x, nfree: int) -> AffineAngle:
     if isinstance(x, AffineAngle):
         return x
-    return AffineAngle(Fraction(x), (0,) * nfree)
+    return AffineAngle(as_fraction(x), (0,) * nfree)
 
 
 # -- compiled factor programs -----------------------------------------------------
@@ -1107,7 +1107,7 @@ def verify(triple: OrthTriple, phi: TestFunction, spec: LocalFieldSpec,
 def subtorus_twists(triple: OrthTriple, free: Sequence[Fraction]) -> list:
     """Per-block twist angles for a point of the mirrored subtorus, given its
     free coordinates, numbered as in the rows of ``triple.layout()``."""
-    free = [Fraction(x) for x in free]
+    free = [as_fraction(x) for x in free]
     expected, rows = mirror_structure(triple)
     if len(free) != expected:
         raise ValueError(f"expected {expected} free coordinates, got {len(free)}")
@@ -1119,7 +1119,7 @@ def point_parameter(triple: OrthTriple, twists: Sequence[Fraction]) -> WDRep:
     blocks = component_blocks(triple)
     if len(twists) != len(blocks):
         raise ValueError("one twist per block required")
-    return WDRep.from_atom_list([(mod1(u + Fraction(t)), k)
+    return WDRep.from_atom_list([(u + as_fraction(t), k)
                                  for (k, u), t in zip(blocks, twists)])
 
 
@@ -1132,11 +1132,11 @@ def lhs_integrand_exact(triple: OrthTriple, phi: TestFunction, s: float,
     order jumps the value is the limiting one (zero along collision loci)."""
     if s <= 0:
         raise ValueError("the integrand is evaluated at s > 0")
-    twists = [Fraction(t) for t in twists]
+    twists = [as_fraction(t) for t in twists]
     param = point_parameter(triple, twists)
     blocks = component_blocks(triple)
     total = sum((k * t for (k, _), t in zip(blocks, twists)), Fraction(0))
-    if mod1(total) != 0:
+    if total.denominator != 1:
         raise ValueError("twists must satisfy the sum-zero constraint")
     angles = np.array([[float(mod1(u + t))]
                        for (k, u), t in zip(blocks, twists)])
@@ -1180,21 +1180,21 @@ def singular_exponent(triple: OrthTriple, twists: Sequence[Fraction]) -> int:
     point, counted through the vanishing linear forms of the pinch loci:
     dual-pair sums, symplectic sums below the diagonal, orthogonal sums on
     and below the diagonal."""
-    twists = [Fraction(t) for t in twists]
+    twists = [as_fraction(t) for t in twists]
     count = 0
     offset_dual = sum(m for _, m in triple.dual_pairs)
     i0 = 0
     for a, m in triple.dual_pairs:
         xs = twists[i0:i0 + m]
         xvs = twists[offset_dual + i0:offset_dual + i0 + m]
-        count += sum(1 for x in xs for xv in xvs if mod1(x + xv) == 0)
+        count += sum(1 for x in xs for xv in xvs if (x + xv).denominator == 1)
         i0 += m
     pos = 2 * offset_dual
     for groups, above in ((triple.symplectic, 1), (triple.orthogonal, 0)):
         for a, p in groups:
             ys = twists[pos:pos + p]
             count += sum(1 for i in range(p) for j in range(i + above, p)
-                         if mod1(ys[i] + ys[j]) == 0)
+                         if (ys[i] + ys[j]).denominator == 1)
             pos += p
     return count
 

@@ -35,12 +35,19 @@ class OrderMismatchError(ArithmeticError):
 
 
 def mod1(x: Fraction) -> Fraction:
-    return x - (x.numerator // x.denominator)
+    """x reduced to [0, 1): x itself when it is there already."""
+    floor = x.numerator // x.denominator
+    return x - floor if floor else x
+
+
+def as_fraction(x) -> Fraction:
+    """x itself when it is a ``Fraction`` already, else ``Fraction(x)``."""
+    return x if type(x) is Fraction else Fraction(x)
 
 
 def turn(num, den=None) -> Fraction:
     """An exact angle in turns, reduced to [0, 1)."""
-    return mod1(Fraction(num, den) if den is not None else Fraction(num))
+    return mod1(Fraction(num, den) if den is not None else as_fraction(num))
 
 
 @dataclass(frozen=True, order=True)
@@ -56,13 +63,13 @@ class GeometricFactor:
     sdir: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "angle", mod1(Fraction(self.angle)))
-        object.__setattr__(self, "shift", Fraction(self.shift))
+        object.__setattr__(self, "angle", turn(self.angle))
+        object.__setattr__(self, "shift", as_fraction(self.shift))
         if self.sdir not in (1, -1):
             raise ValueError("sdir must be +1 or -1")
 
     def vanishes_at_zero(self) -> bool:
-        return self.angle == 0 and self.shift == 0
+        return self.angle.numerator == 0 and self.shift.numerator == 0
 
     def value(self, s: complex, q: int) -> complex:
         return 1 - cmath.exp(2j * math.pi * float(self.angle)) * \
@@ -97,9 +104,9 @@ class SpectralFunction:
     q: int = 2
 
     def __post_init__(self):
-        object.__setattr__(self, "unit_angle", mod1(Fraction(self.unit_angle)))
-        object.__setattr__(self, "qpow", Fraction(self.qpow))
-        object.__setattr__(self, "exponent", Fraction(self.exponent))
+        object.__setattr__(self, "unit_angle", turn(self.unit_angle))
+        object.__setattr__(self, "qpow", as_fraction(self.qpow))
+        object.__setattr__(self, "exponent", as_fraction(self.exponent))
         object.__setattr__(self, "num", tuple(self.num))
         object.__setattr__(self, "den", tuple(self.den))
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .field import LocalFieldSpec, QuadraticCharacter, read_number
-from .spectral import mod1
+from .spectral import mod1, turn
 from .wdrep import (SELF_DUAL_BOTH, SELF_DUAL_ORTHOGONAL, WDAtom, WDRep)
 
 
@@ -32,8 +32,8 @@ class TempBlock:
     twist: Fraction = Fraction(0)
 
     def __post_init__(self):
-        object.__setattr__(self, "angle", mod1(Fraction(self.angle)))
-        object.__setattr__(self, "twist", mod1(Fraction(self.twist)))
+        object.__setattr__(self, "angle", turn(self.angle))
+        object.__setattr__(self, "twist", turn(self.twist))
         if self.k < 1:
             raise ValueError("block size must be >= 1")
 
@@ -53,8 +53,7 @@ class TempPoint:
 
     @classmethod
     def of(cls, *blocks) -> "TempPoint":
-        return cls(tuple(TempBlock(k, Fraction(u), Fraction(t))
-                         for (k, u, t) in blocks))
+        return cls(tuple(TempBlock(k, u, t) for (k, u, t) in blocks))
 
     @property
     def d(self) -> int:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence, Tuple
 
 from .field import LocalFieldSpec, read_number
-from .spectral import GeometricFactor, SpectralFunction, mod1
+from .spectral import GeometricFactor, SpectralFunction, mod1, turn
 
 Atom = Tuple[object, int]  # (angle, sp-dimension)
 
@@ -110,20 +110,35 @@ def gamma_parts(atoms: Sequence[Atom], psi_level: int):
 
     The monodromy part of eps is det(-Frob q^{-s} | V^I / V_N^I); the naive
     recipe without the q^{1/2} weight fails the functional equation.
+
+    How it accumulates: per Sp size m it keeps the atom count, the sum of
+    the angles, r and 1 + r, so r and 1 + r are built once per size and
+    shared by its atoms.  The integer sums of n*m + m - 1 and of m - 1 over
+    the atoms give exponent, qpow = exponent / 2 and the half-integer part
+    of unit_angle with one ``Fraction`` each; unit_angle then adds each
+    size's angle sum times n*m + m - 1.  Per atom an exact call builds the
+    stored -u and one partial angle sum, nothing else.  No dict is keyed by
+    an angle: a ``Fraction`` hashes slowly.
     """
     n = psi_level
-    unit = Fraction(0)
-    qpow = Fraction(0)
-    exponent = Fraction(0)
+    sizes = {}  # m -> [atom count, sum of the angles, r, 1 + r]
     num, den = [], []
     for (u, m) in atoms:
-        unit = unit + u * (n * m + m - 1) + Fraction(m - 1, 2)
-        qpow += Fraction(n * m, 2) + Fraction(m - 1, 2)
-        exponent += Fraction(n * m + (m - 1))
-        r = Fraction(m - 1, 2)
-        num.append((u, r, 1))
-        den.append((-u, 1 + r, -1))
-    return unit, qpow, exponent, num, den
+        acc = sizes.get(m)
+        if acc is None:
+            r = Fraction(m - 1, 2)
+            acc = sizes[m] = [0, u, r, 1 + r]
+        else:
+            acc[1] = acc[1] + u
+        acc[0] += 1
+        num.append((u, acc[2], 1))
+        den.append((-u, acc[3], -1))
+    weights = sum(count * (n * m + m - 1) for m, (count, *_) in sizes.items())
+    halves = sum(count * (m - 1) for m, (count, *_) in sizes.items())
+    unit = Fraction(halves, 2)
+    for m, (_, total, *_) in sizes.items():
+        unit = total * (n * m + m - 1) + unit
+    return unit, Fraction(weights, 2), Fraction(weights), num, den
 
 
 # -- the public representation type -------------------------------------------
@@ -135,7 +150,7 @@ class WDAtom:
     sp: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "angle", mod1(Fraction(self.angle)))
+        object.__setattr__(self, "angle", turn(self.angle))
         if self.sp < 1:
             raise ValueError("Sp dimension must be >= 1")
 
@@ -144,7 +159,7 @@ class WDAtom:
         return self.sp
 
     def is_self_dual(self) -> bool:
-        return mod1(2 * self.angle) == 0
+        return self.angle.denominator <= 2
 
     def self_duality(self) -> str:
         if not self.is_self_dual():

@@ -4,10 +4,13 @@ from fractions import Fraction as F
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planch.field import LocalFieldSpec, gamma_trivial
 from planch.spectral import (GeometricFactor, OrderMismatchError, PoleError,
-                             RegularizationError, SpectralFunction, turn)
+                             RegularizationError, SpectralFunction, mod1,
+                             turn)
 
 SPEC3 = LocalFieldSpec(3, 3, 0)
 
@@ -217,3 +220,14 @@ def test_serialization_roundtrip():
 def test_turn_helper():
     assert turn(7, 3) == F(1, 3)
     assert turn(F(-1, 4)) == F(3, 4)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.fractions(-5, 5, max_denominator=60))
+def test_mod1_property(x):
+    """mod1(x) lies in [0, 1), differs from x by an integer, and is x
+    itself when x is in [0, 1) already."""
+    y = mod1(x)
+    assert type(y) is F and 0 <= y < 1
+    assert (x - y).denominator == 1
+    assert (y is x) == (0 <= x < 1)

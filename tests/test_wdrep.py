@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 
 from planch.field import LocalFieldSpec, gamma_star_trivial, gamma_trivial
 from planch.limitcheck import AffineAngle
-from planch.spectral import GeometricFactor, SpectralFunction
+from planch.spectral import GeometricFactor, SpectralFunction, mod1
 from planch.wdrep import (SELF_DUAL_BOTH, SELF_DUAL_NONE,
                           SELF_DUAL_ORTHOGONAL, SELF_DUAL_SYMPLECTIC, WDAtom,
                           WDRep, ad_atoms, ad_over_center_atoms,
-                          component_groups_brute_force, parse_rep_text,
-                          sp_sym2, sp_tensor, sp_wedge2)
+                          component_groups_brute_force, gamma_parts,
+                          parse_rep_text, sp_sym2, sp_tensor, sp_wedge2)
 
 SPEC3 = LocalFieldSpec(3, 3, 0)
 
@@ -212,6 +212,77 @@ def test_functional_equation_property(atoms, field, level, s):
     assert g.multiply(_reflect(gd)).is_one()
     s = complex(*s)
     assert abs(g.evaluate(s) * gd.evaluate(1 - s) - 1) < 1e-10
+
+
+def _gamma_parts_per_atom(atoms, psi_level):
+    """Reference for ``gamma_parts``: each output summed atom by atom in
+    ``Fraction``s, as the formula in its docstring reads."""
+    n = psi_level
+    unit, qpow, exponent = F(0), F(0), F(0)
+    num, den = [], []
+    for (u, m) in atoms:
+        unit = unit + u * (n * m + m - 1) + F(m - 1, 2)
+        qpow += F(n * m, 2) + F(m - 1, 2)
+        exponent += F(n * m + (m - 1))
+        r = F(m - 1, 2)
+        num.append((u, r, 1))
+        den.append((-u, 1 + r, -1))
+    return unit, qpow, exponent, num, den
+
+
+def _types(x):
+    """x with each number replaced by its type, affine angles opened up."""
+    if isinstance(x, AffineAngle):
+        return AffineAngle, _types(x.const), _types(x.coeffs)
+    if isinstance(x, (list, tuple)):
+        return type(x), tuple(_types(y) for y in x)
+    return type(x)
+
+
+@st.composite
+def _atom_lists(draw):
+    """Atoms with Fraction angles, or with affine angles over 0 to 3 free
+    coordinates; constants negative and beyond 1, denominators up to 60."""
+    nfree = draw(st.sampled_from((None, 0, 1, 2, 3)))
+    consts = st.fractions(-3, 3, max_denominator=60)
+    coeffs = st.tuples(*[st.integers(-3, 3)] * (nfree or 0))
+
+    def angle():
+        const = draw(consts)
+        return const if nfree is None else AffineAngle(const, draw(coeffs))
+
+    return [(angle(), draw(st.integers(1, 6)))
+            for _ in range(draw(st.integers(0, 8)))]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_atom_lists(), st.integers(-2, 3))
+def test_gamma_parts_matches_the_per_atom_sums(atoms, level):
+    """All five outputs equal the per-atom accumulation, with the same
+    types, for the exact angles of ``WDRep`` and the affine angles of
+    ``FactorProgram.compile``."""
+    got = gamma_parts(atoms, level)
+    want = _gamma_parts_per_atom(atoms, level)
+    assert got == want
+    assert _types(got) == _types(want)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.fractions(-3, 3, max_denominator=60),
+       st.fractions(-3, 3, max_denominator=60),
+       st.lists(st.integers(-2, 2), max_size=3))
+def test_exact_zero_tests_agree_with_mod1(x, y, coeffs):
+    """The zero tests that read a denominator or a numerator decide as the
+    reduction mod 1 does, and a constructor keeps a Fraction it is given."""
+    assert WDAtom(x).is_self_dual() == (mod1(2 * x) == 0)
+    g = GeometricFactor(x, y)
+    assert g.vanishes_at_zero() == (mod1(x) == 0 and y == 0)
+    assert g.shift is y
+    a = AffineAngle(x, tuple(coeffs))
+    assert a.is_identically_zero() == (mod1(x) == 0
+                                       and all(c == 0 for c in coeffs))
+    u = mod1(x)
+    assert WDAtom(u).angle is u and GeometricFactor(u, y).angle is u
 
 
 def test_gamma_ord_equals_l_pole_order():

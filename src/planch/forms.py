@@ -168,29 +168,15 @@ def poly_mul(p: tuple, q: tuple) -> tuple:
 
 
 def poly_is_squarefree(p: tuple) -> bool:
-    """gcd(p, p') is constant; coefficients from the constant term up."""
-    dp = tuple(i * c for i, c in enumerate(p))[1:]
-    a, b = list(p), list(dp)
-    while any(c != 0 for c in b):
-        a, b = b, _poly_mod(a, b)
-    return len([c for c in a if c != 0]) <= 1 and a[0] != 0 if a else False
-
-
-def _poly_mod(a, b):
-    a = list(a)
-    while len(b) > 1 and b[-1] == 0:
-        b = b[:-1]
-    while len(a) >= len(b) and any(c != 0 for c in a):
-        while len(a) > 1 and a[-1] == 0:
-            a = a[:-1]
-        if len(a) < len(b):
-            break
-        f = a[-1] / b[-1]
-        k = len(a) - len(b)
-        for i, c in enumerate(b):
-            a[k + i] -= f * c
-        a = a[:-1]
-    return a
+    """p of degree n >= 1, coefficients from the constant term up, has no
+    repeated root: its resultant with p', the determinant of their
+    (2n - 1)-square Sylvester matrix, is not 0."""
+    n = len(p) - 1
+    dp = [i * c for i, c in enumerate(p)][1:]
+    rows = [[0] * i + coeffs[::-1] + [0] * (2 * n - 1 - i - len(coeffs))
+            for coeffs, count in ((list(p), n - 1), (dp, n))
+            for i in range(count)]
+    return det(rows) != 0
 
 
 # -- bilinear forms -------------------------------------------------------------

@@ -47,7 +47,6 @@ import dataclasses
 import functools
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, ClassVar, Optional, Sequence
@@ -56,9 +55,8 @@ import numpy as np
 
 from .field import (LocalFieldSpec, gamma_star_trivial, gamma_trivial,
                     read_number)
-from .forms import det, mat
 from .spectral import PoleError, as_fraction, mod1
-from .tempered import OrthTriple, TripleConstants, appendix_constants
+from .tempered import OrthTriple, appendix_constants, multiplicity_order
 from .wdrep import (WDRep, ad_over_center_atoms, gamma_parts, sym2_atoms,
                     wedge2_atoms)
 
@@ -659,20 +657,22 @@ def phi_from_dict(d: dict) -> TestFunction:
     raise ValueError(f"unknown test-function kind {kind!r}")
 
 
-def check_weyl_invariance(phi: TestFunction, dims: tuple, rng,
-                          samples: int = 32, tol: float = 1e-12):
+_WEYL_SAMPLES, _WEYL_TOL = 32, 1e-12
+
+
+def check_weyl_invariance(phi: TestFunction, dims: tuple, rng):
     """Reject test functions that change under permutations of equal-size
-    blocks (8 sampled) by more than tol relative to their largest sampled
-    value, or tol absolute when that is below 1: a permutation reorders
-    sums, and so moves the rounding of a large Phi.  The samples and all
-    their permutations take one call of ``values``."""
-    dims = tuple(dims)
+    blocks (8 sampled, at 32 random points) by more than 1e-12 relative to
+    their largest sampled value, or 1e-12 absolute when that is below 1: a
+    permutation reorders sums, and so moves the rounding of a large Phi.
+    The samples and all their permutations take one call of ``values``."""
+    dims, samples = tuple(dims), _WEYL_SAMPLES
     angles = rng.random((len(dims), samples))
     perms = [_random_dim_preserving_permutation(dims, rng) for _ in range(8)]
     vals = phi.values(dims, np.concatenate(
         [angles] + [angles[perm, :] for perm in perms], axis=1))
     ref, vals = vals[:samples], vals[samples:].reshape(len(perms), samples)
-    if np.max(np.abs(vals - ref)) > tol * max(1.0, np.max(np.abs(ref))):
+    if np.max(np.abs(vals - ref)) > _WEYL_TOL * max(1.0, np.max(np.abs(ref))):
         raise NotWeylInvariant("test function is not invariant under "
                                "permutations of equal blocks")
 
@@ -744,12 +744,9 @@ def _covering_orders(layout: list) -> tuple[int, int]:
     """(lhs, rhs) covering orders: the product over block sizes k of
     (number of blocks of size k)!, and of c_k! 2^{c_k} for the c_k free
     coordinates of size k."""
-    def permutations(sizes):
-        return math.prod(math.factorial(c) for c in Counter(sizes).values())
-
     mirror = _mirror_sizes(layout)
-    return (permutations(k for k, _, _ in layout),
-            permutations(mirror) * 2 ** len(mirror))
+    return (multiplicity_order(k for k, _, _ in layout),
+            multiplicity_order(mirror) * 2 ** len(mirror))
 
 
 @dataclass
@@ -782,6 +779,16 @@ class QuadConfig:
         """The geometric s-sequence s0, s0 / 2, ... of s_count terms."""
         return [self.s0 * 2.0 ** (-k) for k in range(self.s_count)]
 
+    def capped(self, n: int, dim: int) -> tuple[int, bool]:
+        """n nodes per axis, cut by factors of 1.3 until the grid of n^dim
+        nodes fits ``max_nodes``, and whether it was cut: the one node
+        budget of the left and the right grids."""
+        cut = False
+        while n ** dim > self.max_nodes:
+            n = int(n / 1.3)
+            cut = True
+        return n, cut
+
 
 # 1/2 + offset as an exact ratio of integers, for ``_ResidueGrid``
 _HALF = (Fraction(1, 2) + Fraction(QuadConfig.offset)).as_integer_ratio()
@@ -809,14 +816,11 @@ class ComponentModel:
 
     def __init__(self, triple: OrthTriple, spec: LocalFieldSpec,
                  chi_minus_one: int = 1):
-        self.triple = triple
         self.spec = spec
         self.chi_minus_one = int(chi_minus_one)
-        self.consts: TripleConstants = appendix_constants(triple)
-        c = self.consts
+        self.consts = c = appendix_constants(triple)
         layout = triple.layout()
         self.dims = tuple(k for k, _, _ in layout)
-        self.S = len(layout)
         self.d = sum(self.dims)
         mirror_sizes = _mirror_sizes(layout)
         self.dprime = math.prod(mirror_sizes)
@@ -828,16 +832,14 @@ class ComponentModel:
                 f"D d' = {c.D * self.dprime} vs P = {c.P}, "
                 f"2N = {2 * c.N} vs S + c = {c.S + c.c}")
         self.F_lhs, self.F_rhs = _covering_orders(layout)
+        # the left side's mass in closed form: for the kernel-lattice basis
+        # v_1..v_R below, det[k_b v_r(b) | e_0] = +-prod(k) / gcd(k), so the
+        # Jacobian over P = prod(k) is 1 / gcd(k), and F_lhs is the covering
+        self.mass = Fraction(1, math.gcd(*self.dims) * self.F_lhs)
 
         # LHS torus: kernel-lattice basis of the block-dimension vector
         basis = _kernel_lattice_basis(self.dims)
         self.R_lhs = len(basis)
-        if self.R_lhs:
-            m = [[k * v[b] for v in basis] + [int(b == 0)]
-                 for b, k in enumerate(self.dims)]
-            self.J_k = abs(det(mat(m)))
-        else:
-            self.J_k = Fraction(1)
         lhs_atoms = [(AffineAngle(u, tuple(int(v[b]) for v in basis)), k)
                      for b, (k, u, _) in enumerate(layout)]
         self.lhs_atoms = lhs_atoms
@@ -913,12 +915,7 @@ class ComponentModel:
                                 f"the torus at s = {s}")
             reach = max(reach, max(map(abs, f.coeffs)) / dist)
         n = max(cfg.n_base, math.ceil(math.log(100 / cfg.tol) * reach))
-        capped = False
-        dim = max(self.R_lhs, 1)
-        while n ** dim > cfg.max_nodes:
-            n = int(n / 1.3)
-            capped = True
-        return n, capped
+        return cfg.capped(n, max(self.R_lhs, 1))
 
     def lhs_mean(self, phi: TestFunction, s: float, cfg: QuadConfig):
         """Mean of the LHS integrand over the component torus; returns
@@ -951,31 +948,32 @@ class ComponentModel:
         """d * gamma(s, 1, psi) * (component constants) * mean, with the
         rest of ``lhs_mean``'s tuple."""
         mean, err, n, nodes, flag = self.lhs_mean(phi, s, cfg)
-        pref = (self.d * self.chi_minus_one ** (self.d - 1) * float(self.J_k)
-                / (self.consts.P * self.F_lhs) * self._gamma_triv.evaluate(s))
+        # d chi(-1)^{d-1} mass as one correctly rounded division of integers
+        pref = (self.d * self.chi_minus_one ** (self.d - 1) * self.mass.numerator
+                / self.mass.denominator * self._gamma_triv.evaluate(s))
         return pref * mean, abs(pref) * err, n, nodes, flag
 
     def rhs_value(self, phi: TestFunction, cfg: QuadConfig) -> complex:
-        """2 chi(-1)^{d-1} / (F 2^c) times the mean over the free coordinates:
-        the Jacobian factor (D d' / P) (2 pi / log q)^{2N - S - c} is exactly
-        1, as ``__init__`` checks."""
+        """2 chi(-1)^{d-1} / (F 2^c) times the mean over the free coordinates,
+        on ``rhs_n`` nodes per axis within the node budget: the Jacobian
+        factor (D d' / P) (2 pi / log q)^{2N - S - c} is exactly 1, as
+        ``__init__`` checks."""
         mean = _grid_mean(lambda t: self.rhs_integrand(phi, t), self.R_rhs,
-                          cfg.rhs_n)
+                          cfg.capped(cfg.rhs_n, self.R_rhs)[0])
         const = (2 * (self.chi_minus_one ** (self.d - 1))
                  / (self.F_rhs * 2 ** self.consts.c))
         return const * mean
 
     def measure_mass(self, phi: TestFunction, cfg: QuadConfig) -> float:
         """The component mass realized by the LHS quadrature with all gamma
-        factors dropped, that is with the empty program: J_k / (P F) times
-        the plain mean of phi, F the covering order (= |W(M, sigma)| for
-        twist-inequivalent blocks)."""
-        c = self.consts
+        factors dropped, that is with the empty program: ``mass`` = 1 /
+        (gcd(k) F) times the plain mean of phi, F the covering order (=
+        |W(M, sigma)| for twist-inequivalent blocks)."""
         empty = FactorProgram.compile([], self.spec, self.R_lhs, False)
         mean = _grid_mean(lambda t: self._times_phi(empty, phi, t, 0.0,
                                                     self.lhs_atoms),
                           self.R_lhs, cfg.n_base)
-        return float(self.J_k) / (c.P * self.F_lhs) * mean.real
+        return float(self.mass) * mean.real
 
 
 # -- grids -----------------------------------------------------------------------
@@ -1062,8 +1060,8 @@ class LimitReport:
     rel_discrepancy: float
     tolerance: float
     passed: bool
-    nodes_used: int
-    budget_exceeded: bool
+    nodes_used: int         # left-grid nodes only, fine and coarse
+    budget_exceeded: bool   # the left or the right grid was capped
     grid_n: list
 
     def to_dict(self) -> dict:
@@ -1076,19 +1074,17 @@ class LimitReport:
 
 
 def verify(triple: OrthTriple, phi: TestFunction, spec: LocalFieldSpec,
-           cfg: Optional[QuadConfig] = None, chi_minus_one: int = 1,
-           rng=None) -> LimitReport:
+           cfg: Optional[QuadConfig] = None,
+           chi_minus_one: int = 1) -> LimitReport:
     """Run the full limit check: LHS over a decreasing s-sequence with
     Richardson extrapolation against the closed-form RHS."""
     cfg = cfg or QuadConfig()
     model = ComponentModel(triple, spec, chi_minus_one)
-    if rng is None:
-        rng = np.random.default_rng(20240901)
-    check_weyl_invariance(phi, model.dims, rng)
+    check_weyl_invariance(phi, model.dims, np.random.default_rng(20240901))
     s_values = cfg.s_values()
     lhs_vals, lhs_errs, grid_n, nodes, flags = map(list, zip(*(
         model.lhs_value(phi, s, cfg) for s in s_values)))
-    budget = any(flags)
+    budget = any(flags) or cfg.capped(cfg.rhs_n, model.R_rhs)[1]
     extrap = richardson(s_values, lhs_vals, cfg.extrap_order)
     rhs = model.rhs_value(phi, cfg)
     absd = abs(extrap - rhs)

@@ -9,17 +9,25 @@ symplectic self-dual atoms (Is) and orthogonal self-dual atoms (Io).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .field import LocalFieldSpec, QuadraticCharacter, read_number
 from .spectral import mod1, turn
-from .wdrep import (SELF_DUAL_BOTH, SELF_DUAL_ORTHOGONAL, WDAtom, WDRep)
+from .wdrep import (SELF_DUAL_BOTH, SELF_DUAL_ORTHOGONAL, SELF_DUAL_SYMPLECTIC,
+                    WDAtom, WDRep)
 
 
 class CentralCharacterMismatch(ValueError):
     pass
+
+
+def multiplicity_order(keys) -> int:
+    """The product of the factorials of the multiplicities of the keys: the
+    order of the group that permutes equal keys among themselves."""
+    return math.prod(math.factorial(c) for c in Counter(keys).values())
 
 
 @dataclass(frozen=True)
@@ -63,22 +71,14 @@ class TempPoint:
         return tuple(b.k for b in self.blocks)
 
     def central_angle(self) -> Fraction:
-        return mod1(sum((b.k * b.effective_angle for b in self.blocks),
-                        Fraction(0)))
+        return self.parameter().determinant()
 
     def parameter(self) -> WDRep:
         return WDRep(tuple(WDAtom(b.effective_angle, b.k) for b in self.blocks))
 
     def weyl_order(self) -> int:
-        """|W(M, sigma)| = product of factorials of block multiplicities."""
-        counts = {}
-        for b in self.blocks:
-            key = (b.k, b.effective_angle)
-            counts[key] = counts.get(key, 0) + 1
-        out = 1
-        for c in counts.values():
-            out *= math.factorial(c)
-        return out
+        """|W(M, sigma)|: blocks of one size and one angle permute."""
+        return multiplicity_order((b.k, b.effective_angle) for b in self.blocks)
 
     def to_dict(self) -> dict:
         return {"blocks": [{"k": b.k, "angle": str(b.angle),
@@ -160,18 +160,14 @@ class OrthTriple:
                 raise ValueError("dual-pair atoms must be distinct as unordered pairs")
             seen.add(atom)
             seen.add(atom.dual())
-        for atom, p in self.symplectic:
-            if atom.self_duality() != "symplectic":
-                raise ValueError(f"atom {atom} is not of symplectic type")
-            if atom in seen:
-                raise ValueError("symplectic atoms must be pairwise distinct")
-            seen.add(atom)
-        for atom, q in self.orthogonal:
-            if atom.self_duality() != "orthogonal":
-                raise ValueError(f"atom {atom} is not of orthogonal type")
-            if atom in seen:
-                raise ValueError("orthogonal atoms must be pairwise distinct")
-            seen.add(atom)
+        for kind, group in ((SELF_DUAL_SYMPLECTIC, self.symplectic),
+                            (SELF_DUAL_ORTHOGONAL, self.orthogonal)):
+            for atom, _ in group:
+                if atom.self_duality() != kind:
+                    raise ValueError(f"atom {atom} is not of {kind} type")
+                if atom in seen:
+                    raise ValueError(f"{kind} atoms must be pairwise distinct")
+                seen.add(atom)
         if not (self.dual_pairs or self.symplectic or self.orthogonal):
             raise ValueError("empty triple")
 
@@ -207,25 +203,19 @@ class OrthTriple:
         return TempPoint(tuple(TempBlock(k, u) for k, u, _ in self.layout()))
 
     def weyl_orders(self) -> tuple[int, int]:
-        """(|W|, |W'|): the full stabilizer and the mirrored-twist subgroup."""
-        w = 1
-        for _, m in self.dual_pairs:
-            w *= math.factorial(m) ** 2
-        for _, p in self.symplectic:
-            w *= math.factorial(p)
-        for _, q in self.orthogonal:
-            w *= math.factorial(q)
-        wp = 1
-        for _, m in self.dual_pairs:
-            wp *= math.factorial(m)
-        for _, p in self.symplectic:
-            if p % 2 != 0:
-                raise ValueError("symplectic multiplicities must be even "
-                                 "on the orthogonal locus")
-            wp *= math.factorial(p // 2) * 2 ** (p // 2)
-        for _, q in self.orthogonal:
-            wp *= math.factorial(q // 2) * 2 ** (q // 2)
-        return w, wp
+        """(|W|, |W'|): the full stabilizer and the mirrored-twist subgroup.
+        Each dual pair's m copies permute on both sides, and each Is or Io
+        atom's n copies permute in |W| and pair up as n // 2 flippable
+        mirrored pairs in |W'|."""
+        if any(p % 2 for _, p in self.symplectic):
+            raise ValueError("symplectic multiplicities must be even "
+                             "on the orthogonal locus")
+        f = math.factorial
+        ms = [m for _, m in self.dual_pairs]
+        ns = [n for _, n in self.symplectic + self.orthogonal]
+        return (math.prod(f(m) ** 2 for m in ms) * math.prod(map(f, ns)),
+                math.prod(map(f, ms))
+                * math.prod(f(n // 2) * 2 ** (n // 2) for n in ns))
 
     def to_dict(self) -> dict:
         return {
@@ -260,31 +250,21 @@ class TripleConstants:
 
 
 def appendix_constants(t: OrthTriple) -> TripleConstants:
-    """The closed-form constants attached to an orthogonal-locus triple;
-    ``weyl_orders`` refuses an odd symplectic multiplicity."""
+    """The closed-form constants attached to an orthogonal-locus triple,
+    from (sp, m) for each dual pair and (sp, n) for each Is or Io atom of n
+    copies.  ``weyl_orders`` refuses an odd Is multiplicity, so the one rule
+    for Is and Io atoms gives an Is atom n / 2 in D and N and nothing in c."""
     w, wp = t.weyl_orders()
-    P = 1
-    for a, m in t.dual_pairs:
-        P *= a.sp ** (2 * m)
-    for a, p in t.symplectic:
-        P *= a.sp ** p
-    for a, q in t.orthogonal:
-        P *= a.sp ** q
-    S = (sum(2 * m for _, m in t.dual_pairs)
-         + sum(p for _, p in t.symplectic)
-         + sum(q for _, q in t.orthogonal))
-    D = 1
-    for a, m in t.dual_pairs:
-        D *= a.sp ** m
-    for a, p in t.symplectic:
-        D *= a.sp ** (p // 2)
-    for a, q in t.orthogonal:
-        D *= a.sp ** ((q + 1) // 2)
-    N = (sum(m for _, m in t.dual_pairs)
-         + sum(p // 2 for _, p in t.symplectic)
-         + sum((q + 1) // 2 for _, q in t.orthogonal))
-    c = sum(1 for _, q in t.orthogonal if q % 2 == 1)
-    return TripleConstants(P=P, S=S, D=D, N=N, c=c, W=w, Wprime=wp)
+    pairs = [(a.sp, m) for a, m in t.dual_pairs]
+    atoms = [(a.sp, n) for a, n in t.symplectic + t.orthogonal]
+    return TripleConstants(
+        P=(math.prod(k ** (2 * m) for k, m in pairs)
+           * math.prod(k ** n for k, n in atoms)),
+        S=sum(2 * m for _, m in pairs) + sum(n for _, n in atoms),
+        D=(math.prod(k ** m for k, m in pairs)
+           * math.prod(k ** ((n + 1) // 2) for k, n in atoms)),
+        N=sum(m for _, m in pairs) + sum((n + 1) // 2 for _, n in atoms),
+        c=sum(n % 2 for _, n in atoms), W=w, Wprime=wp)
 
 
 def orth_triple_of(pt: TempPoint) -> Optional[OrthTriple]:

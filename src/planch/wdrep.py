@@ -228,7 +228,7 @@ class WDRep:
     # -- self-duality and component groups ---------------------------------
 
     def is_self_dual(self) -> bool:
-        return sorted(self.atoms, key=_key) == sorted(self.dual().atoms, key=_key)
+        return self.atoms == self.dual().atoms  # both sorted on construction
 
     def self_duality(self) -> str:
         if not self.is_self_dual():

@@ -21,6 +21,31 @@ from planch.forms import (BilForm, DegenerateFormError, NotRegularError,
 WORKED = BilForm(mat([[-1, 1], [-1, 0]]))
 
 
+def _squarefree_by_euclid(p: tuple) -> bool:
+    """gcd(p, p') is constant, by Euclid's algorithm: the reference for the
+    resultant test of ``poly_is_squarefree``."""
+    def poly_mod(a, b):
+        a = list(a)
+        while len(b) > 1 and b[-1] == 0:
+            b = b[:-1]
+        while len(a) >= len(b) and any(c != 0 for c in a):
+            while len(a) > 1 and a[-1] == 0:
+                a = a[:-1]
+            if len(a) < len(b):
+                break
+            f = a[-1] / b[-1]
+            k = len(a) - len(b)
+            for i, c in enumerate(b):
+                a[k + i] -= f * c
+            a = a[:-1]
+        return a
+
+    a, b = list(p), [i * c for i, c in enumerate(p)][1:]
+    while any(c != 0 for c in b):
+        a, b = b, poly_mod(a, b)
+    return len([c for c in a if c != 0]) <= 1 and a[0] != 0 if a else False
+
+
 def random_gln(rng, d, lo=-3, hi=3):
     while True:
         m = mat([[F(rng.randint(lo, hi)) for _ in range(d)] for _ in range(d)])
@@ -400,3 +425,24 @@ def test_reductions_per_call(monkeypatch):
                      char_poly_twisted(f)):
             with pytest.raises(DegenerateFormError):
                 call(singular, 3, 3)
+
+
+def test_squarefree_by_resultant_matches_euclid():
+    """Products of linear factors and of x^2 + a, with and without a
+    repeated factor: the resultant test agrees with Euclid and with the
+    factors."""
+    rng = random.Random(21)
+    repeated = 0
+    for _ in range(1000):
+        factors = [(F(-rng.randint(-3, 3), rng.randint(1, 2)), F(1))
+                   for _ in range(rng.randint(1, 5))]
+        factors += [(F(rng.randint(1, 2)), F(0), F(1))
+                    for _ in range(rng.randint(0, 2))]
+        p = (F(rng.choice([-2, -1, 1, 3])),)
+        for f in factors:
+            p = poly_mul(p, f)
+        distinct = len(set(factors)) == len(factors)
+        repeated += not distinct
+        assert forms.poly_is_squarefree(p) == _squarefree_by_euclid(p) \
+            == distinct, factors
+    assert repeated > 200

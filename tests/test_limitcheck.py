@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import planch.limitcheck as limitcheck
 from planch.field import LocalFieldSpec
+from planch.forms import det, mat
 from planch.limitcheck import (AffineAngle, ComponentModel, ConstantPhi,
                                FactorProgram, GaussianPhi,
                                NonGenericPoint, NotWeylInvariant, QuadConfig,
@@ -351,6 +352,26 @@ def test_verify_budget_flag():
     assert not rep.passed
 
 
+def test_right_grid_keeps_the_node_budget():
+    """The right grid of rhs_n^R nodes is cut to max_nodes like the left
+    one, and a cut flags the budget: Is = Sp(2) x 4 has a 2-D mirrored
+    subtorus, whose 400^2 nodes exceed a budget that its left grids keep."""
+    triple = OrthTriple(symplectic=((WDAtom(F(0), 2), 4),))
+    cfg = QuadConfig(s0=0.4, s_count=2, n_base=8, rhs_n=400, tol=0.5,
+                     max_nodes=100000)
+    model = ComponentModel(triple, SPEC3)
+    assert model.R_rhs == 2
+    assert not any(model.lhs_grid_size(s, cfg)[1] for s in cfg.s_values())
+    rep = verify(triple, ConstantPhi(1.0), SPEC3, cfg)
+    assert rep.budget_exceeded and not rep.passed
+    assert cfg.capped(400, 2) == (307, True)
+    assert rep.rhs == model.rhs_value(
+        ConstantPhi(1.0), dataclasses.replace(cfg, rhs_n=307,
+                                              max_nodes=307 ** 2))
+    roomy = dataclasses.replace(cfg, max_nodes=400 ** 2)
+    assert not verify(triple, ConstantPhi(1.0), SPEC3, roomy).budget_exceeded
+
+
 def test_report_serialization():
     rep = verify(T_D1, ConstantPhi(1.0), SPEC3, FAST)
     d = rep.to_dict()
@@ -549,6 +570,26 @@ def test_kernel_basis_check_raises(monkeypatch):
     monkeypatch.setattr(limitcheck, "_ext_gcd", lambda a, b: (1, 1, 1))
     with pytest.raises(ArithmeticError):
         limitcheck._kernel_lattice_basis([2, 3, 1])
+
+
+def test_left_jacobian_in_closed_form():
+    """|det[k_b v_r(b) | e_0]| over the kernel-lattice basis v is prod(k) /
+    gcd(k), checked with the exact determinant of ``forms``, so the left
+    mass J_k / (P F) of a component is 1 / (gcd(k) F)."""
+    rng = random.Random(20)
+    for _ in range(1000):
+        k = [rng.randint(1, 7) for _ in range(rng.randint(2, 6))]
+        basis = limitcheck._kernel_lattice_basis(k)
+        m = [[kb * v[b] for v in basis] + [int(b == 0)]
+             for b, kb in enumerate(k)]
+        assert abs(det(mat(m))) == math.prod(k) // math.gcd(*k), k
+    for triple in (T_D1, T_IO2, T_IN, T_D3, T_IS, T_IO3, T_SP31):
+        model = ComponentModel(triple, SPEC3)
+        basis = limitcheck._kernel_lattice_basis(model.dims)
+        m = [[k * v[b] for v in basis] + [int(b == 0)]
+             for b, k in enumerate(model.dims)]
+        j_k = abs(det(mat(m))) if basis else 1
+        assert model.mass == j_k / (model.consts.P * model.F_lhs)
 
 
 def test_gaussian_phi_matches_cosine_sum():

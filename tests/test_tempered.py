@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -157,19 +158,63 @@ def test_appendix_constants_invariants():
         assert 2 * c.N == c.S + c.c  # pairs plus odd middles
     odd = OrthTriple(symplectic=((WDAtom(F(0), 2), 1),))
     for constants in (odd.weyl_orders, lambda: appendix_constants(odd)):
-        with pytest.raises(ValueError, match="must be even"):
+        with pytest.raises(ValueError, match="^symplectic multiplicities must "
+                                             "be even on the orthogonal locus$"):
             constants()
 
 
+def _constants_by_group(t):
+    """(P, S, D, N, c, W, W') from one loop per group, In, Is and Io, the
+    reference for the one rule that Is and Io atoms share."""
+    w = wp = P = D = 1
+    S = N = c = 0
+    for a, m in t.dual_pairs:
+        w *= math.factorial(m) ** 2
+        wp *= math.factorial(m)
+        P *= a.sp ** (2 * m)
+        D *= a.sp ** m
+        S, N = S + 2 * m, N + m
+    for a, p in t.symplectic:
+        w *= math.factorial(p)
+        wp *= math.factorial(p // 2) * 2 ** (p // 2)
+        P *= a.sp ** p
+        D *= a.sp ** (p // 2)
+        S, N = S + p, N + p // 2
+    for a, q in t.orthogonal:
+        w *= math.factorial(q)
+        wp *= math.factorial(q // 2) * 2 ** (q // 2)
+        P *= a.sp ** q
+        D *= a.sp ** ((q + 1) // 2)
+        S, N, c = S + q, N + (q + 1) // 2, c + q % 2
+    return P, S, D, N, c, w, wp
+
+
+def test_constants_match_the_per_group_loops():
+    rng = random.Random(20)
+    for _ in range(500):
+        t = _random_triple(rng)
+        c = appendix_constants(t)
+        assert (c.P, c.S, c.D, c.N, c.c, c.W, c.Wprime) == \
+            _constants_by_group(t)
+        assert t.weyl_orders() == (c.W, c.Wprime)
+
+
 def test_triple_validation():
-    with pytest.raises(ValueError):
-        OrthTriple(orthogonal=((WDAtom(F(0), 2), 1),))  # even sp not orth type
-    with pytest.raises(ValueError):
-        OrthTriple(symplectic=((WDAtom(F(0), 1), 2),))  # odd sp not sympl type
+    sp1, sp2 = WDAtom(F(0), 1), WDAtom(F(0), 2)
+    with pytest.raises(ValueError, match=re.escape(
+            f"atom {sp2} is not of orthogonal type")):
+        OrthTriple(orthogonal=((sp2, 1),))  # even sp not orth type
+    with pytest.raises(ValueError, match=re.escape(
+            f"atom {sp1} is not of symplectic type")):
+        OrthTriple(symplectic=((sp1, 2),))  # odd sp not sympl type
     with pytest.raises(ValueError):
         OrthTriple(dual_pairs=((WDAtom(F(0), 1), 1),))  # self-dual in In
-    with pytest.raises(ValueError):
-        OrthTriple(orthogonal=((WDAtom(F(0), 1), 1), (WDAtom(F(0), 1), 2)))
+    with pytest.raises(ValueError, match="^orthogonal atoms must be pairwise "
+                                         "distinct$"):
+        OrthTriple(orthogonal=((sp1, 1), (sp1, 2)))
+    with pytest.raises(ValueError, match="^symplectic atoms must be pairwise "
+                                         "distinct$"):
+        OrthTriple(symplectic=((sp2, 2), (sp2, 4)))
     # every multiplicity is at least 1, also beside a real atom
     for m in (0, -2):
         with pytest.raises(ValueError, match="multiplicities"):

@@ -87,8 +87,8 @@ def _round_sig(x: float, sig: int = 12) -> float:
 
 
 def _emit(report: dict, args) -> None:
-    fmt = getattr(args, "format", "json")
-    out = getattr(args, "out", None)
+    fmt = args.format
+    out = args.out
     if fmt == "json":
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     elif fmt == "csv":
@@ -128,10 +128,10 @@ def _flatten(d: dict, prefix: str = "") -> dict:
     return out
 
 
-def _base_report(args, command: str, formula: str) -> dict:
+def _base_report(args, formula: str) -> dict:
     from . import __version__
 
-    rep = {"tool": "planch", "version": __version__, "command": command,
+    rep = {"tool": "planch", "version": __version__, "command": args.command,
            "formula": formula}
     if getattr(args, "p", None) is not None or getattr(args, "q", None) is not None:
         rep["field"] = _field_spec(args).to_dict()
@@ -139,9 +139,11 @@ def _base_report(args, command: str, formula: str) -> dict:
 
 
 # -- commands -------------------------------------------------------------------
+# Each returns its formula label and its result dict, limit-verify also its
+# exit code; ``main`` alone builds the report, writes it and exits.
 
 
-def cmd_gamma(args) -> int:
+def cmd_gamma(args) -> tuple:
     from .spectral import PoleError
 
     spec = _field_spec(args)
@@ -150,7 +152,6 @@ def cmd_gamma(args) -> int:
     target = {"std": lambda: rep, "sym2": rep.sym2, "wedge2": rep.wedge2,
               "ad": rep.ad, "ad-over-a": rep.ad_over_center}[r]()
     g = target.gamma_factor(spec).normalize()
-    report = _base_report(args, "gamma", f"gamma-factor[{r}]")
     ordv = g.ord_zero_at_zero()
     result = {
         "input": rep.to_dict(),
@@ -167,19 +168,16 @@ def cmd_gamma(args) -> int:
             result["value_at_s"] = {"s": args.at, "value": [v.real, v.imag]}
         except PoleError as e:
             result["value_at_s"] = {"s": args.at, "pole": str(e)}
-    report["result"] = result
-    _emit(report, args)
-    return EXIT_OK
+    return f"gamma-factor[{r}]", result
 
 
-def cmd_density(args) -> int:
+def cmd_density(args) -> tuple:
     from .tempered import (TempPoint, central_quotient_relation_check,
                            plancherel_density, plancherel_density_chi)
 
     spec = _field_spec(args)
     pt = _from_json(TempPoint.from_dict, _load_json(args.point))
     mu = plancherel_density(pt, spec)
-    report = _base_report(args, "density", "regularized-adjoint-gamma-density")
     result = {"point": pt.to_dict(), "mu": [mu.real, mu.imag]}
     if args.chi is not None:
         chi = _parse_chi(args.chi, spec.p)
@@ -187,9 +185,7 @@ def cmd_density(args) -> int:
         result["mu_chi"] = [mu_chi.real, mu_chi.imag]
         result["central_quotient_ok"] = central_quotient_relation_check(
             pt, chi, spec)
-    report["result"] = result
-    _emit(report, args)
-    return EXIT_OK
+    return "regularized-adjoint-gamma-density", result
 
 
 def _parse_chi(text: str, p: int):
@@ -208,29 +204,23 @@ def _parse_chi(text: str, p: int):
         spec)
 
 
-def cmd_component_group(args) -> int:
+def cmd_component_group(args) -> tuple:
     rep = _load_rep(args)
     s_plus, s, ratio = rep.component_groups()
-    report = _base_report(args, "component-group", "centralizer-component-groups")
-    report["result"] = {"input": rep.to_dict(), "sPlus": s_plus, "s": s,
-                        "fiberRatio": ratio}
-    _emit(report, args)
-    return EXIT_OK
+    return "centralizer-component-groups", {
+        "input": rep.to_dict(), "sPlus": s_plus, "s": s, "fiberRatio": ratio}
 
 
-def cmd_fd_rhs(args) -> int:
+def cmd_fd_rhs(args) -> tuple:
     from .tempered import formal_degree_rhs
 
     spec = _field_spec(args)
     rep = _load_rep(args)
     val = formal_degree_rhs(rep, spec)
-    report = _base_report(args, "fd-rhs", "formal-degree-prediction")
-    report["result"] = {"input": rep.to_dict(), "value": val}
-    _emit(report, args)
-    return EXIT_OK
+    return "formal-degree-prediction", {"input": rep.to_dict(), "value": val}
 
 
-def cmd_limit_verify(args) -> int:
+def cmd_limit_verify(args) -> tuple:
     from .limitcheck import QuadConfig, phi_from_dict, verify, ConstantPhi
     from .tempered import OrthTriple
 
@@ -243,16 +233,15 @@ def cmd_limit_verify(args) -> int:
     cfg = QuadConfig(s0=s0, s_count=count, tol=args.tol, n_base=grid,
                      rhs_n=grid, max_nodes=args.max_nodes)
     rep = verify(triple, phi, spec, cfg, chi_minus_one=args.chi_minus_one)
-    report = _base_report(args, "limit-verify", "spectral-limit-identity")
-    report["result"] = rep.to_dict()
-    report["result"]["triple"] = triple.to_dict()
-    report["result"]["phi"] = phi.describe()
+    result = rep.to_dict()
+    result["triple"] = triple.to_dict()
+    result["phi"] = phi.describe()
     if args.report:
         args.out = args.report
-    _emit(report, args)
+    code = EXIT_OK if rep.passed else EXIT_FAIL
     if rep.budget_exceeded:
-        return EXIT_BUDGET
-    return EXIT_OK if rep.passed else EXIT_FAIL
+        code = EXIT_BUDGET
+    return "spectral-limit-identity", result, code
 
 
 def _parse_s_seq(text: str):
@@ -263,40 +252,34 @@ def _parse_s_seq(text: str):
         raise InputError(f"--s-seq expects START,COUNT, got {text!r}: {e}")
 
 
-def cmd_classify_form(args) -> int:
+def cmd_classify_form(args) -> tuple:
     from .forms import BilForm, classify_sharp, disc_twisted
 
     if args.p is None:
         raise InputError("classify-form requires --p")
     b = _from_json(BilForm.from_dict, _load_json(args.matrix))
     label = classify_sharp(b, args.p)
-    report = _base_report(args, "classify-form", "twisted-orbit-classification")
     result = {"matrix": b.to_dict()["matrix"], "kind": label.kind}
     if label.t is not None:
         result["t_class"] = label.t.representative()
     result["disc_class"] = disc_twisted(b, args.p).representative()
-    report["result"] = result
-    _emit(report, args)
-    return EXIT_OK
+    return "twisted-orbit-classification", result
 
 
-def cmd_charpoly(args) -> int:
+def cmd_charpoly(args) -> tuple:
     from .forms import BilForm, char_poly_twisted
 
     b = _from_json(BilForm.from_dict, _load_json(args.matrix))
     coeffs = char_poly_twisted(b)
-    report = _base_report(args, "charpoly", "twisted-characteristic-polynomial")
-    report["result"] = {"matrix": b.to_dict()["matrix"],
-                        "coefficients_low_to_high": [str(c) for c in coeffs]}
-    _emit(report, args)
-    return EXIT_OK
+    return "twisted-characteristic-polynomial", {
+        "matrix": b.to_dict()["matrix"],
+        "coefficients_low_to_high": [str(c) for c in coeffs]}
 
 
-def cmd_so_embed(args) -> int:
+def cmd_so_embed(args) -> tuple:
     from .forms import b_of_g, build_odd_so, m_tilde_of, mat
 
     emb = build_odd_so(args.d)
-    report = _base_report(args, "so-embed", "odd-orthogonal-open-cell")
     if args.ubar:
         g = _from_json(lambda rows: mat([[read_number(x) for x in row]
                                          for row in rows]), _load_json(args.ubar))
@@ -306,13 +289,11 @@ def cmd_so_embed(args) -> int:
                   "in_open_cell": bg.is_nondegenerate()}
         if result["in_open_cell"]:
             result["m_tilde"] = m_tilde_of(emb, g).to_dict()["matrix"]
-        report["result"] = result
     else:
-        report["result"] = {"d": args.d, "dim": emb.dim,
-                            "gram": [[str(x) for x in row]
-                                     for row in emb.gram()]}
-    _emit(report, args)
-    return EXIT_OK
+        result = {"d": args.d, "dim": emb.dim,
+                  "gram": [[str(x) for x in row]
+                           for row in emb.gram()]}
+    return "odd-orthogonal-open-cell", result
 
 
 # -- parser ----------------------------------------------------------------------
@@ -411,7 +392,11 @@ def main(argv=None) -> int:
     from .spectral import OrderMismatchError, PoleError, RegularizationError
 
     try:
-        return args.func(args)
+        formula, result, *code = args.func(args)
+        report = _base_report(args, formula)
+        report["result"] = result
+        _emit(report, args)
+        return code[0] if code else EXIT_OK
     except InputError as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT

@@ -968,11 +968,13 @@ class ComponentModel:
         """The component mass realized by the LHS quadrature with all gamma
         factors dropped, that is with the empty program: ``mass`` = 1 /
         (gcd(k) F) times the plain mean of phi, F the covering order (=
-        |W(M, sigma)| for twist-inequivalent blocks)."""
+        |W(M, sigma)| for twist-inequivalent blocks).  The grid has
+        ``n_base`` nodes per axis, cut like the left grid's to fit
+        ``max_nodes``."""
         empty = FactorProgram.compile([], self.spec, self.R_lhs, False)
         mean = _grid_mean(lambda t: self._times_phi(empty, phi, t, 0.0,
                                                     self.lhs_atoms),
-                          self.R_lhs, cfg.n_base)
+                          self.R_lhs, cfg.capped(cfg.n_base, self.R_lhs)[0])
         return float(self.mass) * mean.real
 
 

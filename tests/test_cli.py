@@ -1,5 +1,7 @@
 import json
 import math
+import pathlib
+import shlex
 import warnings
 
 import pytest
@@ -277,3 +279,78 @@ def test_formats_and_determinism(tmp_path, capsys):
     code, tbl = run(capsys, "gamma", "--rep", "0*Sp(3)", "--q", "3",
                     "--format", "table")
     assert code == 0 and "ord_at_zero" in tbl
+
+
+def test_fd_rhs_command(capsys):
+    """Sp(3) at q = 3 is the Steinberg parameter of Sp(2): q^2 / (q + 1)."""
+    code, out = run(capsys, "fd-rhs", "--rep", "0*Sp(3)", "--q", "3")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["command"] == "fd-rhs"
+    assert rep["formula"] == "formal-degree-prediction"
+    assert abs(rep["result"]["value"] - 9 / 4) < 1e-12
+
+
+def test_gamma_at_a_value_and_at_a_pole(capsys):
+    """--at s evaluates the factor, and reports a pole instead of failing:
+    (1 - q^-s) / (1 - q^(s-1)) is 1 at s = 1/2 and has a pole at s = 1."""
+    code, out = run(capsys, "gamma", "--rep", "0*Sp(1)", "--q", "3",
+                    "--at", "0.5")
+    assert code == 0
+    at = json.loads(out)["result"]["value_at_s"]
+    assert at["s"] == 0.5 and abs(complex(*at["value"]) - 1) < 1e-12
+    code, out = run(capsys, "gamma", "--rep", "0*Sp(1)", "--q", "3",
+                    "--at", "1")
+    assert code == 0
+    at = json.loads(out)["result"]["value_at_s"]
+    assert at["s"] == 1.0 and "vanishes" in at["pole"] and "value" not in at
+
+
+def test_csv_float_cells_keep_12_significant_digits(capsys):
+    code, out = run(capsys, "fd-rhs", "--rep", "0*Sp(3)", "--q", "5",
+                    "--format", "csv")
+    assert code == 0
+    keys, vals = (line.split(",") for line in out.splitlines())
+    assert dict(zip(keys, vals))["result.value"] == "4.16666666667"  # 25/6
+
+
+def test_out_writes_the_report_to_a_file(tmp_path, capsys):
+    out_file = tmp_path / "fd.json"
+    code, out = run(capsys, "fd-rhs", "--rep", "0*Sp(3)", "--q", "3",
+                    "--out", str(out_file))
+    assert code == 0 and out == ""
+    rep = json.loads(out_file.read_text())
+    assert rep["command"] == "fd-rhs" and rep["result"]["value"] == 2.25
+
+
+def readme_cli_examples():
+    """The commands of README's CLI block, continuation lines joined."""
+    text = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```")[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines
+            if line.startswith("planch ")]
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    """Every command in README's CLI block exits 0 on the fixtures it names,
+    so the README and the parser cannot drift apart unnoticed."""
+    from fractions import Fraction as F
+
+    from planch.forms import build_odd_so, mat
+
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "point.json",
+          {"blocks": [{"k": 1, "angle": "0", "twist": "0"}]})
+    write(tmp_path, "triple.json", {"Io": [{"angle": "0", "sp": 1, "q": 1}]})
+    write(tmp_path, "B.json", {"matrix": [["-1", "1"], ["-1", "0"]]})
+    g = build_odd_so(2).n_bar_element([1, 0], mat([[F(-1, 2), 1], [-1, 0]]))
+    write(tmp_path, "U.json", [[str(x) for x in row] for row in g])
+    examples = readme_cli_examples()
+    assert {argv[0] for argv in examples} == {
+        "gamma", "density", "component-group", "fd-rhs", "limit-verify",
+        "classify-form", "charpoly", "so-embed"}
+    for argv in examples:
+        assert main(argv) == 0, argv
+        capsys.readouterr()
+    assert json.loads((tmp_path / "out.json").read_text())["result"]["passed"]

@@ -372,6 +372,24 @@ def test_right_grid_keeps_the_node_budget():
     assert not verify(triple, ConstantPhi(1.0), SPEC3, roomy).budget_exceeded
 
 
+def test_measure_mass_keeps_the_node_budget(monkeypatch):
+    """measure_mass cuts its n_base^R grid to max_nodes like the left grid:
+    on the d = 3 component 128^2 nodes exceed a budget of 1000, and 25^2 fit."""
+    grids = []
+    grid_mean = limitcheck._grid_mean
+
+    def spy(fun, dim, n):
+        grids.append((dim, n))
+        return grid_mean(fun, dim, n)
+
+    monkeypatch.setattr(limitcheck, "_grid_mean", spy)
+    model = ComponentModel(T_D3, SPEC3)
+    cfg = QuadConfig(n_base=128, max_nodes=1000)
+    mass = model.measure_mass(ConstantPhi(1.0), cfg)
+    assert grids == [(2, 25)] and cfg.capped(128, 2) == (25, True)
+    assert abs(mass - float(model.mass)) < 1e-12
+
+
 def test_report_serialization():
     rep = verify(T_D1, ConstantPhi(1.0), SPEC3, FAST)
     d = rep.to_dict()

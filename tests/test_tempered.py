@@ -246,6 +246,27 @@ def test_formal_degree_rhs():
         formal_degree_rhs(WDRep.of((F(1, 2), 1)), SPEC3)  # odd dim, det != 1
 
 
+def test_formal_degree_rhs_is_the_steinberg_formal_degree_of_sp2n():
+    """The principal parameter Sp(2n+1) of Sp(2n) predicts the formal degree
+    of Steinberg, which needs nothing but the degrees 2, 4, ..., 2n: 1 / P(1/q)
+    for vol(I) = 1, P(t) = prod (1 - t^d) / ((1 - t)(1 - t^(d-1))) the
+    Poincare series of the affine Weyl group (Bott; Borel, Invent. Math. 35,
+    1976), rescaled by vol(I) = q^-dimG (q - 1)^r q^N under the level-l
+    measure, dimG = n(2n + 1), r = n and N = n^2."""
+    for n in (1, 2, 3, 4):
+        dim_g = n * (2 * n + 1)
+        for p, q in ((3, 3), (2, 4), (5, 5), (3, 9), (5, 25)):
+            t = F(1, q)
+            poincare = math.prod((1 - t ** d) / ((1 - t) * (1 - t ** (d - 1)))
+                                 for d in range(2, 2 * n + 1, 2))
+            exact = F(q ** dim_g) / (poincare * (q - 1) ** n * q ** (n * n))
+            for level in (0, 1):
+                want = float(exact) * q ** (level * dim_g / 2)
+                got = formal_degree_rhs(WDRep.of((0, 2 * n + 1)),
+                                        LocalFieldSpec(p, q, level))
+                assert abs(got - want) <= 1e-12 * want, (n, q, level)
+
+
 def test_hii_rhs():
     assert abs(hii_rhs(WDRep.of((0, 3)), 1, 1, SPEC3) - 9 / 4) < 1e-12
     assert abs(hii_rhs(WDRep.of((0, 3)), 1, 2, SPEC3) - 9 / 2) < 1e-12

@@ -56,6 +56,8 @@ class GeometricFactor:
 
     sdir = +1 gives the familiar 1 - alpha q^{-(s+shift)}; sdir = -1 encodes
     the reflected factors such as 1 - q^{s-1} appearing through L(1-s, .).
+    Its floats are made in ``value``, on each call, as numerator / denominator
+    (float() of the Fraction bit for bit); construction makes none.
     """
 
     angle: Fraction
@@ -72,8 +74,9 @@ class GeometricFactor:
         return self.angle.numerator == 0 and self.shift.numerator == 0
 
     def value(self, s: complex, q: int) -> complex:
-        return 1 - cmath.exp(2j * math.pi * float(self.angle)) * \
-            q ** (-(self.sdir * s + float(self.shift)))
+        a, h = self.angle, self.shift
+        return 1 - cmath.exp(2j * math.pi * (a.numerator / a.denominator)) * \
+            q ** (-(self.sdir * s + h.numerator / h.denominator))
 
     def to_dict(self) -> dict:
         d = {"angle": str(self.angle), "shift": str(self.shift)}
@@ -113,8 +116,9 @@ class SpectralFunction:
     # -- scalar ------------------------------------------------------------
 
     def scalar_value(self) -> complex:
-        return cmath.exp(2j * math.pi * float(self.unit_angle)) * \
-            float(self.q) ** float(self.qpow)
+        u, p = self.unit_angle, self.qpow
+        return cmath.exp(2j * math.pi * (u.numerator / u.denominator)) * \
+            float(self.q) ** (p.numerator / p.denominator)
 
     # -- algebra -----------------------------------------------------------
 

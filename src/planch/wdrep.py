@@ -6,12 +6,14 @@ irreducible of the SL_2 factor.  Representations are multisets of atoms.
 
 The multiset calculus (tensor, dual, Sym^2, wedge^2, adjoint) only ever adds
 and negates angles, so the worker functions below are written against a
-generic angle type: exact ``Fraction`` turns for the public ``WDRep``, affine
+generic angle type: the integer numerators k of the angles k/N of a public
+``WDRep`` over one common denominator N, exact ``Fraction`` turns, and affine
 angle forms for the torus-family compiler in ``limitcheck``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Tuple
@@ -174,6 +176,27 @@ def _key(atom: WDAtom):
     return (atom.sp, atom.angle)
 
 
+def _numerators(atoms: Sequence[WDAtom], calculus=list) -> tuple[list, int]:
+    """``calculus`` of the (k, sp) pairs of the atoms' angles k/N, and N,
+    the lcm of the angles' denominators."""
+    n = math.lcm(*(a.angle.denominator for a in atoms))
+    return calculus([(a.angle.numerator * (n // a.angle.denominator), a.sp)
+                     for a in atoms]), n
+
+
+def _from_numerators(pairs: Iterable[Atom], n: int) -> "WDRep":
+    """The WDRep of (k, sp) pairs with angles k/N, built in order: the ints
+    (sp, k mod N) order as ``_key`` does.  Equal pairs share one atom."""
+    atoms, prev = [], None
+    for key in sorted([(m, k % n) for k, m in pairs]):
+        if key != prev:
+            prev, atom = key, WDAtom(Fraction(key[1], n), key[0])
+        atoms.append(atom)
+    rep = object.__new__(WDRep)
+    object.__setattr__(rep, "atoms", tuple(atoms))
+    return rep
+
+
 @dataclass(frozen=True)
 class WDRep:
     atoms: tuple
@@ -200,26 +223,28 @@ class WDRep:
         return WDRep(self.atoms + other.atoms)
 
     def dual(self) -> "WDRep":
-        return WDRep.from_atom_list(dual_atoms(self.atom_list()))
+        return _from_numerators(*_numerators(self.atoms, dual_atoms))
 
     def tensor(self, other: "WDRep") -> "WDRep":
-        return WDRep.from_atom_list(tensor_atoms(self.atom_list(), other.atom_list()))
+        pairs, n = _numerators(self.atoms + other.atoms)
+        return _from_numerators(
+            tensor_atoms(pairs[:len(self.atoms)], pairs[len(self.atoms):]), n)
 
     def sym2(self) -> "WDRep":
-        return WDRep.from_atom_list(sym2_atoms(self.atom_list()))
+        return _from_numerators(*_numerators(self.atoms, sym2_atoms))
 
     def wedge2(self) -> "WDRep":
-        return WDRep.from_atom_list(wedge2_atoms(self.atom_list()))
+        return _from_numerators(*_numerators(self.atoms, wedge2_atoms))
 
     def ad(self) -> "WDRep":
         """rho tensor rho-dual: the full adjoint of the ambient linear group."""
-        return WDRep.from_atom_list(ad_atoms(self.atom_list()))
+        return _from_numerators(*_numerators(self.atoms, ad_atoms))
 
     def ad_over_center(self) -> "WDRep":
         """Adjoint on the trace-zero part: ad() minus one trivial atom."""
         if self.dim == 0:
             raise ValueError("adjoint of the zero representation")
-        return WDRep.from_atom_list(ad_over_center_atoms(self.atom_list()))
+        return _from_numerators(*_numerators(self.atoms, ad_over_center_atoms))
 
     def determinant(self) -> Fraction:
         """Angle of the determinant character: sum of m * angle, mod 1."""
@@ -287,12 +312,23 @@ class WDRep:
                                 q=spec.q)
 
     def gamma_factor(self, spec: LocalFieldSpec) -> SpectralFunction:
-        unit, qpow, exponent, num, den = gamma_parts(self.atom_list(),
-                                                     spec.psi_level)
+        """gamma_parts on the numerators k of angles k/N gives the unit h/2 + K
+        (h = exponent - psi_level dim) of the angle (2 unit + h (N - 1)) / 2N.
+        A factor in num keeps its atom's angle; a repeated atom, its factors."""
+        pairs, n = _numerators(self.atoms)
+        unit, qpow, exponent, num, den = gamma_parts(pairs, spec.psi_level)
+        h = exponent.numerator - spec.psi_level * self.dim
+        unit = Fraction(unit.numerator * (2 // unit.denominator) + h * (n - 1),
+                        2 * n)
+        factors, prev = [], None
+        for a, (_, r, sd), (k, r1, sd1) in zip(self.atoms, num, den):
+            if a is not prev:
+                prev, pair = a, (GeometricFactor(a.angle, r, sd),
+                                 GeometricFactor(Fraction(k % n, n), r1, sd1))
+            factors.append(pair)
         return SpectralFunction(
             unit_angle=unit, qpow=qpow, exponent=exponent,
-            num=tuple(GeometricFactor(a, r, sd) for (a, r, sd) in num),
-            den=tuple(GeometricFactor(a, r, sd) for (a, r, sd) in den),
+            num=tuple(f for f, _ in factors), den=tuple(g for _, g in factors),
             q=spec.q)
 
     # -- serialization -------------------------------------------------------

@@ -196,7 +196,10 @@ def _reflect(f: SpectralFunction) -> SpectralFunction:
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(st.lists(st.tuples(st.fractions(0, 1, max_denominator=24),
+@given(st.lists(st.tuples(st.one_of(st.fractions(0, 1, max_denominator=24),
+                                    st.integers(0, 208).map(lambda k: F(k, 209)),
+                                    st.integers(0, 6478).map(lambda k: F(k, 6479)),
+                                    st.sampled_from((F(5, 209), F(108, 6479)))),
                           st.integers(1, 4)), min_size=1, max_size=4),
        st.sampled_from(((2, 2), (2, 4), (3, 3), (5, 25), (7, 7))),
        st.integers(-3, 3),
@@ -228,6 +231,101 @@ def _gamma_parts_per_atom(atoms, psi_level):
         num.append((u, r, 1))
         den.append((-u, 1 + r, -1))
     return unit, qpow, exponent, num, den
+
+
+# -- the exact path against a plain-Fraction reference ------------------------
+
+def _ref_tensor(a, b):
+    """Sp(m) x Sp(n) = Sp(|m - n| + 1) + ... + Sp(m + n - 1), pair by pair,
+    at the sum of the angles reduced mod 1."""
+    return [(mod1(u + v), k) for (u, m) in a for (v, n) in b
+            for k in range(abs(m - n) + 1, m + n, 2)]
+
+
+def _ref_square(a, top):
+    """Sym^2 (top = 1) or wedge^2 (top = 3): each atom's own square at twice
+    its angle, Sp(2m - top), Sp(2m - top - 4), ..., and each pair's tensor."""
+    out = []
+    for i, (u, m) in enumerate(a):
+        out += [(mod1(2 * u), k) for k in range(2 * m - top, 0, -4)]
+        out += _ref_tensor([(u, m)], a[i + 1:])
+    return out
+
+
+def _ref_rep(pairs):
+    return tuple(sorted((WDAtom(u, m) for (u, m) in pairs),
+                        key=lambda a: (a.sp, a.angle)))
+
+
+def _ref_gamma(atoms, spec):
+    unit, qpow, exponent, num, den = _gamma_parts_per_atom(
+        [(a.angle, a.sp) for a in atoms], spec.psi_level)
+    return SpectralFunction(unit, qpow, exponent,
+                            tuple(GeometricFactor(*f) for f in num),
+                            tuple(GeometricFactor(*f) for f in den), spec.q)
+
+
+_DENOMINATORS = (1, 2, 12, 31, 60, 209, 6479)
+
+
+@st.composite
+def _exact_atoms(draw):
+    """0 to 6 atoms of Sp size 1 to 4 at angles k/N with k in [-N, 2N).  An
+    atom may repeat an earlier one, or sit at 108/6479 or 1/60, distinct
+    angles 2.6e-6 apart."""
+    atoms = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.integers(0, 2))
+        if kind == 0 and atoms:
+            atoms.append(draw(st.sampled_from(atoms)))
+            continue
+        if kind == 1:
+            u = draw(st.sampled_from((F(108, 6479), F(1, 60))))
+        else:
+            n = draw(st.sampled_from(_DENOMINATORS))
+            u = F(draw(st.integers(-n, 2 * n - 1)), n)
+        atoms.append((u, draw(st.integers(1, 4))))
+    return atoms
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_exact_atoms(), _exact_atoms(), st.integers(-2, 2), st.randoms())
+def test_exact_path_matches_a_fraction_reference(atoms, other, level, rnd):
+    """The plethysm on integer numerators equals, atom for atom and in
+    order, the calculus in plain Fractions sorted by (sp, angle); the gamma
+    factor equals the per-atom reference field for field and in value."""
+    spec = LocalFieldSpec(3, 3, level)
+    rho, sigma = WDRep.from_atom_list(atoms), WDRep.from_atom_list(other)
+    a = [(x.angle, x.sp) for x in rho.atoms]
+    b = [(x.angle, x.sp) for x in sigma.atoms]
+    dual = [(mod1(-u), m) for (u, m) in a]
+    ad = _ref_tensor(a, dual)
+    assert rho.dual().atoms == _ref_rep(dual)
+    assert rho.tensor(sigma).atoms == _ref_rep(_ref_tensor(a, b))
+    assert rho.sym2().atoms == _ref_rep(_ref_square(a, 1))
+    assert rho.wedge2().atoms == _ref_rep(_ref_square(a, 3))
+    assert rho.ad().atoms == _ref_rep(ad)
+    if a:
+        ad.remove((F(0), 1))
+        assert rho.ad_over_center().atoms == _ref_rep(ad)
+    for rep in (rho, rho.sym2(), rho.tensor(sigma)):
+        assert rep.gamma_factor(spec) == _ref_gamma(rep.atoms, spec)
+    # values where q^{qpow} stays a finite float: 0 < Re s < 1, dim <= 300
+    for rep in (rho, rho.sym2()):
+        got, want = rep.gamma_factor(spec), _ref_gamma(rep.atoms, spec)
+        for s in (0.3 + 0.7j, 0.8 - 0.5j):
+            assert got.evaluate(s) == want.evaluate(s)
+        n = got.ord_zero_at_zero()
+        assert n == want.ord_zero_at_zero()
+        assert got.regularized_value() == want.regularized_value()
+        assert got.inverse().limit_with_power(n) \
+            == want.inverse().limit_with_power(n)
+    shuffled = list(atoms)
+    rnd.shuffle(shuffled)
+    again = WDRep.from_atom_list(shuffled)
+    for x, y in ((again, rho), (again.sym2(), rho.sym2()),
+                 (again.ad(), rho.ad())):
+        assert x == y and hash(x) == hash(y)
 
 
 def _types(x):

@@ -3,9 +3,12 @@
 All linear algebra is exact over the rationals: rank decisions transfer to
 the p-adic field (rank of a rational matrix is the same over any field of
 characteristic zero), and square-class decisions use the exact Hensel
-criteria from ``field``.  Products and row reductions clear each matrix's
-denominators first and run in Python integers, so they stay exact and build
-one ``Fraction`` per result entry rather than one per arithmetic step.  One
+criteria from ``field``.  Matrices are tuples of ``Fraction``, but the
+arithmetic runs in Python integers: a matrix is cleared to integer rows over
+one common denominator, products, the group and reconstruction checks and
+``charpoly`` run on those rows, and a ``Fraction`` is made only for an entry
+that is returned, never per arithmetic step.  B_g is read from g, the
+transpose of its V* x V block, not multiplied out as g^T Q.  One
 fraction-free (Bareiss) Gauss-Jordan elimination, ``_reduce``, is the only
 row reduction: ``det``, ``rank``, ``solve``, ``inverse`` and the kernel basis
 all read it.  A matrix is checked to lie in SO(2d+1) once, where it enters
@@ -23,6 +26,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .field import SquareClass, read_number, square_class, valuation
+from .spectral import as_fraction
 
 Matrix = tuple  # tuple of tuples of Fraction
 
@@ -42,7 +46,7 @@ class NotRegularError(ValueError):
 # -- exact matrix helpers ------------------------------------------------------
 
 def mat(rows: Sequence[Sequence]) -> Matrix:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+    return tuple(tuple(map(as_fraction, row)) for row in rows)
 
 
 def identity(n: int) -> Matrix:
@@ -50,17 +54,13 @@ def identity(n: int) -> Matrix:
                  for i in range(n))
 
 
-def zeros(n: int, m: int) -> Matrix:
-    return tuple(tuple(Fraction(0) for _ in range(m)) for _ in range(n))
-
-
 def transpose(a: Matrix) -> Matrix:
     return tuple(map(tuple, zip(*a)))
 
 
 def mat_add(a: Matrix, b: Matrix, sign: int = 1) -> Matrix:
-    return tuple(tuple(x + sign * y for x, y in zip(ra, rb))
-                 for ra, rb in zip(a, b))
+    op = {1: operator.add, -1: operator.sub}[sign]
+    return tuple(tuple(map(op, ra, rb)) for ra, rb in zip(a, b))
 
 
 def mat_scale(a: Matrix, c) -> Matrix:
@@ -75,13 +75,37 @@ def _cleared(a: Matrix) -> tuple[list, int]:
             for row in a], den
 
 
+def _fractions(rows: list, den: int) -> Matrix:
+    """rows / den: one Fraction per entry, and no gcd when den is 1."""
+    if den == 1:
+        return tuple(tuple(map(Fraction, row)) for row in rows)
+    return tuple(tuple(Fraction(x, den) for x in row) for row in rows)
+
+
+def _imul(a: list, b: list) -> list:
+    """The product of integer rows a and b."""
+    cols = list(zip(*b))
+    return [[sum(map(operator.mul, row, col)) for col in cols] for row in a]
+
+
+def _product(*ms: Matrix) -> tuple[list, int]:
+    """The product of the matrices ms as integer rows and a denominator."""
+    rows, den = _cleared(ms[0])
+    for m in ms[1:]:
+        im, dm = _cleared(m)
+        rows, den = _imul(rows, im), den * dm
+    return rows, den
+
+
+def _same(x: tuple, y: tuple) -> bool:
+    """Whether two (integer rows, denominator) pairs are one matrix."""
+    (rx, dx), (ry, dy) = x, y
+    return [[v * dy for v in row] for row in rx] == \
+        [[v * dx for v in row] for row in ry]
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    ia, da = _cleared(a)
-    ib, db = _cleared(transpose(b))
-    den = da * db
-    return tuple(tuple(Fraction(sum(map(operator.mul, row, col)), den)
-                       for col in ib)
-                 for row in ia)
+    return _fractions(*_product(a, b))
 
 
 def mat_eq(a: Matrix, b: Matrix) -> bool:
@@ -116,26 +140,40 @@ def _reduce(a: Matrix):
     return pivots, rows, p, sign, den
 
 
+def _side(a: Matrix, what: str) -> int:
+    """n for an n x n matrix a; ``ValueError`` for any other shape."""
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError(f"{what} of a non-square matrix")
+    return n
+
+
 def rank(a: Matrix) -> int:
     return len(_reduce(a)[0])
 
 
 def det(a: Matrix) -> Fraction:
     """Exact determinant, sign p / den^n of ``_reduce`` at full rank."""
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("determinant of a non-square matrix")
+    n = _side(a, "determinant")
     pivots, _, p, sign, den = _reduce(a)
     return Fraction(sign * p, den ** n) if len(pivots) == n else Fraction(0)
 
 
-def solve(a: Matrix, b: Matrix) -> Matrix:
-    """x with a x = b for square invertible a: [a | b] reduces to [1 | x]."""
-    n = len(a)
+def _solve(a: Matrix, b: Matrix) -> tuple[list, int]:
+    """(rows, p) with a x = b at x = rows / p, for square invertible a and
+    b of as many rows: [a | b] reduces to [1 | x]."""
+    n = _side(a, "solve")
+    if len(b) != n:
+        raise ValueError(f"solve of {n} rows against a right side of {len(b)}")
     pivots, rows, p, _, _ = _reduce(tuple((*ra, *rb) for ra, rb in zip(a, b)))
     if pivots[:n] != list(range(n)):
         raise DegenerateFormError("matrix is singular")
-    return tuple(tuple(Fraction(x, p) for x in row[n:]) for row in rows)
+    return [row[n:] for row in rows], p
+
+
+def solve(a: Matrix, b: Matrix) -> Matrix:
+    """x with a x = b for square invertible a."""
+    return _fractions(*_solve(a, b))
 
 
 def inverse(a: Matrix) -> Matrix:
@@ -144,19 +182,18 @@ def inverse(a: Matrix) -> Matrix:
 
 def charpoly(a: Matrix) -> tuple:
     """Monic characteristic polynomial det(T I - a), coefficients from the
-    constant term up (Faddeev-LeVerrier, exact)."""
-    n = len(a)
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    m = identity(n)
-    c = Fraction(1)
+    constant term up: Faddeev-LeVerrier on the integer matrix den a, whose
+    coefficient c_k of T^(n-k) is an integer; that of a is c_k / den^k."""
+    n = _side(a, "characteristic polynomial")
+    ia, den = _cleared(a)
+    m, coeffs = [[int(i == j) for j in range(n)] for i in range(n)], [1]
     for k in range(1, n + 1):
-        m = mat_mul(a, m)
-        tr = sum(m[i][i] for i in range(n))
-        c = -tr / k
-        coeffs[n - k] = c
-        m = mat_add(m, mat_scale(identity(n), c))
-    return tuple(coeffs)
+        m = _imul(ia, m)
+        c = -sum(m[i][i] for i in range(n)) // k  # exact
+        coeffs.append(Fraction(c, den ** k))
+        for i in range(n):
+            m[i][i] += c
+    return (*coeffs[:0:-1], Fraction(1))
 
 
 def poly_mul(p: tuple, q: tuple) -> tuple:
@@ -280,7 +317,7 @@ def disc_twisted(b: BilForm, p: int) -> SquareClass:
 def twisted_conjugate(b: BilForm, m: Matrix) -> BilForm:
     """Ad(m) B: gram -> m^{-T} gram m^{-1}."""
     mi = inverse(m)
-    return BilForm(mat_mul(transpose(mi), mat_mul(b.gram, mi)))
+    return BilForm(_fractions(*_product(transpose(mi), b.gram, mi)))
 
 
 def scale_form(b: BilForm, a) -> BilForm:
@@ -376,9 +413,8 @@ def weyl_discriminant_twisted(b: BilForm, p: int, q: int) -> float:
             for v in fix]
     for i in range(k):
         for j in range(i + 1, k):
-            br = mat_add(mat_mul(mats[i], mats[j]), mat_mul(mats[j], mats[i]),
-                         sign=-1)
-            if any(x != 0 for row in br for x in row):
+            if not _same(_product(mats[i], mats[j]),
+                         _product(mats[j], mats[i])):
                 raise NotRegularError("twisted centralizer is not abelian")
     cp = charpoly(one_minus)
     lead = next(c for c in cp if c != 0)  # T^k g(T): +- product of nonzero eigenvalues
@@ -412,7 +448,7 @@ class OddSOEmbedding:
         if len(g) != n or any(len(row) != n for row in g):
             return False, f"g is not {n} x {n}"
         j = self.gram()
-        if not mat_eq(mat_mul(transpose(g), mat_mul(j, g)), j):
+        if not _same(_product(transpose(g), j, g), _cleared(j)):
             return False, "g^T Q g != Q"
         if det(g) != 1:
             return False, "det(g) != 1"
@@ -437,15 +473,13 @@ class OddSOEmbedding:
         ai = transpose(inverse(a))
         g = [[Fraction(0)] * n for _ in range(n)]
         for i in range(d):
-            for j in range(d):
-                g[i][j] = a[i][j]
-                g[d + 1 + i][d + 1 + j] = ai[i][j]
+            g[i][:d], g[d + 1 + i][d + 1:] = a[i], ai[i]
         g[d][d] = Fraction(1)
         return SOElement(mat(g))
 
     def _check_shape(self, w: Sequence, u: Matrix):
         """Refuse a column w of other than d entries or a block U other than
-        d x d: ``mat_eq`` and the block fill read only the overlap."""
+        d x d, which the block fill would not notice."""
         d = self.d
         if len(w) != d or len(u) != d or any(len(row) != d for row in u):
             raise ValueError(f"the column must have {d} entries and the "
@@ -466,32 +500,23 @@ class OddSOEmbedding:
         ``ValueError``."""
         d, n = self.d, self.dim
         self._check_shape(w, u)
-        w = [Fraction(x) for x in w]
-        u = mat(u)
-        need = mat([[-w[i] * w[j] for j in range(d)] for i in range(d)])
-        if not mat_eq(mat_add(u, transpose(u)), need):
+        (w,), u = mat((w,)), mat(u)
+        iu, du = _cleared(u)
+        minus = [[-x - y for x, y in zip(r, c)] for r, c in zip(iu, zip(*iu))]
+        if not _same((minus, du), _product(tuple((x,) for x in w), (w,))):
             raise NotInGroupError("U + U^T != -w w^T")
-        g = [[Fraction(0)] * n for _ in range(n)]
+        zero, one = Fraction(0), Fraction(1)
+        g = [[one if i == j else zero for j in range(n)] for i in range(n)]
         for i in range(d):
-            g[i][i] = Fraction(1)
-            g[d + 1 + i][d + 1 + i] = Fraction(1)
-            g[i][d] = w[i]
-            g[d][d + 1 + i] = -w[i]
-            for j in range(d):
-                g[i][d + 1 + j] = u[i][j]
-        g[d][d] = Fraction(1)
-        return SOElement(mat(g))
+            g[i][d], g[d][d + 1 + i], g[i][d + 1:] = w[i], -w[i], u[i]
+        return SOElement(map(tuple, g))
 
 
 @lru_cache(maxsize=None)
 def _odd_so_gram(d: int) -> Matrix:
     n = 2 * d + 1
-    g = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(d):
-        g[i][d + 1 + i] = Fraction(1)
-        g[d + 1 + i][i] = Fraction(1)
-    g[d][d] = Fraction(1)
-    return mat(g)
+    return mat([[int(abs(i - j) == d + 1 or i == j == d) for j in range(n)]
+                for i in range(n)])
 
 
 def build_odd_so(d: int) -> OddSOEmbedding:
@@ -501,11 +526,13 @@ def build_odd_so(d: int) -> OddSOEmbedding:
 
 
 def b_of_g(emb: OddSOEmbedding, g: Matrix) -> BilForm:
-    """B_g(x, y) = Q(g x, y) restricted to V: the V x V block of g^T Q."""
+    """B_g(x, y) = Q(g x, y) restricted to V: the V x V block of g^T Q,
+    read from g as B_g[i][j] = g[d + 1 + j][i], the transpose of its
+    V* x V block."""
     g = emb.element(g)
     d = emb.d
-    tq = mat_mul(transpose(g), emb.gram())
-    return BilForm(tuple(tuple(tq[i][j] for j in range(d)) for i in range(d)))
+    return BilForm(tuple(tuple(g[d + 1 + j][i] for j in range(d))
+                         for i in range(d)))
 
 
 def in_g_prime(emb: OddSOEmbedding, g: Matrix) -> bool:
@@ -519,37 +546,33 @@ def bruhat_factor(emb: OddSOEmbedding, g: Matrix):
     checked exactly."""
     g = emb.element(g)
     d, n = emb.d, emb.dim
-
-    def blk(r0, c0, nr, nc):
-        return tuple(tuple(g[r0 + i][c0 + j] for j in range(nc))
-                     for i in range(nr))
-
-    g11, g13 = blk(0, 0, d, d), blk(0, d + 1, d, d)
-    g21, g22 = blk(d, 0, 1, d), g[d][d]
-    g31, g32, g33 = blk(d + 1, 0, d, d), blk(d + 1, d, d, 1), blk(d + 1, d + 1, d, d)
-    e = g31
-    ei = inverse(e)  # DegenerateFormError when g is not in the open cell
-    w2 = mat_mul(ei, g32)  # column
-    u2m = mat_mul(ei, g33)
-    w1row = mat_scale(mat_mul(g21, ei), -1)  # 1 x d
-    a = g22 - mat_mul(g21, w2)[0][0]  # a = g22 + w1^T E w2 and w1^T E = -g21
-    w1 = [w1row[0][i] for i in range(d)]
-    u1m = mat_mul(g11, ei)
-    c = mat_add(mat_add(g13, mat_mul(g11, u2m), sign=-1),
-                mat_scale(mat_mul(mat(tuple((x,) for x in w1)),
-                                  transpose(w2)), a))
-    u1 = emb.n_element(w1, u1m)
-    u2 = emb.n_element([w2[i][0] for i in range(d)], u2m)
-    mt = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(d):
-        for j in range(d):
-            mt[i][d + 1 + j] = c[i][j]
-            mt[d + 1 + i][j] = e[i][j]
-    mt[d][d] = Fraction(a)
-    mt = mat(mt)
-    if not mat_eq(mat_mul(u1, mat_mul(mt, u2)), g):
+    ig, dg = _cleared(g)
+    # With E = g31 and E^{-1} = r / p (one reduction of [E | 1]), all over
+    # D = dg p: [w2 | U2] = E^{-1} [g32 | g33] = right / D, [U1; -w1^T] =
+    # [g11; g21] E^{-1} = left / D, a = g22 - g21 w2 = alpha / (dg D) and
+    # C = g13 - g11 U2 + a w1 w2^T = c / (dg D^3).
+    r, p = _solve(tuple(row[:d] for row in g[d + 1:]), identity(d))
+    big = dg * p
+    right = _imul(r, [row[d:] for row in ig[d + 1:]])
+    left = _imul([row[:d] for row in ig[:d + 1]], r)
+    alpha = ig[d][d] * big - sum(x * y[0] for x, y in zip(ig[d], right))
+    gu = _imul([row[:d] for row in ig[:d]], [row[1:] for row in right])
+    c = [[(ig[i][d + 1 + j] * big - gu[i][j]) * big * big
+          - alpha * left[d][i] * right[j][0] for j in range(d)]
+         for i in range(d)]
+    u1 = emb.n_element([Fraction(-x, big) for x in left[d]],
+                       _fractions(left[:d], big))
+    u2 = emb.n_element([Fraction(y[0], big) for y in right],
+                       _fractions([y[1:] for y in right], big))
+    zero = Fraction(0)
+    mt = [[zero] * n for _ in range(n)]
+    for i, (ci, ei) in enumerate(zip(_fractions(c, dg * big ** 3), g[d + 1:])):
+        mt[i][d + 1:], mt[d + 1 + i][:d] = ci, ei[:d]
+    mt[d][d] = Fraction(alpha, dg * big)
+    mt = SOElement(map(tuple, mt))
+    if not _same(_product(u1, mt, u2), (ig, dg)):
         raise ArithmeticError("Bruhat factorization failed to reconstruct g")
-    return u1, SOElement(mt), u2
+    return u1, mt, u2
 
 
 def m_tilde_of(emb: OddSOEmbedding, ubar: Matrix) -> Optional[BilForm]:

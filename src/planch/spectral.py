@@ -163,7 +163,12 @@ class SpectralFunction:
             - sum(1 for g in self.den if g.vanishes_at_zero())
 
     def evaluate(self, s: complex) -> complex:
-        val = self.scalar_value() * self.q ** (-float(self.exponent) * s)
+        """f(s), with the scalar's q^qpow and q^{-exponent s} taken as the
+        one power q^{qpow - exponent s}: finite where q^qpow alone is not."""
+        u, p = self.unit_angle, self.qpow
+        val = cmath.exp(2j * math.pi * (u.numerator / u.denominator)) * \
+            float(self.q) ** (p.numerator / p.denominator
+                              - float(self.exponent) * s)
         for g in self.num:
             val *= g.value(s, self.q)
         for g in self.den:

@@ -446,3 +446,18 @@ def test_squarefree_by_resultant_matches_euclid():
         assert forms.poly_is_squarefree(p) == _squarefree_by_euclid(p) \
             == distinct, factors
     assert repeated > 200
+
+
+def test_non_square_input_is_refused():
+    """solve, inverse and charpoly refuse a non-square or ragged matrix
+    with ValueError, as det does, and solve a right side of the wrong
+    number of rows, rather than reading the overlap."""
+    rect = mat([[1, 0, 5], [0, 1, 7]])
+    ragged = ((F(1), F(2)), (F(3),))
+    for a in (rect, ragged, transpose(rect)):
+        for call in (det, inverse, charpoly,
+                     lambda a: solve(a, mat([[1]] * len(a)))):
+            with pytest.raises(ValueError, match="non-square"):
+                call(a)
+    with pytest.raises(ValueError, match="right side"):
+        solve(identity(2), mat([[1], [2], [3]]))

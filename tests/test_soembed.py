@@ -302,3 +302,88 @@ def test_bruhat_reconstruction_failure_raises(monkeypatch):
                         lambda self, w, u: identity(self.dim))
     with pytest.raises(ArithmeticError):
         bruhat_factor(emb, g)
+
+
+def _fmul(a, b):
+    return [[sum((x * y for x, y in zip(row, col)), F(0)) for col in zip(*b)]
+            for row in a]
+
+
+def _faddeev_leverrier(a):
+    """det(T - a) from the constant term up, on Fractions at every step."""
+    n = len(a)
+    coeffs, m = [F(1)], [[F(int(i == j)) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        m = _fmul(a, m)
+        c = -sum(m[i][i] for i in range(n)) / k
+        coeffs.append(c)
+        m = [[x + c * (i == j) for j, x in enumerate(row)]
+             for i, row in enumerate(m)]
+    return tuple(coeffs[::-1])
+
+
+def test_integer_path_matches_a_fraction_reference():
+    """charpoly, b_of_g, is_in_group, n_element and bruhat_factor, which
+    run on integer rows over one denominator, against plain Fraction
+    arithmetic for d = 1..4, on integer data and on data with
+    denominators > 1."""
+    from planch.forms import charpoly
+
+    rng = random.Random(24)
+    refused = outside = 0
+    for d in (1, 2, 3, 4):
+        emb, n = build_odd_so(d), 2 * d + 1
+        q = [[F(int(abs(i - j) == d + 1 or i == j == d)) for j in range(n)]
+             for i in range(n)]
+        assert emb.gram() == mat(q)
+        for dens in ((1,), (1, 2, 3, 10)):
+            for _ in range(8):
+                def r(lo=-4, hi=4):
+                    return F(rng.randint(lo, hi), rng.choice(dens))
+                a = [[r() for _ in range(n)] for _ in range(n)]
+                assert charpoly(mat(a)) == _faddeev_leverrier(a)
+                w = [r() for _ in range(d)]
+                t = [[r() for _ in range(d)] for _ in range(d)]
+                u = [[t[i][j] - t[j][i] - w[i] * w[j] / 2 for j in range(d)]
+                     for i in range(d)]
+                want = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+                for i in range(d):
+                    want[i][d], want[d][d + 1 + i] = w[i], -w[i]
+                    want[i][d + 1:] = u[i]
+                nu = emb.n_element(w, mat(u))
+                assert [list(row) for row in nu] == want
+                bad = [row[:] for row in u]
+                bad[0][-1] += F(1, dens[-1])
+                with pytest.raises(NotInGroupError):
+                    emb.n_element(w, mat(bad))
+                refused += 1
+                g = emb.n_bar_element(w, mat(u))
+                for x in (g, nu):
+                    tq = _fmul(transpose(x), q)
+                    assert b_of_g(emb, x).gram == mat([row[:d]
+                                                       for row in tq[:d]])
+                flip = [[F(0)] * n for _ in range(n)]
+                for i in range(n):
+                    flip[i][i] = F(-1 if i == d else 1)
+                off = [list(row) for row in g]
+                off[d + 1][0] += 1
+                for x in (g, mat(_fmul(g, flip)), mat(off), mat(a)):
+                    member = _fmul(transpose(x), _fmul(q, x)) == q \
+                        and det(x) == 1
+                    assert emb.is_in_group(x)[0] == member
+                    outside += not member
+                if not in_g_prime(emb, g):
+                    continue
+                u1, mt, u2 = bruhat_factor(emb, g)
+                assert _fmul(u1, _fmul(mt, u2)) == [list(row) for row in g]
+                for x in (u1, mt, u2):
+                    assert all(type(v) is F for row in x for v in row)
+                for x in (u1, u2):  # upper unipotent
+                    assert all(x[i][j] == (i == j) for i in range(n)
+                               for j in range(i + 1))
+                    assert all(x[i][j] == 0 for i in range(d + 1, n)
+                               for j in range(n) if i != j)
+                # twisted Levi: blocks V* -> V, L -> L and V -> V* alone
+                assert all(mt[i][j] == 0 for i in range(n) for j in range(n)
+                           if not (i < d < j or j < d < i or i == j == d))
+    assert refused == 64 and outside >= 150

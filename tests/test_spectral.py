@@ -11,6 +11,7 @@ from planch.field import LocalFieldSpec, gamma_trivial
 from planch.spectral import (GeometricFactor, OrderMismatchError, PoleError,
                              RegularizationError, SpectralFunction, mod1,
                              turn)
+from planch.wdrep import WDRep
 
 SPEC3 = LocalFieldSpec(3, 3, 0)
 
@@ -201,6 +202,20 @@ def test_values_and_limits_match_mpmath():
                 want = complex(tiny ** -n * _mp_value(f, tiny))
                 got = f.limit_with_power(-n)
             assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_evaluate_past_the_float_range_of_q_to_the_qpow():
+    """The gamma factor of (6 x Sp(4) at 0) tensor itself at q = 3 and
+    psi-level 2 has q^qpow = 3^792, past the float range, yet f(0.3 + 0.7j)
+    is about 7e148: evaluate takes q^{qpow - exponent s} as one power, and
+    matches 50-digit mpmath."""
+    rho = WDRep.of(*[(F(0), 4)] * 6)
+    f = rho.tensor(rho).gamma_factor(LocalFieldSpec(3, 3, 2))
+    assert (f.qpow, f.exponent) == (792, 1584)
+    s = 0.3 + 0.7j
+    with mpmath.workdps(50):
+        want = complex(_mp_value(f, mpmath.mpc(s)))
+    assert abs(f.evaluate(s) - want) <= 1e-11 * abs(want)
 
 
 def test_serialization_roundtrip():

@@ -258,10 +258,15 @@ def char_eval(chi: QuadraticCharacter, x: Rational) -> int:
 
 def gamma_trivial(spec: LocalFieldSpec):
     """The gamma factor of the trivial atom (the trivial character),
-    q^{n(1/2-s)} (1-q^{-s}) / (1-q^{s-1})."""
-    from .wdrep import WDRep
+    q^{n(1/2-s)} (1-q^{-s}) / (1-q^{s-1}), built as ``gamma_parts`` gives
+    it for the one atom (0, 1): the unit angle 0, qpow n/2 and exponent n."""
+    from .spectral import GeometricFactor, SpectralFunction
 
-    return WDRep.of((0, 1)).gamma_factor(spec)
+    n = spec.psi_level
+    return SpectralFunction(
+        qpow=Fraction(n, 2), exponent=Fraction(n),
+        num=(GeometricFactor(Fraction(0), Fraction(0)),),
+        den=(GeometricFactor(Fraction(0), Fraction(1), -1),), q=spec.q)
 
 
 def gamma_star_trivial(spec: LocalFieldSpec):

@@ -31,8 +31,8 @@ with no exp and no copy: a direction in the head coordinates gives one
 value per row, one in the last coordinate one per column, and each other
 direction costs one in-place multiply over the chunk.  Each caller hands
 the same fn to every chunk, so the grid finds its table again.  A 1-D grid
-is one row, costed on its axis phasors e((i + 1/2 + offset) / n), segment
-by segment.
+is one row, costed on its axis phasors e((i + 1/2 + offset) / n), and a
+mean's fine and coarse 1-D grids share chunks (``_row_chunks``).
 The s -> 0 limit is taken by Richardson extrapolation.  The order of a
 triple's blocks and their pairing into mirror rows, which both sides and
 the constants joining them depend on, are decided in one place,
@@ -152,6 +152,31 @@ def _int_coeffs(a: AffineAngle) -> tuple:
     return tuple(int(c) for c in a.coeffs)
 
 
+# An affine angle k/N + c.x over a common denominator N packs into the one
+# integer k + sum_r c_r 2^(128 r): the plethysm and ``gamma_parts`` only add,
+# negate and scale angles by integers, which act on it digit by digit while
+# every digit stays below 2^127 in size, as it does for N < 2^64 and any
+# psi-level whose gamma factors have float values.
+def _packed_atoms(atoms, den: int) -> list:
+    """The atoms with their ``AffineAngle``s packed over den."""
+    if den >> 64:
+        raise OverflowError(f"common denominator {den} is past 2^64")
+    return [(a.const.numerator * (den // a.const.denominator)
+             + sum(c << 128 * r for r, c in enumerate(_int_coeffs(a), 1)), m)
+            for a, m in atoms]
+
+
+def _unpacked(v: int, nfree: int) -> tuple[int, tuple]:
+    """(k, c) of the packed angle v: its balanced base-2^128 digits."""
+    digits = []
+    for _ in range(nfree + 1):
+        digits.append(((v + (1 << 127)) & ((1 << 128) - 1)) - (1 << 127))
+        v = (v - digits[-1]) >> 128
+    if v:
+        raise OverflowError("a packed angle's digit left its range")
+    return digits[0], tuple(digits[1:])
+
+
 def _phasor_power(e: np.ndarray, k: int) -> np.ndarray:
     """e**k for unit-modulus e and a nonzero integer k, by repeated squaring;
     a negative power is the conjugate of the positive one."""
@@ -233,7 +258,7 @@ def _unit_roots(n: int) -> np.ndarray:
 
 
 class _ResidueGrid:
-    """The grid of ``_grid_mean`` with dim >= 2, read through residues.  At
+    """The grid of ``_grid_means`` with dim >= 2, read through residues.  At
     the node of index I its coordinates are t = (I + 1/2 + offset) / n, so
 
         e(c.t) = e((c.I mod n + sigma_c) / n),
@@ -351,8 +376,8 @@ def _direction_product(w: np.ndarray, net: int, terms: tuple,
 class FactorProgram:
     """A gamma factor of a family of representations, ready for grid
     evaluation.  Every factor is 1 - a_f e(c.t) with an integer vector c
-    and the scalar a_f = e(const_f) q^{-(sdir s + shift)}.  At compile time
-    the factors with c = 0 fold, with the monomial's e(unit) q^{qpow -
+    and the scalar a_f = e(const_f) q^{-(sdir s + shift)}.  The factors
+    with c = 0 fold, with the monomial's e(unit) q^{qpow -
     exponent s}, into one scalar per s.  Every other factor, and the
     monomial's e(u.t), joins the group of its primitive direction d
     (``_primitive``: c = m d).  Along d it is a function of the direction
@@ -374,7 +399,7 @@ class FactorProgram:
     Poles: ``SpectralFunction.evaluate`` refuses a denominator factor below
     1e-14; no node here is guarded, as for s > 0 no program meets a pole:
     Sym^2's factors cross the bar as 1 - e(.) q^{-(s + r)}, and Ad's and
-    wedge^2's denominators have shift >= 1.  ``_grid_mean`` raises
+    wedge^2's denominators have shift >= 1.  ``_grid_means`` raises
     ``PoleError`` on a sum that is not finite."""
 
     q: int
@@ -393,57 +418,91 @@ class FactorProgram:
     # 2^16 72.7 [66.2, 74.5]; 2^15 won 5 of the 10 rounds, 2^16 4
     BLOCK = 1 << 15
 
-    def __post_init__(self):
-        zero = (0,) * self.nfree
-        self._scalar_num, self._scalar_den = [], []
+    # A program derives its factor groups and float arrays once, when they
+    # are first read: ``ComponentModel`` evaluates only the quotient of its
+    # Ad and Sym^2 programs, so those two derive none.
+    _at_s = None
+
+    @functools.cached_property
+    def _scalars(self) -> tuple:
+        """The indices of the factors with c = 0 in the numerator, and in
+        the denominator."""
+        return tuple([i for i, f in enumerate(self.factors)
+                      if f.in_num is side and not any(f.coeffs)]
+                     for side in (True, False))
+
+    @functools.cached_property
+    def _dirs(self) -> tuple:
+        """(angle d.t, net, terms) of the directions that vary per row
+        (d_last = 0), per column (d = (0, ..., 0, 1)) and per node."""
         # primitive direction d -> [net power of w, [(-m, factor, in num)]]
         dirs = {}
-        if self.unit_coeffs != zero:
+        if any(self.unit_coeffs):
             d, m = _primitive(self.unit_coeffs)
             dirs[d] = [m, []]
         for i, f in enumerate(self.factors):
-            if f.coeffs == zero:
-                (self._scalar_num if f.in_num else self._scalar_den).append(i)
-                continue
-            d, m = _primitive(f.coeffs)
-            group = dirs.setdefault(d, [0, []])
-            group[0] += m if f.in_num else -m
-            group[1].append((-m, i, f.in_num))
-        # (angle d.t, net, terms) of the directions that vary per row
-        # (d_last = 0), per column (d = (0, ..., 0, 1)) and per node
-        self._dirs = [], [], []
+            if any(f.coeffs):
+                d, m = _primitive(f.coeffs)
+                group = dirs.setdefault(d, [0, []])
+                group[0] += m if f.in_num else -m
+                group[1].append((-m, i, f.in_num))
+        out = [], [], []
         for d, (net, terms) in dirs.items():
             kind = 0 if d[-1] == 0 else 1 if not any(d[:-1]) else 2
-            self._dirs[kind].append((AffineAngle(Fraction(0), d), net,
-                                     tuple(terms)))
-        self._rot = np.exp(2j * np.pi * np.array(
-            [float(f.const) for f in self.factors], dtype=float))
-        self._shift = np.array([f.shift for f in self.factors], dtype=float)
-        self._sdir = np.array([f.sdir for f in self.factors], dtype=float)
-        self._at_s = None
+            out[kind].append((AffineAngle(Fraction(0), d), net, tuple(terms)))
+        return out
+
+    @functools.cached_property
+    def _rot(self) -> np.ndarray:
+        return np.exp(2j * np.pi * np.array(
+            [f.const.numerator / f.const.denominator for f in self.factors],
+            dtype=float))
+
+    @functools.cached_property
+    def _shift(self) -> np.ndarray:
+        return np.array([f.shift for f in self.factors], dtype=float)
+
+    @functools.cached_property
+    def _sdir(self) -> np.ndarray:
+        return np.array([f.sdir for f in self.factors], dtype=float)
 
     @classmethod
     def compile(cls, atoms, spec: LocalFieldSpec, nfree: int,
-                regularize: bool) -> "FactorProgram":
-        """With ``regularize``, identically-vanishing numerator factors are
-        left out: each gives exactly 1 after pairing with a zeta factor."""
-        atoms = [(_as_affine(u, nfree), m) for (u, m) in atoms]
-        unit, qpow, exponent, num, den = gamma_parts(atoms, spec.psi_level)
-        unit = _as_affine(unit, nfree)
+                regularize: bool, den: int = 0) -> "FactorProgram":
+        """The program of the gamma factor of ``atoms``, whose angles are
+        ``AffineAngle``s or numbers, or with ``den`` angles packed over den
+        (``_packed_atoms``), as ``ComponentModel`` runs its plethysm.
+        ``gamma_parts`` runs on the packed integers, and each kept factor
+        makes one ``Fraction``, its constant.  With ``regularize``,
+        identically-vanishing numerator factors are left out: each gives
+        exactly 1 after pairing with a zeta factor."""
+        if not den:
+            atoms = [(_as_affine(u, nfree), m) for u, m in atoms]
+            den = math.lcm(*(a.const.denominator for a, _ in atoms))
+            atoms = _packed_atoms(atoms, den)
+        unit, qpow, exponent, num, dens = gamma_parts(atoms, spec.psi_level)
+        # unit = h/2 + K, K packed and h = sum (m - 1): as in
+        # WDRep.gamma_factor its constant is (2 unit + h (N - 1)) / 2N
+        h = sum(m - 1 for _, m in atoms)
+        twice, coeffs = _unpacked(unit.numerator * (2 // unit.denominator),
+                                  nfree)
+        angles = [_unpacked(a, nfree) for a, _, _ in num]
         factors = []
-        for group, in_num in ((num, True), (den, False)):
-            for (a, r, sd) in group:
-                a = _as_affine(a, nfree)
-                if r == 0 and a.is_identically_zero():
-                    if not in_num:
+        for sign, group in ((1, num), (-1, dens)):
+            for (k, c), (_, r, sd) in zip(angles, group):
+                if not (r or k % den or any(c)):
+                    if sign < 0:
                         raise ArithmeticError(
                             "denominator factor vanishes identically")
                     if regularize:
                         continue
-                factors.append(_Factor(mod1(a.const), _int_coeffs(a),
-                                       float(r), sd, in_num))
-        return cls(q=spec.q, nfree=nfree, unit_const=mod1(unit.const),
-                   unit_coeffs=_int_coeffs(unit),
+                factors.append(_Factor(
+                    Fraction(sign * k % den, den), tuple(sign * x for x in c),
+                    r.numerator / r.denominator, sd, sign > 0))
+        return cls(q=spec.q, nfree=nfree,
+                   unit_const=Fraction((twice + h * (den - 1)) % (2 * den),
+                                       2 * den),
+                   unit_coeffs=tuple(x // 2 for x in coeffs),
                    qpow=float(qpow), exponent=float(exponent), factors=factors)
 
     def quotient(self, den: "FactorProgram") -> "FactorProgram":
@@ -457,9 +516,10 @@ class FactorProgram:
             unit_coeffs=tuple(a - b for a, b in zip(self.unit_coeffs,
                                                     den.unit_coeffs)),
             qpow=self.qpow - den.qpow, exponent=-den.exponent,
-            factors=([dataclasses.replace(f, sdir=0) for f in self.factors]
-                     + [dataclasses.replace(f, in_num=not f.in_num)
-                        for f in den.factors]))
+            factors=([_Factor(f.const, f.coeffs, f.shift, 0, f.in_num)
+                      for f in self.factors]
+                     + [_Factor(f.const, f.coeffs, f.shift, f.sdir,
+                                not f.in_num) for f in den.factors]))
 
     def eval(self, t: np.ndarray, s: complex) -> np.ndarray:
         """Evaluate at the nodes ``t`` of shape (nfree, M) and the point s,
@@ -478,8 +538,9 @@ class FactorProgram:
             a = self._rot * self.q ** (-(self._sdir * s + self._shift))
             scalar = (np.exp(2j * np.pi * float(self.unit_const))
                       * (self.q ** self.qpow) * self.q ** (-self.exponent * s))
-            scalar = scalar * np.prod(1.0 - a[self._scalar_num]) \
-                / np.prod(1.0 - a[self._scalar_den])
+            num, den = self._scalars
+            scalar = scalar * np.multiply.reduce(1.0 - a[num]) \
+                / np.multiply.reduce(1.0 - a[den])
             a = a.tolist()
             at = self._at_s = (s, complex(scalar)) + tuple(
                 [(angle, functools.partial(_direction_product, net=net,
@@ -840,24 +901,26 @@ class ComponentModel:
         # LHS torus: kernel-lattice basis of the block-dimension vector
         basis = _kernel_lattice_basis(self.dims)
         self.R_lhs = len(basis)
-        lhs_atoms = [(AffineAngle(u, tuple(int(v[b]) for v in basis)), k)
-                     for b, (k, u, _) in enumerate(layout)]
-        self.lhs_atoms = lhs_atoms
-        self.sym2_lhs = FactorProgram.compile(sym2_atoms(lhs_atoms), spec,
-                                              self.R_lhs, regularize=False)
-        self.ad_lhs = FactorProgram.compile(ad_over_center_atoms(lhs_atoms),
-                                            spec, self.R_lhs, regularize=True)
-        self.lhs_program = self.ad_lhs.quotient(self.sym2_lhs)
-
+        self.lhs_atoms = [(AffineAngle(u, tuple(int(v[b]) for v in basis)), k)
+                          for b, (k, u, _) in enumerate(layout)]
         # RHS subtorus: a block with mirror row (i, sign) has twist sign * x_i
         self.R_rhs = len(mirror_sizes)
         self.rhs_atoms = [
             (AffineAngle(u, tuple(row[1] if row and row[0] == i else 0
                                   for i in range(self.R_rhs))), k)
             for k, u, row in layout]
-        self.wedge2_rhs = FactorProgram.compile(wedge2_atoms(self.rhs_atoms),
-                                                spec, self.R_rhs,
-                                                regularize=True)
+
+        # the plethysm on angles packed over the blocks' common denominator
+        n = math.lcm(*(u.denominator for _, u, _ in layout))
+        lhs = _packed_atoms(self.lhs_atoms, n)
+        rhs = _packed_atoms(self.rhs_atoms, n)
+        self.sym2_lhs = FactorProgram.compile(sym2_atoms(lhs), spec,
+                                              self.R_lhs, False, n)
+        self.ad_lhs = FactorProgram.compile(ad_over_center_atoms(lhs), spec,
+                                            self.R_lhs, True, n)
+        self.lhs_program = self.ad_lhs.quotient(self.sym2_lhs)
+        self.wedge2_rhs = FactorProgram.compile(wedge2_atoms(rhs), spec,
+                                                self.R_rhs, True, n)
 
         self._gamma_triv = gamma_trivial(spec)
 
@@ -920,7 +983,10 @@ class ComponentModel:
     def lhs_mean(self, phi: TestFunction, s: float, cfg: QuadConfig):
         """Mean of the LHS integrand over the component torus; returns
         (mean, error_estimate, n, nodes, budget_flag), n the fine grid's
-        nodes per axis (1 on a point)."""
+        nodes per axis (1 on a point).  The error estimate is the distance
+        to the mean on a coarser grid, read in the same call of
+        ``_grid_means``: on a 1-D torus both grids' nodes share chunks, so
+        the program and phi run once per chunk for both."""
         dim = self.R_lhs
 
         def integrand(t):
@@ -929,7 +995,6 @@ class ComponentModel:
         if dim == 0:
             return _grid_mean(integrand, 0, 1), 0.0, 1, 1, False
         n, capped = self.lhs_grid_size(s, cfg)
-        mean = _grid_mean(integrand, dim, n)
         # self-consistency estimate on a coarser incommensurate grid, never
         # larger than the fine one, so that the budget holds for both.  It
         # takes the fine grid's parity: the integrand's Fourier modes span a
@@ -940,9 +1005,8 @@ class ComponentModel:
         # parity the coarse aliases are the fine ones scaled by n2 / n.
         n2 = int(n / math.sqrt(2))
         n2 = max(1, n2 - (n - n2) % 2)
-        mean2 = _grid_mean(integrand, dim, n2)
-        err = abs(mean - mean2)
-        return mean, err, n, n ** dim + n2 ** dim, capped
+        mean, mean2 = _grid_means(integrand, dim, (n, n2))
+        return mean, abs(mean - mean2), n, n ** dim + n2 ** dim, capped
 
     def lhs_value(self, phi: TestFunction, s: float, cfg: QuadConfig):
         """d * gamma(s, 1, psi) * (component constants) * mean, with the
@@ -981,26 +1045,45 @@ class ComponentModel:
 # -- grids -----------------------------------------------------------------------
 
 
+def _row_chunks(ns: tuple):
+    """The 1-D grids of n nodes for each n of ``ns``, grid after grid in
+    node order, in chunks of at most BLOCK nodes: pairs (``Phasors`` of the
+    chunk's axis phasors e((i + 1/2 + offset) / n), its pieces (g, size) in
+    order).  A grid is cut at the multiples of BLOCK, as when read alone,
+    and its segments share a chunk while they fit."""
+    block, chunks, used = FactorProgram.BLOCK, [[]], 0
+    for g, n in enumerate(ns):
+        for j in range(0, n, block):
+            seg = (g, j, min(n, j + block))
+            if used + seg[2] - j > block:
+                chunks.append([])
+                used = 0
+            chunks[-1].append(seg)
+            used += seg[2] - j
+    for pieces in chunks:
+        axis = np.concatenate([np.exp(2j * np.pi * (
+            (np.arange(j, stop) + 0.5 + QuadConfig.offset) / ns[g]))
+            for g, j, stop in pieces])
+        yield Phasors([axis], axis.shape), [(g, stop - j)
+                                            for g, j, stop in pieces]
+
+
 def _grid_chunks(dim: int, n: int):
-    """The chunks of the grid of ``_grid_mean``, in node order, each of at
+    """The chunks of the grid of ``_grid_means``, in node order, each of at
     most BLOCK nodes.  A point is one ``Phasors`` of no coordinate.  A 1-D
-    grid is one row, cut into segments whose axis phasors e((i + 1/2 +
-    offset) / n) are made per segment, so that it keeps no table.  With
-    dim >= 2 a chunk is a ``GridChunk`` of one ``_ResidueGrid``, which reads
-    every function of e(c.t) from a table of its n residues: BLOCK // n
-    whole rows of the last axis, fewer where the outer coordinates (all but
-    the last two) carry, so that its rows form one arithmetic run, or when
-    n > BLOCK a segment of one row.  No grid node takes an exp or a
-    coordinate of its own."""
+    grid is one row, read as ``_row_chunks`` reads it.  With dim >= 2 a
+    chunk is a ``GridChunk`` of one ``_ResidueGrid``, which reads every
+    function of e(c.t) from a table of its n residues: BLOCK // n whole rows
+    of the last axis, fewer where the outer coordinates (all but the last
+    two) carry, so that its rows form one arithmetic run, or when n > BLOCK
+    a segment of one row.  No grid node takes an exp or a coordinate of its
+    own."""
     if dim == 0:
         yield Phasors([], (1,))
         return
     block = FactorProgram.BLOCK
     if dim == 1:
-        for j in range(0, n, block):
-            i = np.arange(j, min(n, j + block))
-            axis = np.exp(2j * np.pi * ((i + 0.5 + QuadConfig.offset) / n))
-            yield Phasors([axis], axis.shape)
+        yield from (ph for ph, _ in _row_chunks((n,)))
         return
     grid, rows = _ResidueGrid(dim, n), max(1, block // n)
     for outer in itertools.product(range(n), repeat=dim - 2):
@@ -1010,27 +1093,42 @@ def _grid_chunks(dim: int, n: int):
                                 range(j, min(n, j + block)))
 
 
-def _grid_mean(fun: Callable, dim: int, n: int) -> complex:
-    """Mean of fun over the uniform offset grid of n^dim nodes (n^0 = 1: a
-    point), node (i_1..i_dim) at ((i_r + 1/2 + offset) / n)_r.  For periodic
-    integrands this is the trapezoid rule up to translation, hence
-    spectrally accurate; the golden offset keeps nodes off the exact
-    singular loci.  fun takes each chunk of ``_grid_chunks``, whose
-    ``shape`` is (dim, nodes in the chunk), and its values are summed
-    at once, so memory does not grow with the grid and no node takes an exp
-    or a coordinate.  A sum that is not finite met a pole (see
+def _grid_means(fun: Callable, dim: int, ns: tuple) -> list:
+    """Mean of fun over the uniform offset grid of n^dim nodes for each n of
+    ``ns`` (n^0 = 1: a point), node (i_1..i_dim) at ((i_r + 1/2 + offset) /
+    n)_r.  For periodic integrands this is the trapezoid rule up to
+    translation, hence spectrally accurate; the golden offset keeps nodes
+    off the exact singular loci.  fun takes each chunk, whose ``shape`` is
+    (dim, nodes in the chunk), and its values are summed at once, so memory
+    does not grow with the grid and no node takes an exp or a coordinate.
+    1-D grids share chunks (``_row_chunks``), each summing its own pieces,
+    so a chunk adds up as it would alone; others are read one by one
+    (``_grid_chunks``).  A grid's sum that is not finite met a pole (see
     ``FactorProgram``) or a value beyond floating range, and raises
     ``PoleError``; that check is the guard, so numpy's overflow and invalid
     warnings, from the chunks' products and from their sums, are hidden."""
-    size = n ** dim
-    total = 0j
+    totals = [0j] * len(ns)
     with np.errstate(over="ignore", invalid="ignore"):
-        for ph in _grid_chunks(dim, n):
-            total += complex(fun(ph).sum())
-    if not cmath.isfinite(total):
-        raise PoleError(f"the mean over {size} nodes is not finite: a pole "
-                        f"or a value beyond floating range")
-    return total / size
+        if dim == 1:
+            for ph, pieces in _row_chunks(ns):
+                values, at = fun(ph), 0
+                for g, size in pieces:
+                    totals[g] += complex(values[at:at + size].sum())
+                    at += size
+        else:
+            for g, n in enumerate(ns):
+                for ph in _grid_chunks(dim, n):
+                    totals[g] += complex(fun(ph).sum())
+    for total, n in zip(totals, ns):
+        if not cmath.isfinite(total):
+            raise PoleError(f"the mean over {n ** dim} nodes is not finite: "
+                            f"a pole or a value beyond floating range")
+    return [total / n ** dim for total, n in zip(totals, ns)]
+
+
+def _grid_mean(fun: Callable, dim: int, n: int) -> complex:
+    """The mean of fun over the one grid of n^dim nodes (``_grid_means``)."""
+    return _grid_means(fun, dim, (n,))[0]
 
 
 # -- extrapolation and the report ---------------------------------------------------

@@ -164,11 +164,19 @@ class SpectralFunction:
 
     def evaluate(self, s: complex) -> complex:
         """f(s), with the scalar's q^qpow and q^{-exponent s} taken as the
-        one power q^{qpow - exponent s}: finite where q^qpow alone is not."""
+        one power q^{qpow - exponent s}: finite where q^qpow alone is not.
+        Where that power is past the float range, f(s) is 0 at an exact
+        zero of a numerator factor, and the power's OverflowError is raised
+        anywhere else."""
         u, p = self.unit_angle, self.qpow
-        val = cmath.exp(2j * math.pi * (u.numerator / u.denominator)) * \
-            float(self.q) ** (p.numerator / p.denominator
-                              - float(self.exponent) * s)
+        try:
+            val = cmath.exp(2j * math.pi * (u.numerator / u.denominator)) * \
+                float(self.q) ** (p.numerator / p.denominator
+                                  - float(self.exponent) * s)
+        except OverflowError:
+            if all(g.value(s, self.q) != 0 for g in self.num):
+                raise
+            val = 0j
         for g in self.num:
             val *= g.value(s, self.q)
         for g in self.den:

@@ -7,8 +7,9 @@ irreducible of the SL_2 factor.  Representations are multisets of atoms.
 The multiset calculus (tensor, dual, Sym^2, wedge^2, adjoint) only ever adds
 and negates angles, so the worker functions below are written against a
 generic angle type: the integer numerators k of the angles k/N of a public
-``WDRep`` over one common denominator N, exact ``Fraction`` turns, and affine
-angle forms for the torus-family compiler in ``limitcheck``.
+``WDRep`` over one common denominator N, exact ``Fraction`` turns, affine
+angle forms, and the affine angles of a torus family packed into one integer
+each over its common denominator (``limitcheck.FactorProgram.compile``).
 """
 
 from __future__ import annotations

@@ -1241,3 +1241,179 @@ def test_lhs_mean_memory_does_not_grow_with_the_grid():
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2 ** 20, (triple, peak)
+
+
+# -- one pass over a 1-D torus's fine and coarse grids ---------------------------
+
+def _separate_1d_mean(fun, n):
+    """The mean over the 1-D grid of n nodes, read on its own: one Phasors
+    per segment of BLOCK nodes, the chunk sums added in order."""
+    block, total = FactorProgram.BLOCK, 0j
+    for j in range(0, n, block):
+        axis = np.exp(2j * np.pi * ((np.arange(j, min(n, j + block)) + 0.5
+                                     + QuadConfig.offset) / n))
+        total += complex(fun(limitcheck.Phasors([axis], axis.shape)).sum())
+    return total / n
+
+
+def test_fused_grids_match_separate_grid_reads(monkeypatch):
+    """On the 1-D tori T_IN, T_IO2 and T_IS, with ConstantPhi, TrigPhi and
+    GaussianPhi, the fine and coarse means of one lhs_mean equal, bit for
+    bit, the two grids read on their own, and so do its error, n and node
+    count: at BLOCK, where one chunk holds both grids, and with chunks cut
+    so that one holds the tail of the fine grid and the head of the coarse
+    one, or many pieces of each."""
+    cfg = QuadConfig(s0=0.1, s_count=6, n_base=128, tol=1e-2)
+    phis = (ConstantPhi(1.3), TrigPhi([(1, 1, 0.3 + 0.1j), (2, 1, -0.2 + 0j),
+                                       (1, 2, 0.1 - 0.2j)]), GaussianPhi())
+    straddled = 0
+    for triple in (T_IN, T_IO2, T_IS):
+        model = ComponentModel(triple, SPEC3)
+        assert model.R_lhs == 1
+        for s in cfg.s_values()[::2]:
+            n, capped = model.lhs_grid_size(s, cfg)
+            n2 = int(n / math.sqrt(2))
+            n2 -= (n - n2) % 2
+            for block in (FactorProgram.BLOCK, -(-(n + n2) // 2), 37):
+                monkeypatch.setattr(FactorProgram, "BLOCK", block)
+                pieces = [[g for g, _ in p]
+                          for _, p in limitcheck._row_chunks((n, n2))]
+                straddled += any(p[0] != p[-1] for p in pieces)
+                if block > n + n2:
+                    assert len(pieces) == 1
+                for phi in phis:
+                    def integrand(t):
+                        return model.lhs_integrand(phi, t, s)
+                    want = [_separate_1d_mean(integrand, m) for m in (n, n2)]
+                    got = limitcheck._grid_means(integrand, 1, (n, n2))
+                    assert got == want, (triple, s, block)
+                    assert model.lhs_mean(phi, s, cfg) == (
+                        want[0], abs(want[0] - want[1]), n, n + n2, capped)
+    assert straddled >= 6
+
+
+def test_a_non_finite_coarse_grid_alone_raises_pole_error(monkeypatch):
+    """Each grid's sum is checked on its own: values that are infinite only
+    on the coarse grid's nodes of a shared chunk, or only on the fine
+    grid's, raise PoleError, at BLOCK and with chunks that straddle the
+    two grids."""
+    model = ComponentModel(T_IN, SPEC3)
+    n, _ = model.lhs_grid_size(0.1, FAST)
+    n2 = int(n / math.sqrt(2))
+    n2 -= (n - n2) % 2
+    for block in (FactorProgram.BLOCK, -(-(n + n2) // 2)):
+        monkeypatch.setattr(FactorProgram, "BLOCK", block)
+        for bad in (1, 0):
+            def values(ph, bad=bad):
+                # a node of the coarse grid has an axis phasor off the fine one's
+                axis = ph._e[0]
+                fine = np.isin(axis, np.exp(2j * np.pi * (
+                    (np.arange(n) + 0.5 + QuadConfig.offset) / n)))
+                return np.where(fine != bool(bad), 1.0, np.inf)
+
+            with pytest.raises(PoleError):
+                limitcheck._grid_means(values, 1, (n, n2))
+            with monkeypatch.context() as m:
+                m.setattr(ComponentModel, "lhs_integrand",
+                          lambda self, phi, t, s: values(t))
+                with pytest.raises(PoleError):
+                    model.lhs_mean(ConstantPhi(1.0), 0.1, FAST)
+        assert np.isfinite(model.lhs_mean(ConstantPhi(1.0), 0.1, FAST)[0])
+
+
+# -- programs compiled in integers against a Fraction reference --------------------
+
+def _fraction_compile(atoms, spec, nfree, regularize):
+    """FactorProgram.compile as plain Fraction arithmetic: gamma_parts on
+    affine angles with Fraction constants, each kept factor's constant and
+    the unit reduced by mod1."""
+    from planch.spectral import mod1
+
+    unit, qpow, exponent, num, den = gamma_parts(atoms, spec.psi_level)
+    factors = []
+    for group, in_num in ((num, True), (den, False)):
+        for a, r, sd in group:
+            a = limitcheck._as_affine(a, nfree)
+            if regularize and r == 0 and a.is_identically_zero():
+                continue
+            factors.append(limitcheck._Factor(mod1(a.const), tuple(a.coeffs),
+                                              float(r), sd, in_num))
+    unit = limitcheck._as_affine(unit, nfree)
+    return FactorProgram(spec.q, nfree, mod1(unit.const), tuple(unit.coeffs),
+                         float(qpow), float(exponent), factors)
+
+
+def _fraction_quotient(top, den):
+    from planch.spectral import mod1
+
+    return FactorProgram(
+        top.q, top.nfree, mod1(top.unit_const - den.unit_const),
+        tuple(a - b for a, b in zip(top.unit_coeffs, den.unit_coeffs)),
+        top.qpow - den.qpow, -den.exponent,
+        [dataclasses.replace(f, sdir=0) for f in top.factors]
+        + [dataclasses.replace(f, in_num=not f.in_num) for f in den.factors])
+
+
+@st.composite
+def _small_triples(draw):
+    """Orthogonal triples of degree at most 8: dual pairs of Sp(1) or Sp(2)
+    at angles of denominator 3 to 60, and self-dual atoms at 0 or 1/2 (an
+    even number of each symplectic one), so that blocks of several
+    denominators and of even size meet.  Groups are dropped from the end
+    until the degree fits."""
+    groups, seen = [], set()
+    for _ in range(draw(st.integers(0, 2))):
+        den = draw(st.sampled_from((3, 4, 5, 7, 12, 60)))
+        u = F(draw(st.integers(1, den - 1)), den)
+        if 2 * u != 1 and u not in seen:
+            seen |= {u, 1 - u}
+            groups.append(("dual_pairs", WDAtom(u, draw(st.integers(1, 2))),
+                           1))
+    groups += [("symplectic", WDAtom(F(h, 2), 2), 2)
+               for h in (0, 1) if draw(st.booleans())]
+    groups += [("orthogonal", WDAtom(F(h, 2), k), draw(st.integers(1, 2)))
+               for h in (0, 1) for k in (1, 3) if draw(st.booleans())]
+    groups = draw(st.permutations(groups))
+    while sum(a.sp * m * (1 + (kind == "dual_pairs"))
+              for kind, a, m in groups) > 8:
+        groups.pop()
+    if not groups:
+        return T_IN
+    return OrthTriple(**{kind: [(a, m) for k, a, m in groups if k == kind]
+                         for kind in ("dual_pairs", "symplectic",
+                                      "orthogonal")})
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_small_triples(), st.integers(-1, 2),
+       st.sampled_from(((2, 2), (3, 3), (2, 4), (3, 9), (5, 25))))
+@example(OrthTriple(dual_pairs=((WDAtom(F(1, 3), 2), 1),),
+                    orthogonal=((WDAtom(F(1, 2), 1), 1),)), 1, (5, 25))
+def test_integer_compile_matches_a_fraction_reference(triple, level, field):
+    """A model's Sym^2, Ad, quotient and wedge^2 programs, compiled on
+    angles packed over the blocks' common denominator, equal the plain
+    Fraction compile of the same plethysm: factors, unit, qpow and
+    exponent, the direction groups, and the float arrays bit for bit.
+    ``compile`` on the affine atoms gives the same programs."""
+    spec = LocalFieldSpec(field[0], field[1], level)
+    model = ComponentModel(triple, spec)
+    lhs, rhs, r = model.lhs_atoms, model.rhs_atoms, model.R_lhs
+    sym2 = _fraction_compile(limitcheck.sym2_atoms(lhs), spec, r, False)
+    ad = _fraction_compile(limitcheck.ad_over_center_atoms(lhs), spec, r, True)
+    wedge2 = _fraction_compile(limitcheck.wedge2_atoms(rhs), spec,
+                               model.R_rhs, True)
+    pairs = ((model.sym2_lhs, sym2), (model.ad_lhs, ad),
+             (model.lhs_program, _fraction_quotient(ad, sym2)),
+             (model.wedge2_rhs, wedge2))
+    for got, want in pairs:
+        assert got == want
+        assert all(type(x) is F for x in [got.unit_const]
+                   + [f.const for f in got.factors])
+        assert got._dirs == want._dirs and got._scalars == want._scalars
+        for name in ("_rot", "_shift", "_sdir"):
+            assert getattr(got, name).tobytes() == \
+                getattr(want, name).tobytes()
+    assert FactorProgram.compile(limitcheck.sym2_atoms(lhs), spec, r, False) \
+        == model.sym2_lhs
+    assert FactorProgram.compile(limitcheck.wedge2_atoms(rhs), spec,
+                                 model.R_rhs, True) == model.wedge2_rhs

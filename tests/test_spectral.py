@@ -218,6 +218,27 @@ def test_evaluate_past_the_float_range_of_q_to_the_qpow():
     assert abs(f.evaluate(s) - want) <= 1e-11 * abs(want)
 
 
+def test_evaluate_is_zero_at_an_exact_zero_past_the_float_range():
+    """The same factor has a zero of order 36 at s = 0, where q^{qpow} =
+    3^792 is past the float range: evaluate(0) is 0, and a zero factor
+    does not hide a pole.  Where the true value is past the float range,
+    at s = -0.1, evaluate still raises OverflowError, and the value at 0.3
+    + 0.7j is the one the single power gave before."""
+    rho = WDRep.of(*[(F(0), 4)] * 6)
+    f = rho.tensor(rho).gamma_factor(LocalFieldSpec(3, 3, 2))
+    assert f.ord_zero_at_zero() == 36
+    assert f.evaluate(0.0) == 0 and f.evaluate(0j) == 0
+    with pytest.raises(PoleError):
+        SpectralFunction(qpow=792, num=f.num, den=(GeometricFactor(0, 1),),
+                         q=3).evaluate(-1.0)
+    with mpmath.workdps(50):
+        assert abs(_mp_value(f, mpmath.mpf(-0.1))) > mpmath.mpf(2) ** 1024
+    with pytest.raises(OverflowError):
+        f.evaluate(-0.1)
+    assert f.evaluate(0.3 + 0.7j) == complex(4.2471229219029444e+148,
+                                             -5.079647711320789e+148)
+
+
 def test_serialization_roundtrip():
     rng = random.Random(5)
     for _ in range(20):

@@ -418,10 +418,12 @@ class FactorProgram:
     # 2^16 72.7 [66.2, 74.5]; 2^15 won 5 of the 10 rounds, 2^16 4
     BLOCK = 1 << 15
 
+    # ``_at``'s values at the last s it was asked for
+    _at_s = None
+
     # A program derives its factor groups and float arrays once, when they
     # are first read: ``ComponentModel`` evaluates only the quotient of its
     # Ad and Sym^2 programs, so those two derive none.
-    _at_s = None
 
     @functools.cached_property
     def _scalars(self) -> tuple:

@@ -30,8 +30,11 @@ or a segment of one row) reads it through a strided view of the table,
 with no exp and no copy: a direction in the head coordinates gives one
 value per row, one in the last coordinate one per column, and each other
 direction costs one in-place multiply over the chunk.  Each caller hands
-the same fn to every chunk, so the grid finds its table again.  A 1-D grid
-is one row, costed on its axis phasors e((i + 1/2 + offset) / n), and a
+the same fn to every chunk, so the grid finds its table again.  A left mean
+carries an error estimate from a coarser grid.  On two or more axes that is
+the grid's sub-grid of all-even index, summed from the same chunks, with n
+a multiple of 4 so that it aliases where the grid does not.  A 1-D grid is
+one row, costed on its axis phasors e((i + 1/2 + offset) / n), and a
 mean's fine and coarse 1-D grids share chunks (``_row_chunks``).
 The s -> 0 limit is taken by Richardson extrapolation.  The order of a
 triple's blocks and their pairing into mirror rows, which both sides and
@@ -345,6 +348,13 @@ class GridChunk:
         f = sum(k * i for k, i in zip(c, self.outer)) % self.grid.n
         return self.grid.table(a, fn)[f, self._rows if c[-2] else slice(None),
                                       self._cols if c[-1] else slice(None)]
+
+    def even(self, values: np.ndarray) -> np.ndarray:
+        """The chunk's values at its nodes of all-even index (a strided view,
+        empty where an outer coordinate is odd)."""
+        if any(i % 2 for i in self.outer):
+            return values[:0]
+        return values[self._rows.start % 2::2, self._cols.start % 2::2]
 
 
 def _direction_product(w: np.ndarray, net: int, terms: tuple,
@@ -806,7 +816,14 @@ def _mirror_sizes(layout: list) -> list:
 def _covering_orders(layout: list) -> tuple[int, int]:
     """(lhs, rhs) covering orders: the product over block sizes k of
     (number of blocks of size k)!, and of c_k! 2^{c_k} for the c_k free
-    coordinates of size k."""
+    coordinates of size k.  The left one is the generic fiber of the
+    parametrizing torus over the component: every permutation of same-size
+    blocks extends to a twisted identification, because unramified
+    twisted-Steinberg blocks of one size are all twist-equivalent; it
+    equals |W(M, sigma)| exactly when same-size blocks carry the same base
+    character.  The right one is the generic fiber of the mirrored
+    subtorus over the orthogonal locus: same-size mirrored pairs permute
+    freely and each pair flips."""
     mirror = _mirror_sizes(layout)
     return (multiplicity_order(k for k, _, _ in layout),
             multiplicity_order(mirror) * 2 ** len(mirror))
@@ -855,21 +872,6 @@ class QuadConfig:
 
 # 1/2 + offset as an exact ratio of integers, for ``_ResidueGrid``
 _HALF = (Fraction(1, 2) + Fraction(QuadConfig.offset)).as_integer_ratio()
-
-
-def lhs_covering_order(triple: OrthTriple) -> int:
-    """Generic fiber of the parametrizing torus over the component: every
-    permutation of same-size blocks extends to a twisted identification
-    because unramified twisted-Steinberg blocks of one size are all
-    twist-equivalent.  Equals |W(M, sigma)| exactly when same-size blocks
-    carry the same base character."""
-    return _covering_orders(triple.layout())[0]
-
-
-def rhs_covering_order(triple: OrthTriple) -> int:
-    """Generic fiber of the mirrored subtorus over the orthogonal locus:
-    same-size mirrored pairs permute freely and each pair flips."""
-    return _covering_orders(triple.layout())[1]
 
 
 class ComponentModel:
@@ -967,8 +969,10 @@ class ComponentModel:
         tol / 100, which leaves room for the integrand's peak-to-mean factor
         and for Richardson's amplification of each level's error.  It is
         never below ``n_base``, which also covers the test function's
-        Fourier degree, and the node budget caps it.  A denominator with
-        dist_f <= 0 meets the torus and raises ``PoleError``."""
+        Fourier degree, and the node budget caps it.  On more than one axis
+        n is a multiple of 4 (``lhs_mean``): rounded up, or down where the
+        budget requires it, which flags the cap.  A denominator with dist_f
+        <= 0 meets the torus and raises ``PoleError``."""
         log_q = math.log(self.spec.q)
         reach = 0.0
         for f in self.lhs_program.factors:
@@ -980,15 +984,22 @@ class ComponentModel:
                                 f"the torus at s = {s}")
             reach = max(reach, max(map(abs, f.coeffs)) / dist)
         n = max(cfg.n_base, math.ceil(math.log(100 / cfg.tol) * reach))
-        return cfg.capped(n, max(self.R_lhs, 1))
+        dim = max(self.R_lhs, 1)
+        n, capped = cfg.capped(n, dim)
+        if dim >= 2 and n % 4:
+            up = n + 4 - n % 4
+            n, capped = ((up, capped) if up ** dim <= cfg.max_nodes
+                         else (n - n % 4 or n, True))
+        return n, capped
 
     def lhs_mean(self, phi: TestFunction, s: float, cfg: QuadConfig):
         """Mean of the LHS integrand over the component torus; returns
-        (mean, error_estimate, n, nodes, budget_flag), n the fine grid's
-        nodes per axis (1 on a point).  The error estimate is the distance
-        to the mean on a coarser grid, read in the same call of
-        ``_grid_means``: on a 1-D torus both grids' nodes share chunks, so
-        the program and phi run once per chunk for both."""
+        (mean, error_estimate, n, nodes, budget_flag), n the grid's nodes
+        per axis (1 on a point).  The error estimate is the distance to the
+        mean on a coarser grid, read in the same call of ``_grid_means``: on
+        a 1-D torus one of about n / sqrt(2) nodes, which shares chunks with
+        the fine grid; on more axes the fine grid's sub-grid of all-even
+        index, so that ``nodes`` is n^R."""
         dim = self.R_lhs
 
         def integrand(t):
@@ -997,18 +1008,24 @@ class ComponentModel:
         if dim == 0:
             return _grid_mean(integrand, 0, 1), 0.0, 1, 1, False
         n, capped = self.lhs_grid_size(s, cfg)
-        # self-consistency estimate on a coarser incommensurate grid, never
-        # larger than the fine one, so that the budget holds for both.  It
-        # takes the fine grid's parity: the integrand's Fourier modes span a
-        # lattice L that holds 2Z^R (Sym^2 has a factor at twice each block's
-        # angle, and the block angles span Z^R), so an even grid aliases at
-        # the modes nZ^R but an odd one only at nL, which can be far finer
-        # (L = 2Z for Io = {1, quadratic} and a constant phi).  With equal
-        # parity the coarse aliases are the fine ones scaled by n2 / n.
-        n2 = int(n / math.sqrt(2))
-        n2 = max(1, n2 - (n - n2) % 2)
-        mean, mean2 = _grid_means(integrand, dim, (n, n2))
-        return mean, abs(mean - mean2), n, n ** dim + n2 ** dim, capped
+        # The integrand's Fourier modes span a lattice L that holds 2Z^R
+        # (Sym^2 has a factor at twice each block's angle, and the block
+        # angles span Z^R): an even grid aliases at the modes nZ^R, an odd
+        # one only at nL, which can be far finer (L = 2Z for Io = {1,
+        # quadratic} and a constant phi), and the estimate must alias where
+        # the fine grid does not.  On one axis the coarse grid takes the
+        # fine grid's parity, so its aliases are the fine ones scaled by
+        # n2 / n.  On more, n is a multiple of 4 and the sub-grid aliases at
+        # (n / 2)Z^R, in L and beyond nZ^R; with n / 2 odd and L = 2Z^R it
+        # would alias where the fine grid does and read 0.  Below 4 nodes
+        # per axis (a capped grid) there is no sub-grid: the error is |mean|.
+        if dim == 1:
+            n2 = int(n / math.sqrt(2))
+            n2 = max(1, n2 - (n - n2) % 2)
+            mean, mean2 = _grid_means(integrand, dim, (n, n2))
+            return mean, abs(mean - mean2), n, n + n2, capped
+        mean, *sub = _grid_means(integrand, dim, (n,), even=n >= 4)
+        return mean, abs(mean - sum(sub)), n, n ** dim, capped
 
     def lhs_value(self, phi: TestFunction, s: float, cfg: QuadConfig):
         """d * gamma(s, 1, psi) * (component constants) * mean, with the
@@ -1095,7 +1112,8 @@ def _grid_chunks(dim: int, n: int):
                                 range(j, min(n, j + block)))
 
 
-def _grid_means(fun: Callable, dim: int, ns: tuple) -> list:
+def _grid_means(fun: Callable, dim: int, ns: tuple,
+                even: bool = False) -> list:
     """Mean of fun over the uniform offset grid of n^dim nodes for each n of
     ``ns`` (n^0 = 1: a point), node (i_1..i_dim) at ((i_r + 1/2 + offset) /
     n)_r.  For periodic integrands this is the trapezoid rule up to
@@ -1104,12 +1122,16 @@ def _grid_means(fun: Callable, dim: int, ns: tuple) -> list:
     (dim, nodes in the chunk), and its values are summed at once, so memory
     does not grow with the grid and no node takes an exp or a coordinate.
     1-D grids share chunks (``_row_chunks``), each summing its own pieces,
-    so a chunk adds up as it would alone; others are read one by one
-    (``_grid_chunks``).  A grid's sum that is not finite met a pole (see
-    ``FactorProgram``) or a value beyond floating range, and raises
-    ``PoleError``; that check is the guard, so numpy's overflow and invalid
-    warnings, from the chunks' products and from their sums, are hidden."""
-    totals = [0j] * len(ns)
+    so a chunk adds up as it would alone; on other dims ``ns`` holds one n,
+    read chunk by chunk (``_grid_chunks``).  With ``even`` (dim >= 2, n
+    even) the means end with the one over the nodes I = 2J, at ((J_r + (1/2
+    + offset) / 2) / (n / 2))_r: the offset rule on n / 2 nodes per axis,
+    summed from each chunk's slice of them (``GridChunk.even``).  A grid's
+    sum that is not finite met a pole (see ``FactorProgram``) or a value
+    beyond floating range, and raises ``PoleError``; that check is the
+    guard, so numpy's overflow and invalid warnings, from the chunks'
+    products and from their sums, are hidden."""
+    totals = [0j] * (len(ns) + even)
     with np.errstate(over="ignore", invalid="ignore"):
         if dim == 1:
             for ph, pieces in _row_chunks(ns):
@@ -1118,14 +1140,18 @@ def _grid_means(fun: Callable, dim: int, ns: tuple) -> list:
                     totals[g] += complex(values[at:at + size].sum())
                     at += size
         else:
-            for g, n in enumerate(ns):
-                for ph in _grid_chunks(dim, n):
-                    totals[g] += complex(fun(ph).sum())
-    for total, n in zip(totals, ns):
+            [n] = ns
+            for ph in _grid_chunks(dim, n):
+                values = fun(ph)
+                totals[0] += complex(values.sum())
+                if even:
+                    totals[1] += complex(ph.even(values).sum())
+    sizes = [n ** dim for n in ns] + [(ns[0] // 2) ** dim] * even
+    for total, size in zip(totals, sizes):
         if not cmath.isfinite(total):
-            raise PoleError(f"the mean over {n ** dim} nodes is not finite: "
+            raise PoleError(f"the mean over {size} nodes is not finite: "
                             f"a pole or a value beyond floating range")
-    return [total / n ** dim for total, n in zip(totals, ns)]
+    return [total / size for total, size in zip(totals, sizes)]
 
 
 def _grid_mean(fun: Callable, dim: int, n: int) -> complex:
@@ -1162,7 +1188,7 @@ class LimitReport:
     rel_discrepancy: float
     tolerance: float
     passed: bool
-    nodes_used: int         # left-grid nodes only, fine and coarse
+    nodes_used: int         # left-grid nodes, and a 1-D coarse grid's
     budget_exceeded: bool   # the left or the right grid was capped
     grid_n: list
 
@@ -1219,29 +1245,6 @@ def point_parameter(triple: OrthTriple, twists: Sequence[Fraction]) -> WDRep:
         raise ValueError("one twist per block required")
     return WDRep.from_atom_list([(u + as_fraction(t), k)
                                  for (k, u), t in zip(blocks, twists)])
-
-
-def lhs_integrand_exact(triple: OrthTriple, phi: TestFunction, s: float,
-                        twists: Sequence[Fraction],
-                        spec: LocalFieldSpec) -> complex:
-    """Exact single-point LHS integrand: Phi times the inverse
-    symmetric-square gamma factor at s times the regularized adjoint value.
-    Finite on the singular hyperplanes for every s > 0; where the regularized
-    order jumps the value is the limiting one (zero along collision loci)."""
-    if s <= 0:
-        raise ValueError("the integrand is evaluated at s > 0")
-    twists = [as_fraction(t) for t in twists]
-    param = point_parameter(triple, twists)
-    blocks = component_blocks(triple)
-    total = sum((k * t for (k, _), t in zip(blocks, twists)), Fraction(0))
-    if total.denominator != 1:
-        raise ValueError("twists must satisfy the sum-zero constraint")
-    angles = np.array([[float(mod1(u + t))]
-                       for (k, u), t in zip(blocks, twists)])
-    phival = phi.values(tuple(k for k, _ in blocks), angles)[0]
-    gsym = param.sym2().gamma_factor(spec)
-    gad = param.ad_over_center().gamma_factor(spec)
-    return phival / gsym.evaluate(s) * gad.regularized_value()
 
 
 def eq13_values(triple: OrthTriple, free: Sequence[Fraction],
@@ -1302,14 +1305,3 @@ def singular_exponent_engine(triple: OrthTriple, twists: Sequence[Fraction],
     """Oracle: the exact vanishing order of the Sym^2 gamma factor."""
     param = point_parameter(triple, twists)
     return param.sym2().gamma_factor(spec).ord_zero_at_zero()
-
-
-def fit_divergence_exponent(triple: OrthTriple, phi: TestFunction,
-                            spec: LocalFieldSpec, cfg: QuadConfig,
-                            chi_minus_one: int = 1) -> float:
-    """Log-log slope of the raw component integral against s: close to -1
-    whenever singular loci meet the support."""
-    model = ComponentModel(triple, spec, chi_minus_one)
-    s_values = cfg.s_values()
-    ys = [abs(model.lhs_mean(phi, s, cfg)[0]) for s in s_values]
-    return float(np.polyfit(np.log(s_values), np.log(ys), 1)[0])

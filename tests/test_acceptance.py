@@ -18,14 +18,23 @@ from planch.forms import (BilForm, OrbitLabel, char_poly_twisted, charpoly,
                           poly_mul, twisted_conjugate)
 from planch.limitcheck import (ComponentModel, ConstantPhi, QuadConfig,
                                TrigPhi, component_blocks, eq13_values,
-                               fit_divergence_exponent, mirror_structure,
-                               singular_exponent, singular_exponent_engine,
-                               subtorus_twists, verify)
+                               mirror_structure, singular_exponent,
+                               singular_exponent_engine, subtorus_twists,
+                               verify)
 from planch.tempered import OrthTriple, appendix_constants, formal_degree_rhs
 from planch.wdrep import (SELF_DUAL_BOTH, SELF_DUAL_ORTHOGONAL, WDAtom, WDRep,
                           component_groups_brute_force)
 
 SPEC3 = LocalFieldSpec(3, 3, 0)
+
+
+def fit_divergence_exponent(triple, phi, spec, cfg):
+    """Log-log slope of the raw component integral against s: close to -1
+    whenever singular loci meet the support."""
+    model = ComponentModel(triple, spec)
+    s_values = cfg.s_values()
+    ys = [abs(model.lhs_mean(phi, s, cfg)[0]) for s in s_values]
+    return float(np.polyfit(np.log(s_values), np.log(ys), 1)[0])
 
 
 def report(num, name, ok, detail=""):

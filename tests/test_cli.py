@@ -157,14 +157,17 @@ def test_huge_test_function_exits_3_without_a_warning(tmp_path, capsys):
 
 def test_one_node_grid_is_a_budget_exit(tmp_path, capsys):
     """A grid of one node per axis under a one-node budget is integrated,
-    coarse grid included, and reported as a budget exit."""
+    one node at each of the two s, and reported as a budget exit: it has no
+    sub-grid, so its error is the whole value."""
     triple = write(tmp_path, "t.json", D3)
     out_file = tmp_path / "r.json"
     assert main(["limit-verify", "--triple", triple, "--p", "3", "--q", "3",
                  "--grid", "1", "--max-nodes", "1", "--s-seq", "0.2,2",
                  "--out", str(out_file)]) == 4
     rep = json.loads(out_file.read_text())["result"]
-    assert rep["budget_exceeded"] is True and rep["nodes_used"] == 4
+    assert rep["budget_exceeded"] is True and rep["nodes_used"] == 2
+    for (re, im), err in zip(rep["lhs_values"], rep["lhs_errors"]):
+        assert abs(err - abs(complex(re, im))) <= 1e-15 * err
 
 
 def test_malformed_input_exits_2(tmp_path, capsys):

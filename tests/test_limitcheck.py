@@ -1,6 +1,7 @@
 import cmath
 import copy
 import dataclasses
+import itertools
 import math
 import random
 from collections import Counter
@@ -20,9 +21,8 @@ from planch.limitcheck import (AffineAngle, ComponentModel, ConstantPhi,
                                NonGenericPoint, NotWeylInvariant, QuadConfig,
                                TestFunction, TrigPhi, check_weyl_invariance,
                                component_blocks, eq13_check, eq13_values,
-                               lhs_covering_order, mirror_structure,
-                               phi_from_dict, point_parameter,
-                               rhs_covering_order, richardson,
+                               mirror_structure, phi_from_dict,
+                               point_parameter, richardson,
                                singular_exponent, singular_exponent_engine,
                                subtorus_twists, verify)
 from planch.spectral import PoleError
@@ -186,18 +186,10 @@ def test_phi_from_dict_roundtrip():
 
 
 def test_covering_orders():
-    assert lhs_covering_order(T_D1) == 1
-    assert lhs_covering_order(T_IO2) == 2
-    assert lhs_covering_order(T_IN) == 2
-    assert lhs_covering_order(T_D3) == 6
-    assert lhs_covering_order(T_IS) == 2
-    assert lhs_covering_order(T_IO3) == 6
-    assert rhs_covering_order(T_D1) == 1
-    assert rhs_covering_order(T_IO2) == 1
-    assert rhs_covering_order(T_IN) == 2
-    assert rhs_covering_order(T_D3) == 2
-    assert rhs_covering_order(T_IS) == 2
-    assert rhs_covering_order(T_IO3) == 2
+    for triple, f_lhs, f_rhs in ((T_D1, 1, 1), (T_IO2, 2, 1), (T_IN, 2, 2),
+                                 (T_D3, 6, 2), (T_IS, 2, 2), (T_IO3, 6, 2)):
+        model = ComponentModel(triple, SPEC3)
+        assert (model.F_lhs, model.F_rhs) == (f_lhs, f_rhs), triple
 
 
 def test_d1_lhs_constant_in_s():
@@ -307,9 +299,28 @@ def test_quadrature_self_consistency():
         assert abs(v1 - v2) <= max(e1, 1e-12) * 4
 
 
+def lhs_integrand_exact(triple, phi, s, twists, spec):
+    """Exact single-point LHS integrand: Phi times the inverse
+    symmetric-square gamma factor at s times the regularized adjoint value.
+    Finite on the singular hyperplanes for every s > 0; where the regularized
+    order jumps the value is the limiting one (zero along collision loci)."""
+    if s <= 0:
+        raise ValueError("the integrand is evaluated at s > 0")
+    twists = [F(t) for t in twists]
+    param = point_parameter(triple, twists)
+    blocks = component_blocks(triple)
+    if sum(k * t for (k, _), t in zip(blocks, twists)).denominator != 1:
+        raise ValueError("twists must satisfy the sum-zero constraint")
+    angles = np.array([[float((u + t) % 1)]
+                       for (k, u), t in zip(blocks, twists)])
+    phival = phi.values(tuple(k for k, _ in blocks), angles)[0]
+    gsym = param.sym2().gamma_factor(spec)
+    gad = param.ad_over_center().gamma_factor(spec)
+    return phival / gsym.evaluate(s) * gad.regularized_value()
+
+
 def test_lhs_integrand_exact():
     from planch.field import gamma_trivial
-    from planch.limitcheck import lhs_integrand_exact
 
     # d = 1: the integrand is Phi(chi) / gamma(s, 1, psi)
     phi = ConstantPhi(2.0)
@@ -408,14 +419,15 @@ def test_grid_size_follows_the_poles_and_the_tolerance():
     """n = R max_f ||c_f||_inf / dist_f over the left program's denominators,
     R = ln(100 / tol): T_SP31, whose Sym^2 holds e(-6x), gets three times
     the n of T_D3, whose coefficients are at most 2 and whose nearest poles
-    are as far, and n grows like ln(100 / tol)."""
+    are as far, and n grows like ln(100 / tol).  T_D3's torus has two axes,
+    so its n is that count rounded up to a multiple of 4."""
     d3, sp31 = ComponentModel(T_D3, SPEC3), ComponentModel(T_SP31, SPEC3)
     for s in (0.1, 0.013):
         for tol in (1e-2, 1e-4, 1e-8):
             cfg = QuadConfig(n_base=1, tol=tol, max_nodes=2 ** 40)
             want = math.log(100 / tol) * 2 / (s * math.log(3))
             n, capped = d3.lhs_grid_size(s, cfg)
-            assert abs(n - want) < 1 and not capped
+            assert n % 4 == 0 and want - 1 < n < want + 4 and not capped
             assert abs(sp31.lhs_grid_size(s, cfg)[0] - 3 * want) < 1
     # the floor still holds, and a pole on the torus is refused
     assert d3.lhs_grid_size(0.1, QuadConfig(n_base=500, tol=1e-2))[0] == 500
@@ -438,14 +450,18 @@ def test_two_locus_points_make_the_left_side_of_t_sp31():
 
 
 def test_error_estimate_bounds_the_gap_to_a_doubled_grid():
-    """At each s of criterion 7's shapes and configurations, and of T_SP31,
-    the error that lhs_mean reports is at least the distance of its mean to
-    the mean on a grid of 2n nodes per axis, at q = 3 and 5."""
+    """At each s of criterion 7's shapes and configurations, of T_SP31, and
+    of the 3-D torus of Sp(1) x 2 at 1/3, whose estimate's sub-grid skips
+    the chunks at odd outer coordinates, the error that lhs_mean reports is
+    at least the distance of its mean to the mean on a grid of 2n nodes per
+    axis, at q = 3 and 5."""
     trig = TrigPhi([(1, 1, 0.4 + 0j), (2, 1, -0.15 + 0.1j)], const=1.0)
     wide = QuadConfig(s0=0.1, s_count=6, n_base=128, rhs_n=512)
     d3 = QuadConfig(s0=0.2, s_count=4, n_base=128, rhs_n=256, tol=1e-2)
+    cube = QuadConfig(s0=0.4, s_count=3, n_base=16, tol=1e-2)
+    t_in2 = OrthTriple(dual_pairs=((WDAtom(F(1, 3), 1), 2),))
     cases = ((T_IO2, wide, trig), (T_IN, wide, trig), (T_D3, d3, trig),
-             (T_SP31, wide, ConstantPhi(1.0)))
+             (T_SP31, wide, ConstantPhi(1.0)), (t_in2, cube, trig))
     for q in (3, 5):
         spec = LocalFieldSpec(q, q, 0)
         for triple, cfg, phi in cases:
@@ -459,16 +475,63 @@ def test_error_estimate_bounds_the_gap_to_a_doubled_grid():
                 assert abs(mean - ref) <= err, (q, triple, s)
 
 
+def _unrounded_grid_size(model, s, cfg):
+    """The left grid's n from its poles, the tolerance and n_base, before
+    the budget and before any rounding."""
+    reach = max(max(map(abs, f.coeffs)) / ((f.sdir * s + f.shift)
+                                            * math.log(model.spec.q))
+                for f in model.lhs_program.factors
+                if not f.in_num and any(f.coeffs))
+    return max(cfg.n_base, math.ceil(math.log(100 / cfg.tol) * reach))
+
+
+def test_grid_size_is_a_multiple_of_4_within_the_budget():
+    """Over s, tol, n_base and budgets from one node up: on tori of two and
+    three axes n is a multiple of 4 and n^R fits max_nodes, and it is the
+    least multiple of 4 at or above the unrounded n unless the budget
+    flags a cut.  n < 4 only under a cut, where lhs_mean reports the whole
+    mean as its error.  On one axis n is the unrounded n cut by the budget
+    alone."""
+    t_in2 = OrthTriple(dual_pairs=((WDAtom(F(1, 3), 1), 2),))
+    small = 0
+    for triple in (T_IN, T_SP31, T_D3, t_in2):
+        model = ComponentModel(triple, SPEC3)
+        dim = model.R_lhs
+        for s, tol, n_base, max_nodes in itertools.product(
+                (0.3, 0.05, 0.013), (2.0, 1e-3, 1e-8), (1, 2, 5, 128),
+                (1, 2, 15, 16, 17, 63, 64, 2000, 2 ** 22)):
+            cfg = QuadConfig(n_base=n_base, tol=tol, max_nodes=max_nodes)
+            raw = _unrounded_grid_size(model, s, cfg)
+            n, capped = model.lhs_grid_size(s, cfg)
+            case = (triple, s, tol, n_base, max_nodes)
+            if dim == 1:
+                assert (n, capped) == cfg.capped(raw, 1), case
+                continue
+            assert n ** dim <= max_nodes and capped == (n < raw), case
+            if not capped:
+                assert n % 4 == 0 and n - 4 < raw <= n, case
+            elif n >= 4:
+                assert n % 4 == 0, case
+            else:
+                small += 1
+                mean, err, n_used, nodes, flag = model.lhs_mean(
+                    ConstantPhi(1.0), s, cfg)
+                assert (n_used, nodes, flag) == (n, n ** dim, True), case
+                assert err == abs(mean) > 0, case
+    assert small > 20
+
+
 def test_coarse_grid_stays_inside_the_budget():
-    """When the budget caps the fine grid below n_base, the coarse grid is
-    still no larger than the fine one."""
+    """When the budget caps the 2-D grid below n_base, its n is still a
+    multiple of 4, and its error estimate reads no node beyond the n^2 of
+    the grid itself, which fit the budget."""
     model = ComponentModel(T_D3, SPEC3)
     cfg = QuadConfig(max_nodes=2048)
     n, capped = model.lhs_grid_size(0.1, cfg)
-    assert capped and n < cfg.n_base // 2 and n ** 2 <= cfg.max_nodes
+    assert capped and n < cfg.n_base // 2 and n % 4 == 0
     _, _, n_used, nodes, flag = model.lhs_mean(ConstantPhi(1.0), 0.1, cfg)
     assert (n_used, flag) == (n, True)
-    assert 0 < nodes - n ** 2 <= n ** 2
+    assert nodes == n ** 2 <= cfg.max_nodes
 
 
 def _atom_parts(atoms, spec, nfree, regularize):
@@ -725,7 +788,12 @@ def _exact_on_grid(n, offset):
 
 def test_streamed_means_match_full_grid(monkeypatch):
     """Small chunks, so that every grid spans several with a ragged last
-    one: the streamed means equal full-grid means."""
+    one: the streamed means equal full-grid means.  On one axis the error
+    is the distance to the mean on the coarse grid of n2 nodes.  On two and
+    three axes it is the distance to the mean over the full grid's nodes of
+    all-even index, read in chunks of three rows, which start at odd rows,
+    and in row segments of 7 nodes, which start at odd columns; the 3-D
+    grid's outer coordinate is odd in half of its chunks."""
     cfg = QuadConfig(n_base=16, rhs_n=40, tol=5.0)
     phi = TrigPhi([(1, 1, 0.25 + 0.1j), (2, 1, -0.1 + 0j)], const=1.0)
     t_in2 = OrthTriple(dual_pairs=((WDAtom(F(1, 3), 1), 2),))
@@ -734,17 +802,26 @@ def test_streamed_means_match_full_grid(monkeypatch):
         assert model.R_lhs == dim
         s = 0.15
         n, _ = model.lhs_grid_size(s, cfg)
-        n2 = int(n / math.sqrt(2))
-        n2 -= (n - n2) % 2
-        chunk = n ** dim // 4 + 1
-        assert (n ** dim % chunk) and (n2 ** dim % chunk)
-        monkeypatch.setattr(FactorProgram, "BLOCK", chunk)
-        full = [np.mean(model.lhs_integrand(phi, _full_grid(dim, m, cfg.offset),
-                                            s)) for m in (n, n2)]
-        mean, err, _, nodes, _ = model.lhs_mean(phi, s, cfg)
-        assert abs(mean - full[0]) <= 1e-13 * abs(full[0])
-        assert abs(err - abs(full[0] - full[1])) <= 1e-13 * abs(full[0])
-        assert nodes == n ** dim + n2 ** dim
+        values = model.lhs_integrand(phi, _full_grid(dim, n, cfg.offset), s)
+        full = np.mean(values)
+        if dim == 1:
+            n2 = int(n / math.sqrt(2))
+            n2 -= (n - n2) % 2
+            coarse = np.mean(model.lhs_integrand(
+                phi, _full_grid(dim, n2, cfg.offset), s))
+            chunks, used = (n // 4 + 1,), n + n2
+            assert (n % chunks[0]) and (n2 % chunks[0])
+        else:
+            assert n % 4 == 0 and n % 3 and n > 7
+            coarse = np.mean(values.reshape((n,) * dim)[
+                (slice(None, None, 2),) * dim])
+            chunks, used = (3 * n + 1, 7), n ** dim
+        for chunk in chunks:
+            monkeypatch.setattr(FactorProgram, "BLOCK", chunk)
+            mean, err, _, nodes, _ = model.lhs_mean(phi, s, cfg)
+            assert abs(mean - full) <= 1e-13 * abs(full)
+            assert abs(err - abs(full - coarse)) <= 1e-13 * abs(full)
+            assert nodes == used
 
         rhs = model.rhs_value(phi, cfg)
         t = _full_grid(model.R_rhs, cfg.rhs_n, cfg.offset)
@@ -1224,14 +1301,14 @@ def test_residue_tables_match_the_roll_resize_construction():
 
 
 def test_lhs_mean_memory_does_not_grow_with_the_grid():
-    """One lhs_mean on T_D3 at s = 0.025 covers 839^2 + 593^2 nodes, and one
-    on T_IN at s = 5e-5 a 1-D grid of 419181 + 296405 nodes; the streamed
-    chunks keep each allocation peak to a few MB."""
+    """One lhs_mean on T_D3 at s = 0.025 covers 840^2 nodes, and one on T_IN
+    at s = 5e-5 a 1-D grid of 419181 + 296405 nodes; the streamed chunks
+    keep each allocation peak to a few MB."""
     import tracemalloc
 
     cfg = QuadConfig()
     phi = TrigPhi([(1, 1, 0.3 + 0j)])
-    for triple, s, n in ((T_D3, 0.025, 839), (T_IN, 5e-5, 419181)):
+    for triple, s, n in ((T_D3, 0.025, 840), (T_IN, 5e-5, 419181)):
         model = ComponentModel(triple, SPEC3)
         assert model.lhs_grid_size(s, cfg)[0] == n
         tracemalloc.start()

@@ -3,32 +3,31 @@
 __version__ = "0.1.0"
 
 from .field import (LocalFieldSpec, QuadraticCharacter, SquareClass,
-                    char_eval, gamma_star_trivial, gamma_trivial,
-                    square_class, valuation)
+                    gamma_star_trivial, gamma_trivial, square_class, valuation)
 from .spectral import GeometricFactor, SpectralFunction, turn
 from .wdrep import WDAtom, WDRep, parse_rep_text
 from .tempered import (OrthTriple, TempPoint, appendix_constants,
                        formal_degree_rhs, hii_rhs, orth_triple_of,
                        plancherel_density, plancherel_density_chi)
 from .limitcheck import (ConstantPhi, GaussianPhi, QuadConfig, TrigPhi,
-                         eq13_check, singular_exponent, verify)
+                         singular_exponent, verify)
 from .forms import (BilForm, OrbitLabel, build_odd_so, b_of_g,
                     char_poly_twisted, classify_sharp, correspond_char_poly,
                     disc_twisted, gamma_t_representative, in_g_prime,
-                    m_tilde_of, split_sym_alt, weyl_discriminant_twisted)
+                    m_tilde_of, weyl_discriminant_twisted)
 
 __all__ = [
     "LocalFieldSpec", "QuadraticCharacter", "SquareClass",
-    "char_eval", "gamma_star_trivial", "gamma_trivial", "square_class",
-    "valuation", "GeometricFactor", "SpectralFunction", "turn",
+    "gamma_star_trivial", "gamma_trivial", "square_class", "valuation",
+    "GeometricFactor", "SpectralFunction", "turn",
     "WDAtom", "WDRep", "parse_rep_text",
     "OrthTriple", "TempPoint", "appendix_constants", "formal_degree_rhs",
     "hii_rhs", "orth_triple_of", "plancherel_density",
     "plancherel_density_chi",
-    "ConstantPhi", "GaussianPhi", "QuadConfig", "TrigPhi", "eq13_check",
+    "ConstantPhi", "GaussianPhi", "QuadConfig", "TrigPhi",
     "singular_exponent", "verify",
     "BilForm", "OrbitLabel", "build_odd_so", "b_of_g", "char_poly_twisted",
     "classify_sharp", "correspond_char_poly", "disc_twisted",
-    "gamma_t_representative", "in_g_prime", "m_tilde_of", "split_sym_alt",
+    "gamma_t_representative", "in_g_prime", "m_tilde_of",
     "weyl_discriminant_twisted",
 ]

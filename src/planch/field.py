@@ -8,9 +8,9 @@ quadratic characters are all decided exactly (no p-adic truncation).
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Union
+from typing import Callable, Union
 
 Rational = Union[int, Fraction]
 
@@ -55,6 +55,7 @@ class LocalFieldSpec:
     p: int
     q: int
     psi_level: int = 0
+    f: int = field(init=False, repr=False, compare=False)  # q = p^f
 
     def __post_init__(self):
         if not _is_prime(self.p):
@@ -65,14 +66,7 @@ class LocalFieldSpec:
             f += 1
         if q != 1 or f < 1:
             raise FieldError(f"q = {self.q} is not a positive power of p = {self.p}")
-
-    @property
-    def f(self) -> int:
-        f, q = 0, self.q
-        while q > 1:
-            q //= self.p
-            f += 1
-        return f
+        object.__setattr__(self, "f", f)
 
     @classmethod
     def from_dict(cls, d: dict) -> "LocalFieldSpec":
@@ -206,33 +200,23 @@ class QuadraticCharacter:
                     raise FieldError("character table is not multiplicative")
 
     @classmethod
+    def _of(cls, p: int, value: Callable) -> "QuadraticCharacter":
+        """The character with the value value(c) on each square class c."""
+        return cls(p, tuple(sorted(((c.val_parity, c.unit_class), value(c))
+                                   for c in all_square_classes(p))))
+
+    @classmethod
     def from_dict(cls, p: int, values: dict) -> "QuadraticCharacter":
-        table = tuple(sorted(((c.val_parity, c.unit_class), int(values[c.representative()]))
-                             for c in all_square_classes(p)))
-        return cls(p, table)
+        return cls._of(p, lambda c: int(values[c.representative()]))
 
     @classmethod
     def trivial(cls, p: int) -> "QuadraticCharacter":
-        return cls(p, tuple(sorted(((c.val_parity, c.unit_class), 1)
-                                   for c in all_square_classes(p))))
+        return cls._of(p, lambda c: 1)
 
     @classmethod
     def unramified_quadratic(cls, p: int) -> "QuadraticCharacter":
         """x -> (-1)^{v(x)}: trivial on units, -1 on the uniformizer."""
-        return cls(p, tuple(sorted(((c.val_parity, c.unit_class), (-1) ** c.val_parity)
-                                   for c in all_square_classes(p))))
-
-    @classmethod
-    def from_values(cls, p: int, on_unit: int, on_pi: int) -> "QuadraticCharacter":
-        """Odd p only: prescribe the value on the non-residue unit and on p."""
-        if p == 2:
-            raise FieldError("for p = 2 build the character from its full table")
-        u = smallest_nonresidue(p)
-        vals = {}
-        for c in all_square_classes(p):
-            v = (on_pi ** c.val_parity) * (on_unit if c.unit_class == u else 1)
-            vals[(c.val_parity, c.unit_class)] = v
-        return cls(p, tuple(sorted(vals.items())))
+        return cls._of(p, lambda c: (-1) ** c.val_parity)
 
     def on_class(self, c: SquareClass) -> int:
         if c.p != self.p:
@@ -242,18 +226,10 @@ class QuadraticCharacter:
     def __call__(self, x: Rational) -> int:
         return self.on_class(square_class(x, self.p))
 
-    def value_at_minus_one(self) -> int:
-        return self(-1)
-
     def unramified_angle(self) -> Fraction:
         """Turn angle of the unramified part: 0 if chi(pi) = 1 else 1/2."""
         pi_cls = square_class(self.p, self.p)
         return Fraction(0) if self.on_class(pi_cls) == 1 else Fraction(1, 2)
-
-
-def char_eval(chi: QuadraticCharacter, x: Rational) -> int:
-    """chi evaluated at a nonzero rational, via its square class."""
-    return chi(x)
 
 
 def gamma_trivial(spec: LocalFieldSpec):

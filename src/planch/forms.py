@@ -63,11 +63,6 @@ def mat_add(a: Matrix, b: Matrix, sign: int = 1) -> Matrix:
     return tuple(tuple(map(op, ra, rb)) for ra, rb in zip(a, b))
 
 
-def mat_scale(a: Matrix, c) -> Matrix:
-    c = Fraction(c)
-    return tuple(tuple(c * x for x in row) for row in a)
-
-
 def _cleared(a: Matrix) -> tuple[list, int]:
     """Integer rows and the least common denominator den, a = rows / den."""
     den = math.lcm(*(x.denominator for row in a for x in row))
@@ -106,10 +101,6 @@ def _same(x: tuple, y: tuple) -> bool:
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return _fractions(*_product(a, b))
-
-
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
 def _reduce(a: Matrix):
@@ -253,10 +244,6 @@ class BilForm:
         return cls(mat([[read_number(x) for x in row] for row in d["matrix"]]))
 
 
-def split_sym_alt(b: BilForm) -> tuple[Matrix, Matrix]:
-    return b.sym_part(), b.alt_part()
-
-
 @dataclass(frozen=True)
 class OrbitLabel:
     kind: str  # "gamma_t" | "gamma_0" | "outside_sharp"
@@ -318,10 +305,6 @@ def twisted_conjugate(b: BilForm, m: Matrix) -> BilForm:
     """Ad(m) B: gram -> m^{-T} gram m^{-1}."""
     mi = inverse(m)
     return BilForm(_fractions(*_product(transpose(mi), b.gram, mi)))
-
-
-def scale_form(b: BilForm, a) -> BilForm:
-    return BilForm(mat_scale(b.gram, a))
 
 
 def char_poly_twisted(b: BilForm) -> tuple:
@@ -583,23 +566,3 @@ def m_tilde_of(emb: OddSOEmbedding, ubar: Matrix) -> Optional[BilForm]:
         return None
     _, mt, _ = bruhat_factor(emb, ubar)
     return b_of_g(emb, mt)
-
-
-def closure_family_member(t: SquareClass, d: int, lam) -> BilForm:
-    """Ad(a_lambda^{-1}) applied to gamma_t_representative(t, d): reciprocal
-    scaling on a symplectic pair fixes the alternating part while the rank-one
-    symmetric part dies like lambda^2, landing on gamma_0 at lambda = 0
-    (even d)."""
-    if d % 2 != 0:
-        raise ValueError("the closure family needs even d")
-    lam = Fraction(lam)
-    base = gamma_t_representative(t, d)
-    scale = [Fraction(1)] * d
-    scale[0] = lam
-    if lam != 0:
-        scale[1] = Fraction(1) / lam
-    out = [[base.gram[i][j] * scale[i] * scale[j] for j in range(d)]
-           for i in range(d)]
-    if lam == 0:  # the entrywise limit: the symmetric block vanishes
-        out[0][1], out[1][0] = Fraction(1, 2), Fraction(-1, 2)
-    return BilForm(mat(out))

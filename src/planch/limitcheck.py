@@ -116,12 +116,6 @@ class AffineAngle:
         return self.const.denominator == 1 and not any(self.coeffs)
 
 
-def _as_affine(x, nfree: int) -> AffineAngle:
-    if isinstance(x, AffineAngle):
-        return x
-    return AffineAngle(as_fraction(x), (0,) * nfree)
-
-
 # -- compiled factor programs -----------------------------------------------------
 
 
@@ -202,8 +196,8 @@ def _primitive(c: tuple) -> tuple[tuple, int]:
 
 class Phasors:
     """The phasors E_r = e(t_r) of one chunk of nodes, ``shape`` (nfree, m):
-    arbitrary nodes (``of_nodes``), a point, or a segment of a 1-D grid
-    (``_grid_chunks``).  Each E_r is an array of the chunk's ``nodes``
+    arbitrary nodes (``of_nodes``), a point, or segments of 1-D grids
+    (``_row_chunks``).  Each E_r is an array of the chunk's ``nodes``
     shape.  Each power E_r^k is built once, by squaring or as the
     conjugate of E_r^-k, and kept for the chunk.  A chunk answers one
     question, ``at(a, fn)``: a function of one phasor at the phasor of an
@@ -480,18 +474,14 @@ class FactorProgram:
 
     @classmethod
     def compile(cls, atoms, spec: LocalFieldSpec, nfree: int,
-                regularize: bool, den: int = 0) -> "FactorProgram":
-        """The program of the gamma factor of ``atoms``, whose angles are
-        ``AffineAngle``s or numbers, or with ``den`` angles packed over den
-        (``_packed_atoms``), as ``ComponentModel`` runs its plethysm.
-        ``gamma_parts`` runs on the packed integers, and each kept factor
-        makes one ``Fraction``, its constant.  With ``regularize``,
-        identically-vanishing numerator factors are left out: each gives
-        exactly 1 after pairing with a zeta factor."""
-        if not den:
-            atoms = [(_as_affine(u, nfree), m) for u, m in atoms]
-            den = math.lcm(*(a.const.denominator for a, _ in atoms))
-            atoms = _packed_atoms(atoms, den)
+                regularize: bool, den: int) -> "FactorProgram":
+        """The program of the gamma factor of ``atoms``, whose angles over
+        the ``nfree`` free coordinates are packed over the common
+        denominator ``den`` (``_packed_atoms``), as ``ComponentModel`` runs
+        its plethysm.  ``gamma_parts`` runs on the packed integers, and each
+        kept factor makes one ``Fraction``, its constant.  With
+        ``regularize``, identically-vanishing numerator factors are left
+        out: each gives exactly 1 after pairing with a zeta factor."""
         unit, qpow, exponent, num, dens = gamma_parts(atoms, spec.psi_level)
         # unit = h/2 + K, K packed and h = sum (m - 1): as in
         # WDRep.gamma_factor its constant is (2 unit + h (N - 1)) / 2N
@@ -796,18 +786,6 @@ def _ext_gcd(a: int, b: int):
     return g, y, x - (a // b) * y
 
 
-def component_blocks(triple: OrthTriple) -> list:
-    """The blocks (k, base angle) in the order of ``triple.layout()``."""
-    return [(k, u) for k, u, _ in triple.layout()]
-
-
-def mirror_structure(triple: OrthTriple) -> tuple[int, list]:
-    """Free-coordinate count and per-block rows for the mirrored subtorus:
-    each row is (index, sign) or None for a frozen middle coordinate."""
-    layout = triple.layout()
-    return len(_mirror_sizes(layout)), [row for _, _, row in layout]
-
-
 def _mirror_sizes(layout: list) -> list:
     """The block size of each free coordinate of the mirrored subtorus."""
     return [k for k, _, row in layout if row and row[1] == 1]
@@ -1036,16 +1014,18 @@ class ComponentModel:
                 / self.mass.denominator * self._gamma_triv.evaluate(s))
         return pref * mean, abs(pref) * err, n, nodes, flag
 
-    def rhs_value(self, phi: TestFunction, cfg: QuadConfig) -> complex:
-        """2 chi(-1)^{d-1} / (F 2^c) times the mean over the free coordinates,
-        on ``rhs_n`` nodes per axis within the node budget: the Jacobian
-        factor (D d' / P) (2 pi / log q)^{2N - S - c} is exactly 1, as
-        ``__init__`` checks."""
-        mean = _grid_mean(lambda t: self.rhs_integrand(phi, t), self.R_rhs,
-                          cfg.capped(cfg.rhs_n, self.R_rhs)[0])
+    def rhs_value(self, phi: TestFunction,
+                  cfg: QuadConfig) -> tuple[complex, bool]:
+        """(value, capped): 2 chi(-1)^{d-1} / (F 2^c) times the mean over
+        the free coordinates, on ``rhs_n`` nodes per axis cut to the node
+        budget, and whether the budget cut them.  The Jacobian factor (D d'
+        / P) (2 pi / log q)^{2N - S - c} is exactly 1, as ``__init__``
+        checks."""
+        n, capped = cfg.capped(cfg.rhs_n, self.R_rhs)
+        mean = _grid_mean(lambda t: self.rhs_integrand(phi, t), self.R_rhs, n)
         const = (2 * (self.chi_minus_one ** (self.d - 1))
                  / (self.F_rhs * 2 ** self.consts.c))
-        return const * mean
+        return const * mean, capped
 
     def measure_mass(self, phi: TestFunction, cfg: QuadConfig) -> float:
         """The component mass realized by the LHS quadrature with all gamma
@@ -1054,7 +1034,7 @@ class ComponentModel:
         |W(M, sigma)| for twist-inequivalent blocks).  The grid has
         ``n_base`` nodes per axis, cut like the left grid's to fit
         ``max_nodes``."""
-        empty = FactorProgram.compile([], self.spec, self.R_lhs, False)
+        empty = FactorProgram.compile([], self.spec, self.R_lhs, False, 1)
         mean = _grid_mean(lambda t: self._times_phi(empty, phi, t, 0.0,
                                                     self.lhs_atoms),
                           self.R_lhs, cfg.capped(cfg.n_base, self.R_lhs)[0])
@@ -1088,10 +1068,10 @@ def _row_chunks(ns: tuple):
 
 
 def _grid_chunks(dim: int, n: int):
-    """The chunks of the grid of ``_grid_means``, in node order, each of at
-    most BLOCK nodes.  A point is one ``Phasors`` of no coordinate.  A 1-D
-    grid is one row, read as ``_row_chunks`` reads it.  With dim >= 2 a
-    chunk is a ``GridChunk`` of one ``_ResidueGrid``, which reads every
+    """The chunks of a grid of ``_grid_means`` on no axis or on two or more
+    (``_row_chunks`` reads the 1-D grids), in node order, each of at most
+    BLOCK nodes.  A point is one ``Phasors`` of no coordinate.  With dim >=
+    2 a chunk is a ``GridChunk`` of one ``_ResidueGrid``, which reads every
     function of e(c.t) from a table of its n residues: BLOCK // n whole rows
     of the last axis, fewer where the outer coordinates (all but the last
     two) carry, so that its rows form one arithmetic run, or when n > BLOCK
@@ -1101,9 +1081,6 @@ def _grid_chunks(dim: int, n: int):
         yield Phasors([], (1,))
         return
     block = FactorProgram.BLOCK
-    if dim == 1:
-        yield from (ph for ph, _ in _row_chunks((n,)))
-        return
     grid, rows = _ResidueGrid(dim, n), max(1, block // n)
     for outer in itertools.product(range(n), repeat=dim - 2):
         for i in range(0, n, rows):
@@ -1121,16 +1098,17 @@ def _grid_means(fun: Callable, dim: int, ns: tuple,
     off the exact singular loci.  fun takes each chunk, whose ``shape`` is
     (dim, nodes in the chunk), and its values are summed at once, so memory
     does not grow with the grid and no node takes an exp or a coordinate.
-    1-D grids share chunks (``_row_chunks``), each summing its own pieces,
-    so a chunk adds up as it would alone; on other dims ``ns`` holds one n,
-    read chunk by chunk (``_grid_chunks``).  With ``even`` (dim >= 2, n
-    even) the means end with the one over the nodes I = 2J, at ((J_r + (1/2
-    + offset) / 2) / (n / 2))_r: the offset rule on n / 2 nodes per axis,
-    summed from each chunk's slice of them (``GridChunk.even``).  A grid's
-    sum that is not finite met a pole (see ``FactorProgram``) or a value
-    beyond floating range, and raises ``PoleError``; that check is the
-    guard, so numpy's overflow and invalid warnings, from the chunks'
-    products and from their sums, are hidden."""
+    Every 1-D grid is read through ``_row_chunks``: the grids of ``ns``
+    share chunks, each summing its own pieces, so a chunk adds up as it
+    would alone.  On other dims ``ns`` holds one n, read chunk by chunk
+    (``_grid_chunks``).  With ``even`` (dim >= 2, n even) the means end
+    with the one over the nodes I = 2J, at ((J_r + (1/2 + offset) / 2) /
+    (n / 2))_r: the offset rule on n / 2 nodes per axis, summed from each
+    chunk's slice of them (``GridChunk.even``).  A grid's sum that is not
+    finite met a pole (see ``FactorProgram``) or a value beyond floating
+    range, and raises ``PoleError``; that check is the guard, so numpy's
+    overflow and invalid warnings, from the chunks' products and from their
+    sums, are hidden."""
     totals = [0j] * (len(ns) + even)
     with np.errstate(over="ignore", invalid="ignore"):
         if dim == 1:
@@ -1205,16 +1183,18 @@ def verify(triple: OrthTriple, phi: TestFunction, spec: LocalFieldSpec,
            cfg: Optional[QuadConfig] = None,
            chi_minus_one: int = 1) -> LimitReport:
     """Run the full limit check: LHS over a decreasing s-sequence with
-    Richardson extrapolation against the closed-form RHS."""
+    Richardson extrapolation against the closed-form RHS.  The check fails
+    when a left grid or the right grid was cut to the node budget, as each
+    of them reports (``lhs_value``, ``rhs_value``)."""
     cfg = cfg or QuadConfig()
     model = ComponentModel(triple, spec, chi_minus_one)
     check_weyl_invariance(phi, model.dims, np.random.default_rng(20240901))
     s_values = cfg.s_values()
     lhs_vals, lhs_errs, grid_n, nodes, flags = map(list, zip(*(
         model.lhs_value(phi, s, cfg) for s in s_values)))
-    budget = any(flags) or cfg.capped(cfg.rhs_n, model.R_rhs)[1]
     extrap = richardson(s_values, lhs_vals, cfg.extrap_order)
-    rhs = model.rhs_value(phi, cfg)
+    rhs, rhs_capped = model.rhs_value(phi, cfg)
+    budget = any(flags) or rhs_capped
     absd = abs(extrap - rhs)
     reld = absd / max(abs(rhs), 1e-12)
     return LimitReport(
@@ -1232,19 +1212,20 @@ def subtorus_twists(triple: OrthTriple, free: Sequence[Fraction]) -> list:
     """Per-block twist angles for a point of the mirrored subtorus, given its
     free coordinates, numbered as in the rows of ``triple.layout()``."""
     free = [as_fraction(x) for x in free]
-    expected, rows = mirror_structure(triple)
+    layout = triple.layout()
+    expected = len(_mirror_sizes(layout))
     if len(free) != expected:
         raise ValueError(f"expected {expected} free coordinates, got {len(free)}")
     return [Fraction(0) if row is None else mod1(row[1] * free[row[0]])
-            for row in rows]
+            for _, _, row in layout]
 
 
 def point_parameter(triple: OrthTriple, twists: Sequence[Fraction]) -> WDRep:
-    blocks = component_blocks(triple)
-    if len(twists) != len(blocks):
+    layout = triple.layout()
+    if len(twists) != len(layout):
         raise ValueError("one twist per block required")
     return WDRep.from_atom_list([(u + as_fraction(t), k)
-                                 for (k, u), t in zip(blocks, twists)])
+                                 for (k, u, _), t in zip(layout, twists)])
 
 
 def eq13_values(triple: OrthTriple, free: Sequence[Fraction],
@@ -1268,12 +1249,6 @@ def eq13_values(triple: OrthTriple, free: Sequence[Fraction],
     rhs = math.log(spec.q) ** (-consts.N) * \
         param.wedge2().gamma_factor(spec).regularized_value()
     return lhs, rhs
-
-
-def eq13_check(triple: OrthTriple, free: Sequence[Fraction],
-               spec: LocalFieldSpec, tol: float = 1e-10) -> bool:
-    lhs, rhs = eq13_values(triple, free, spec)
-    return abs(lhs - rhs) <= tol * max(1.0, abs(rhs))
 
 
 def singular_exponent(triple: OrthTriple, twists: Sequence[Fraction]) -> int:

@@ -92,10 +92,6 @@ class TempPoint:
                          for b in d["blocks"]))
 
 
-def parameter_of(pt: TempPoint) -> WDRep:
-    return pt.parameter()
-
-
 def plancherel_density(pt: TempPoint, spec: LocalFieldSpec) -> complex:
     """omega(-1)^{d-1} gamma*(Ad) with omega(-1) = 1 for unramified points."""
     return pt.parameter().ad().gamma_factor(spec).regularized_value()
@@ -110,7 +106,7 @@ def plancherel_density_chi(pt: TempPoint, chi: QuadraticCharacter,
             f"point has central angle {pt.central_angle()}, "
             f"character has angle {chi.unramified_angle()}")
     d = pt.d
-    sign = chi.value_at_minus_one() ** (d - 1)
+    sign = chi(-1) ** (d - 1)
     g = pt.parameter().ad_over_center().gamma_factor(spec)
     return sign * g.regularized_value() / d
 
@@ -123,7 +119,7 @@ def central_quotient_relation_check(pt: TempPoint, chi: QuadraticCharacter,
     from .field import gamma_star_trivial
 
     lhs = plancherel_density_chi(pt, chi, spec)
-    sign = chi.value_at_minus_one() ** (pt.d - 1)
+    sign = chi(-1) ** (pt.d - 1)
     rhs = sign * plancherel_density(pt, spec) / \
         (float(gamma_star_trivial(spec)) * pt.d)
     return abs(lhs - rhs) <= tol * max(1.0, abs(rhs))
@@ -137,7 +133,7 @@ class OrthTriple:
     """Block grouping of an orthogonal-locus component.
 
     dual_pairs:  (atom, m) for a dual pair sigma^m x (sigma dual)^m
-    symplectic:  (atom, p) for a symplectic-type self-dual atom, p copies
+    symplectic:  (atom, p) for a symplectic-type self-dual atom, p (even) copies
     orthogonal:  (atom, q) for an orthogonal-type self-dual atom, q copies
     """
 
@@ -152,6 +148,9 @@ class OrthTriple:
         if any(m < 1 for _, m in
                self.dual_pairs + self.symplectic + self.orthogonal):
             raise ValueError("multiplicities must be >= 1")
+        if any(p % 2 for _, p in self.symplectic):
+            raise ValueError("symplectic multiplicities must be even "
+                             "on the orthogonal locus")
         seen = set()
         for atom, m in self.dual_pairs:
             if atom.is_self_dual():
@@ -207,9 +206,6 @@ class OrthTriple:
         Each dual pair's m copies permute on both sides, and each Is or Io
         atom's n copies permute in |W| and pair up as n // 2 flippable
         mirrored pairs in |W'|."""
-        if any(p % 2 for _, p in self.symplectic):
-            raise ValueError("symplectic multiplicities must be even "
-                             "on the orthogonal locus")
         f = math.factorial
         ms = [m for _, m in self.dual_pairs]
         ns = [n for _, n in self.symplectic + self.orthogonal]
@@ -252,8 +248,8 @@ class TripleConstants:
 def appendix_constants(t: OrthTriple) -> TripleConstants:
     """The closed-form constants attached to an orthogonal-locus triple,
     from (sp, m) for each dual pair and (sp, n) for each Is or Io atom of n
-    copies.  ``weyl_orders`` refuses an odd Is multiplicity, so the one rule
-    for Is and Io atoms gives an Is atom n / 2 in D and N and nothing in c."""
+    copies.  An Is atom's n is even, so the one rule for Is and Io atoms
+    gives it n / 2 in D and N and nothing in c."""
     w, wp = t.weyl_orders()
     pairs = [(a.sp, m) for a, m in t.dual_pairs]
     atoms = [(a.sp, n) for a, n in t.symplectic + t.orthogonal]

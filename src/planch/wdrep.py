@@ -348,24 +348,6 @@ class WDRep:
         return f"WDRep({terms or '0'})"
 
 
-def component_groups_brute_force(rep: WDRep) -> tuple[int, int]:
-    """Oracle: enumerate sign vectors on the distinct orthogonal-type
-    constituents and count those with trivial determinant parity."""
-    orth = sorted({a for a in rep.atoms
-                   if a.self_duality() == SELF_DUAL_ORTHOGONAL}, key=_key)
-    k = len(orth)
-    total, in_so = 0, 0
-    for mask in range(2 ** k):
-        total += 1
-        det = 1
-        for i, a in enumerate(orth):
-            if (mask >> i) & 1:
-                det *= (-1) ** a.sp
-        if det == 1:
-            in_so += 1
-    return total, in_so
-
-
 def parse_rep_text(text: str) -> WDRep:
     """Parse compact text like ``1/3*Sp(2) + 0*Sp(1) + 1/2``."""
     atoms = []

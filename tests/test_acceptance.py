@@ -12,18 +12,17 @@ import numpy as np
 
 from planch.field import (LocalFieldSpec, gamma_star_trivial, square_class)
 from planch.forms import (BilForm, OrbitLabel, char_poly_twisted, charpoly,
-                          classify_sharp, closure_family_member,
-                          correspond_char_poly, b_of_g, bruhat_factor,
-                          build_odd_so, det, in_g_prime, mat, mat_eq, mat_mul,
-                          poly_mul, twisted_conjugate)
+                          classify_sharp, correspond_char_poly, b_of_g,
+                          bruhat_factor, build_odd_so, det, in_g_prime, mat,
+                          mat_mul, poly_mul, twisted_conjugate)
 from planch.limitcheck import (ComponentModel, ConstantPhi, QuadConfig,
-                               TrigPhi, component_blocks, eq13_values,
-                               mirror_structure, singular_exponent,
+                               TrigPhi, eq13_values, singular_exponent,
                                singular_exponent_engine, subtorus_twists,
                                verify)
 from planch.tempered import OrthTriple, appendix_constants, formal_degree_rhs
-from planch.wdrep import (SELF_DUAL_BOTH, SELF_DUAL_ORTHOGONAL, WDAtom, WDRep,
-                          component_groups_brute_force)
+from planch.wdrep import SELF_DUAL_BOTH, SELF_DUAL_ORTHOGONAL, WDAtom, WDRep
+
+from oracles import closure_family_member, component_groups_brute_force
 
 SPEC3 = LocalFieldSpec(3, 3, 0)
 
@@ -177,7 +176,8 @@ def test_criterion_5_exact_identity():
     rng = random.Random(505)
     worst = 0.0
     for triple in FIVE_TRIPLES:
-        nfree, _ = mirror_structure(triple)
+        nfree = sum(row is not None and row[1] == 1
+                    for _, _, row in triple.layout())
         checked = 0
         while checked < 100:
             free = [F(rng.randint(1, 208), 209) for _ in range(nfree)]
@@ -243,7 +243,7 @@ def test_criterion_8_singular_exponents():
     rng = random.Random(808)
     triple = OrthTriple(dual_pairs=((WDAtom(F(1, 5), 1), 1),),
                         orthogonal=((WDAtom(F(0), 1), 1),))
-    blocks = component_blocks(triple)
+    blocks = triple.layout()
     agree = 0
     for _ in range(1000):
         tw = [F(rng.randint(0, 30), 31) for _ in blocks]
@@ -331,11 +331,11 @@ def test_criterion_10_so_embedding():
             bg = b_of_g(emb, g)
             need = mat([[-ell[i] * ell[j] for j in range(d)]
                         for i in range(d)])
-            ok &= mat_eq(bg.sym_part(), need)
+            ok &= bg.sym_part() == need
             if not in_g_prime(emb, g):
                 continue
             u1, mt, u2 = bruhat_factor(emb, g)
-            ok &= mat_eq(mat_mul(u1, mat_mul(mt, u2)), g)
+            ok &= mat_mul(u1, mat_mul(mt, u2)) == g
             done += 1
     dt = time.time() - t0
     report(10, "odd orthogonal embedding: rank-one law + round trips",

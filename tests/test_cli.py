@@ -140,6 +140,14 @@ def test_multiplicity_below_one_exits_3(tmp_path, capsys):
         assert "multiplicities must be >= 1" in capsys.readouterr().err
 
 
+def test_odd_symplectic_multiplicity_exits_3(tmp_path, capsys):
+    """An odd Is multiplicity is refused where the triple is built."""
+    path = write(tmp_path, "t.json", {"Is": [{"angle": "0", "sp": 2, "p": 1}]})
+    assert main(["limit-verify", "--triple", path, "--q", "3"]) == 3
+    assert "symplectic multiplicities must be even on the orthogonal locus" \
+        in capsys.readouterr().err
+
+
 def test_huge_test_function_exits_3_without_a_warning(tmp_path, capsys):
     """A finite Phi whose products leave floating range makes a left mean
     that is not finite: exit 3 with a message that names the range, and no

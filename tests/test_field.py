@@ -4,10 +4,12 @@ from fractions import Fraction as F
 import pytest
 
 from planch.field import (FieldError, LocalFieldSpec, QuadraticCharacter,
-                          all_square_classes, char_eval, gamma_star_trivial,
+                          all_square_classes, gamma_star_trivial,
                           gamma_trivial, smallest_nonresidue, square_class,
                           valuation)
 from planch.spectral import PoleError
+
+from oracles import character_from_values
 
 
 def hensel_is_square(x, p, prec=9):
@@ -78,17 +80,17 @@ def test_class_group_structure():
 
 def test_char_eval():
     chi0 = QuadraticCharacter.trivial(3)
-    assert char_eval(chi0, F(7, 5)) == 1
+    assert chi0(F(7, 5)) == 1
     chi = QuadraticCharacter.unramified_quadratic(3)
-    assert char_eval(chi, 9) == 1
-    assert char_eval(chi, 3) == -1
+    assert chi(9) == 1
+    assert chi(3) == -1
     rng = random.Random(6)
     for _ in range(1000):
         x = F(rng.randint(1, 300), rng.randint(1, 300)) * rng.choice([1, -1])
         y = F(rng.randint(1, 40), rng.randint(1, 40))
-        assert char_eval(chi, x * y * y) == char_eval(chi, x)
+        assert chi(x * y * y) == chi(x)
     # multiplicativity and involutivity
-    ram = QuadraticCharacter.from_values(3, on_unit=-1, on_pi=1)
+    ram = character_from_values(3, on_unit=-1, on_pi=1)
     for _ in range(200):
         x = F(rng.randint(1, 99), rng.randint(1, 99))
         y = F(rng.randint(1, 99), rng.randint(1, 99))
@@ -99,9 +101,9 @@ def test_char_eval():
 
 def test_char_minus_one():
     # -1 is a non-residue mod 3, a residue mod 5
-    assert QuadraticCharacter.from_values(3, -1, 1).value_at_minus_one() == -1
-    assert QuadraticCharacter.from_values(5, -1, 1).value_at_minus_one() == 1
-    assert QuadraticCharacter.unramified_quadratic(3).value_at_minus_one() == 1
+    assert character_from_values(3, -1, 1)(-1) == -1
+    assert character_from_values(5, -1, 1)(-1) == 1
+    assert QuadraticCharacter.unramified_quadratic(3)(-1) == 1
 
 
 def test_bad_character_table_rejected():
@@ -146,3 +148,7 @@ def test_field_spec_validation():
     spec = LocalFieldSpec.from_dict({"p": 3, "f": 2, "psi_level": -1})
     assert spec.q == 9 and spec.f == 2
     assert LocalFieldSpec.from_dict(spec.to_dict()) == spec
+    # f is read off q once, and is no part of the spec's repr, order or hash
+    assert LocalFieldSpec(2, 2 ** 7).f == 7 and LocalFieldSpec(5, 5).f == 1
+    assert repr(spec) == "LocalFieldSpec(p=3, q=9, psi_level=-1)"
+    assert hash(spec) == hash((3, 9, -1))

@@ -11,12 +11,13 @@ from planch.forms import (BilForm, DegenerateFormError, NotRegularError,
                           OrbitLabel, _kernel_basis, _theta_matrix,
                           build_odd_so, in_g_prime,
                           char_poly_twisted, charpoly, classify_sharp,
-                          closure_family_member, correspond_char_poly, det,
-                          disc_twisted, gamma_t_representative, identity,
-                          inverse, mat, mat_eq, mat_mul, mat_scale, poly_mul,
-                          rank, scale_form, solve, split_sym_alt,
-                          transpose, twisted_conjugate,
-                          twisted_fixed_space, weyl_discriminant_twisted)
+                          correspond_char_poly, det, disc_twisted,
+                          gamma_t_representative, identity, inverse, mat,
+                          mat_mul, poly_mul, rank, solve, transpose,
+                          twisted_conjugate, twisted_fixed_space,
+                          weyl_discriminant_twisted)
+
+from oracles import closure_family_member
 
 WORKED = BilForm(mat([[-1, 1], [-1, 0]]))
 
@@ -62,23 +63,23 @@ def random_form(rng, d, lo=-4, hi=4):
 
 
 def test_split_sym_alt():
-    s, a = split_sym_alt(WORKED)
+    s, a = WORKED.sym_part(), WORKED.alt_part()
     assert s == mat([[-2, 0], [0, 0]])
     assert a == mat([[0, 2], [-2, 0]])
     sym = BilForm(mat([[1, 2], [2, 5]]))
-    s, a = split_sym_alt(sym)
-    assert mat_eq(s, mat([[2, 4], [4, 10]])) and all(x == 0 for r in a for x in r)
+    s, a = sym.sym_part(), sym.alt_part()
+    assert s == mat([[2, 4], [4, 10]]) and all(x == 0 for r in a for x in r)
     alt = BilForm(mat([[0, 3], [-3, 0]]))
-    s, a = split_sym_alt(alt)
-    assert all(x == 0 for r in s for x in r) and mat_eq(a, mat([[0, 6], [-6, 0]]))
+    s, a = alt.sym_part(), alt.alt_part()
+    assert all(x == 0 for r in s for x in r) and a == mat([[0, 6], [-6, 0]])
     # 2 Gamma = Gamma_s + Gamma_a exactly
     rng = random.Random(0)
     for _ in range(50):
         b = random_form(rng, 3)
-        s, a = split_sym_alt(b)
+        s, a = b.sym_part(), b.alt_part()
         two = [[2 * x for x in row] for row in b.gram]
-        assert mat_eq(mat(two), mat([[s[i][j] + a[i][j] for j in range(3)]
-                                     for i in range(3)]))
+        assert mat(two) == mat([[s[i][j] + a[i][j] for j in range(3)]
+                                for i in range(3)])
 
 
 def test_classify_examples():
@@ -166,7 +167,8 @@ def test_classify_scaling_covariance():
         t = square_class(rng.choice([1, 2, 3, 6]), 3)
         b = gamma_t_representative(t, d)
         a = F(rng.randint(1, 9), rng.randint(1, 9)) * rng.choice([1, -1])
-        lab = classify_sharp(scale_form(b, a), 3)
+        lab = classify_sharp(BilForm(mat([[a * x for x in row]
+                                          for row in b.gram])), 3)
         assert lab == OrbitLabel("gamma_t", square_class(a, 3) * t)
 
 
@@ -374,7 +376,8 @@ def test_theta_matrix_matches_elementary_construction():
                 for j in range(d):
                     e = mat([[int((a, b) == (j, i)) for b in range(d)]
                              for a in range(d)])  # E_ij transposed
-                    th = mat_scale(mat_mul(gi, mat_mul(e, gram)), -1)
+                    th = [[-x for x in row]
+                          for row in mat_mul(gi, mat_mul(e, gram))]
                     cols.append([x for row in th for x in row])
             assert _theta_matrix(gram) == transpose(cols)
 

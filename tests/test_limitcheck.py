@@ -20,14 +20,15 @@ from planch.limitcheck import (AffineAngle, ComponentModel, ConstantPhi,
                                FactorProgram, GaussianPhi,
                                NonGenericPoint, NotWeylInvariant, QuadConfig,
                                TestFunction, TrigPhi, check_weyl_invariance,
-                               component_blocks, eq13_check, eq13_values,
-                               mirror_structure, phi_from_dict,
-                               point_parameter, richardson,
-                               singular_exponent, singular_exponent_engine,
-                               subtorus_twists, verify)
+                               eq13_values, phi_from_dict, point_parameter,
+                               richardson, singular_exponent,
+                               singular_exponent_engine, subtorus_twists,
+                               verify)
 from planch.spectral import PoleError
 from planch.tempered import OrthTriple
 from planch.wdrep import WDAtom, gamma_parts
+
+from oracles import as_affine, compile_affine
 
 SPEC3 = LocalFieldSpec(3, 3, 0)
 
@@ -46,6 +47,12 @@ T_SP31_TWIST = OrthTriple(orthogonal=((WDAtom(F(1, 2), 3), 1),
                                       (WDAtom(F(0), 1), 1)))
 
 FAST = QuadConfig(s0=0.1, s_count=4, n_base=64, rhs_n=128)
+
+
+def _nfree(triple):
+    """The free coordinates of the mirrored subtorus: one per +1 row."""
+    return sum(row is not None and row[1] == 1
+               for _, _, row in triple.layout())
 
 
 class LopsidedPhi(TestFunction):
@@ -219,25 +226,27 @@ def test_verify_other_field():
 def test_rhs_linearity_and_relabeling():
     model = ComponentModel(T_IO2, SPEC3)
     phi1, phi2 = ConstantPhi(1.0), ConstantPhi(2.5)
-    r1 = model.rhs_value(phi1, FAST)
-    r2 = model.rhs_value(phi2, FAST)
+    r1 = model.rhs_value(phi1, FAST)[0]
+    r2 = model.rhs_value(phi2, FAST)[0]
     assert abs(r2 - 2.5 * r1) < 1e-12
     swapped = OrthTriple(orthogonal=(T_IO2.orthogonal[1], T_IO2.orthogonal[0]))
-    assert abs(ComponentModel(swapped, SPEC3).rhs_value(phi1, FAST) - r1) < 1e-12
+    assert abs(ComponentModel(swapped, SPEC3).rhs_value(phi1, FAST)[0]
+               - r1) < 1e-12
 
 
 def test_eq13_five_classes():
     rng = random.Random(3)
     for triple in (T_D1, T_IN, T_IS, T_IO3, T_D3,
                    OrthTriple(orthogonal=((WDAtom(F(1, 2), 1), 2),))):
-        nfree, _ = mirror_structure(triple)
+        nfree = _nfree(triple)
         checked = 0
         while checked < 20:
             free = [F(rng.randint(1, 100), 101) for _ in range(nfree)]
             try:
-                assert eq13_check(triple, free, SPEC3, tol=1e-10)
+                lhs, rhs = eq13_values(triple, free, SPEC3)
             except NonGenericPoint:
                 continue
+            assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
             checked += 1
 
 
@@ -251,7 +260,7 @@ def test_eq13_nongeneric_reported():
 def test_singular_exponent():
     rng = random.Random(4)
     # generic points are regular
-    blocks = component_blocks(T_D3)
+    blocks = T_D3.layout()
     for _ in range(50):
         tw = [F(rng.randint(1, 30), 31) for _ in blocks]
         tw[-1] = -sum(tw[:-1])
@@ -261,8 +270,7 @@ def test_singular_exponent():
     from planch.tempered import appendix_constants
     for triple in (T_D1, T_IN, T_IS, T_IO3, T_D3):
         n = appendix_constants(triple).N
-        nfree, _ = mirror_structure(triple)
-        free = [F(1 + 7 * i, 101) for i in range(nfree)]
+        free = [F(1 + 7 * i, 101) for i in range(_nfree(triple))]
         tw = subtorus_twists(triple, free)
         assert singular_exponent(triple, tw) == n
         assert singular_exponent_engine(triple, tw, SPEC3) == n
@@ -308,7 +316,7 @@ def lhs_integrand_exact(triple, phi, s, twists, spec):
         raise ValueError("the integrand is evaluated at s > 0")
     twists = [F(t) for t in twists]
     param = point_parameter(triple, twists)
-    blocks = component_blocks(triple)
+    blocks = [(k, u) for k, u, _ in triple.layout()]
     if sum(k * t for (k, _), t in zip(blocks, twists)).denominator != 1:
         raise ValueError("twists must satisfy the sum-zero constraint")
     angles = np.array([[float((u + t) % 1)]
@@ -376,9 +384,11 @@ def test_right_grid_keeps_the_node_budget():
     rep = verify(triple, ConstantPhi(1.0), SPEC3, cfg)
     assert rep.budget_exceeded and not rep.passed
     assert cfg.capped(400, 2) == (307, True)
-    assert rep.rhs == model.rhs_value(
+    assert model.rhs_value(ConstantPhi(1.0), cfg) == (rep.rhs, True)
+    assert model.rhs_value(
         ConstantPhi(1.0), dataclasses.replace(cfg, rhs_n=307,
-                                              max_nodes=307 ** 2))
+                                              max_nodes=307 ** 2)) \
+        == (rep.rhs, False)
     roomy = dataclasses.replace(cfg, max_nodes=400 ** 2)
     assert not verify(triple, ConstantPhi(1.0), SPEC3, roomy).budget_exceeded
 
@@ -445,7 +455,7 @@ def test_two_locus_points_make_the_left_side_of_t_sp31():
         spec = LocalFieldSpec(q, q, 0)
         rep = verify(T_SP31, ConstantPhi(1.0), spec, cfg)
         twist = ComponentModel(T_SP31_TWIST, spec).rhs_value(ConstantPhi(1.0),
-                                                             cfg)
+                                                             cfg)[0]
         assert abs(rep.lhs_extrapolated / (rep.rhs + twist) - 1) < 1e-4, q
 
 
@@ -541,11 +551,11 @@ def _atom_parts(atoms, spec, nfree, regularize):
     factors = []
     for group, in_num in ((num, True), (den, False)):
         for (a, r, sd) in group:
-            a = limitcheck._as_affine(a, nfree)
+            a = as_affine(a, nfree)
             if not (regularize and in_num and r == 0
                     and a.is_identically_zero()):
                 factors.append((a, float(r), sd, in_num))
-    return (spec.q, limitcheck._as_affine(unit, nfree), float(qpow),
+    return (spec.q, as_affine(unit, nfree), float(qpow),
             float(exponent), factors)
 
 
@@ -600,7 +610,7 @@ def test_phasor_evaluator_matches_per_factor_formula():
             const = F(0) if rng.random() < 0.3 else F(rng.randint(0, 59), 60)
             atoms.append((AffineAngle(const, coeffs), rng.randint(1, 3)))
         regularize = case // 8 % 2 == 1
-        prog = FactorProgram.compile(atoms, spec, nfree, regularize)
+        prog = compile_affine(atoms, spec, nfree, regularize)
         unit_groups += any(prog.unit_coeffs)
         t = np.array([[rng.random() for _ in range(257)]
                       for _ in range(nfree)]).reshape(nfree, 257)
@@ -737,7 +747,7 @@ def test_quotient_matches_ratio_of_programs():
                                   tuple(rng.randint(-2, 2)
                                         for _ in range(nfree))),
                       rng.randint(1, 3)) for _ in range(rng.randint(1, 4))]
-            progs.append(FactorProgram.compile(atoms, spec, nfree, regularize))
+            progs.append(compile_affine(atoms, spec, nfree, regularize))
         top, den = progs
         quot = top.quotient(den)
         units += any(quot.unit_coeffs)
@@ -755,6 +765,14 @@ def _grid_index(dim, n):
     """The index I of each node of the dim-axis grid, in node order."""
     return np.stack([m.ravel() for m in np.meshgrid(*[np.arange(n)] * dim,
                                                      indexing="ij")])
+
+
+def _chunks(dim, n):
+    """The chunks of the grid of n^dim nodes as ``_grid_means`` reads them:
+    a 1-D grid through ``_row_chunks``."""
+    if dim == 1:
+        return [ph for ph, _ in limitcheck._row_chunks((n,))]
+    return list(limitcheck._grid_chunks(dim, n))
 
 
 def _full_grid(dim, n, offset):
@@ -823,12 +841,12 @@ def test_streamed_means_match_full_grid(monkeypatch):
             assert abs(err - abs(full - coarse)) <= 1e-13 * abs(full)
             assert nodes == used
 
-        rhs = model.rhs_value(phi, cfg)
+        rhs = model.rhs_value(phi, cfg)[0]
         t = _full_grid(model.R_rhs, cfg.rhs_n, cfg.offset)
         mean = np.mean(model.rhs_integrand(phi, t))
         with monkeypatch.context() as m:
             m.setattr(limitcheck, "_grid_mean", lambda *args: 1.0)
-            assert abs(rhs - model.rhs_value(phi, cfg) * mean) <= \
+            assert abs(rhs - model.rhs_value(phi, cfg)[0] * mean) <= \
                 1e-13 * abs(rhs)
 
 
@@ -866,9 +884,9 @@ def _same(w):
 
 
 def test_grid_chunks_are_the_grid_phasors(monkeypatch):
-    """Each chunk of _grid_chunks holds, in node order, E_r = e(t_r) of its
-    nodes, read through ``at`` as the phasors of unit angles, and block
-    phasors equal to those of its nodes: dims 0-3, ragged last chunks, a
+    """Each chunk of a grid (``_chunks``) holds, in node order, E_r = e(t_r)
+    of its nodes, read through ``at`` as the phasors of unit angles, and
+    block phasors equal to those of its nodes: dims 0-3, ragged last chunks, a
     chunk per row segment when n > BLOCK.  A 1-D segment makes them as
     ``Phasors.of_nodes`` does, from powers of E_r.  Every chunk of a grid of
     two or more axes is a ``GridChunk`` and reads them from its grid's
@@ -890,7 +908,7 @@ def test_grid_chunks_are_the_grid_phasors(monkeypatch):
         start, sizes = 0, []
         units = [(AffineAngle(F(0), tuple(int(i == r) for i in range(dim))), 1)
                  for r in range(dim)]
-        for ph in limitcheck._grid_chunks(dim, n):
+        for ph in _chunks(dim, n):
             m = ph.shape[1]
             assert ph.shape == (dim, m) and math.prod(ph.nodes) == m <= chunk
             t, nodes = grid[:, start:start + m], index[:, start:start + m]
@@ -927,7 +945,7 @@ def test_grid_integrands_equal_node_integrands(monkeypatch):
         grid = _full_grid(dim, n, offset) if dim else np.zeros((0, 1))
         got = np.concatenate([
             np.broadcast_to(model.lhs_integrand(phi, ph, 0.1), ph.nodes).ravel()
-            for ph in limitcheck._grid_chunks(dim, n)])
+            for ph in _chunks(dim, n)])
         want = model.lhs_integrand(phi, grid, 0.1)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -964,7 +982,7 @@ def test_random_programs_on_grid_chunks_match_flattened_nodes(monkeypatch):
             const = F(rng.randint(0, 59), 60)
             atoms.append((AffineAngle(const, c), rng.randint(1, 3)))
         regularize = case // 6 % 2 == 1
-        prog = FactorProgram.compile(atoms, spec, nfree, regularize)
+        prog = compile_affine(atoms, spec, nfree, regularize)
         for f in prog.factors:
             head, last = any(f.coeffs[:-1]), f.coeffs[-1] != 0
             kinds["row" if not last and head else "lane" if not head and last
@@ -975,7 +993,7 @@ def test_random_programs_on_grid_chunks_match_flattened_nodes(monkeypatch):
             for s in (0.0, 0.37, 0.05 - 0.4j):
                 got = np.concatenate([
                     np.broadcast_to(prog.eval_phasors(ph, s), ph.nodes).ravel()
-                    for ph in limitcheck._grid_chunks(nfree, n)])
+                    for ph in _chunks(nfree, n)])
                 want = prog.eval(t, s)
                 _, smallest, cond = _per_factor_eval(
                     _atom_parts(atoms, spec, nfree, regularize), t, s)
@@ -1033,7 +1051,7 @@ def test_factors_on_one_direction_on_grid_chunks(monkeypatch):
             for s in (0.0, 0.37, 0.05 - 0.4j):
                 got = np.concatenate([
                     np.broadcast_to(prog.eval_phasors(ph, s), ph.nodes).ravel()
-                    for ph in limitcheck._grid_chunks(nfree, n)])
+                    for ph in _chunks(nfree, n)])
                 want = prog.eval(t, s)
                 # the factors' phasors from exact angles: a float angle of
                 # up to 1.6 |c|_1 turns would round by about 1e-15 |c|_1
@@ -1059,7 +1077,7 @@ def test_grid_means_take_no_node_angles(monkeypatch):
     for triple in (T_D1, T_IN, T_D3, T_IS):
         model = ComponentModel(triple, SPEC3)
         assert np.isfinite(model.lhs_mean(phi, 0.1, FAST)[0])
-        assert np.isfinite(model.rhs_value(phi, FAST))
+        assert np.isfinite(model.rhs_value(phi, FAST)[0])
         assert np.isfinite(model.measure_mass(phi, FAST))
     with pytest.raises(AssertionError, match="node angles"):
         model.lhs_integrand(phi, np.zeros((model.R_lhs, 3)), 0.1)
@@ -1410,12 +1428,12 @@ def _fraction_compile(atoms, spec, nfree, regularize):
     factors = []
     for group, in_num in ((num, True), (den, False)):
         for a, r, sd in group:
-            a = limitcheck._as_affine(a, nfree)
+            a = as_affine(a, nfree)
             if regularize and r == 0 and a.is_identically_zero():
                 continue
             factors.append(limitcheck._Factor(mod1(a.const), tuple(a.coeffs),
                                               float(r), sd, in_num))
-    unit = limitcheck._as_affine(unit, nfree)
+    unit = as_affine(unit, nfree)
     return FactorProgram(spec.q, nfree, mod1(unit.const), tuple(unit.coeffs),
                          float(qpow), float(exponent), factors)
 
@@ -1471,7 +1489,7 @@ def test_integer_compile_matches_a_fraction_reference(triple, level, field):
     angles packed over the blocks' common denominator, equal the plain
     Fraction compile of the same plethysm: factors, unit, qpow and
     exponent, the direction groups, and the float arrays bit for bit.
-    ``compile`` on the affine atoms gives the same programs."""
+    ``compile_affine`` on the affine atoms gives the same programs."""
     spec = LocalFieldSpec(field[0], field[1], level)
     model = ComponentModel(triple, spec)
     lhs, rhs, r = model.lhs_atoms, model.rhs_atoms, model.R_lhs
@@ -1490,7 +1508,7 @@ def test_integer_compile_matches_a_fraction_reference(triple, level, field):
         for name in ("_rot", "_shift", "_sdir"):
             assert getattr(got, name).tobytes() == \
                 getattr(want, name).tobytes()
-    assert FactorProgram.compile(limitcheck.sym2_atoms(lhs), spec, r, False) \
+    assert compile_affine(limitcheck.sym2_atoms(lhs), spec, r, False) \
         == model.sym2_lhs
-    assert FactorProgram.compile(limitcheck.wedge2_atoms(rhs), spec,
-                                 model.R_rhs, True) == model.wedge2_rhs
+    assert compile_affine(limitcheck.wedge2_atoms(rhs), spec,
+                          model.R_rhs, True) == model.wedge2_rhs

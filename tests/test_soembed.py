@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from planch.forms import (BilForm, NotInGroupError, b_of_g, bruhat_factor,
                           build_odd_so, det, identity, in_g_prime, inverse,
-                          m_tilde_of, mat, mat_eq, mat_mul, transpose)
+                          m_tilde_of, mat, mat_mul, transpose)
 
 
 def random_nbar(emb, rng, lo=-4, hi=4):
@@ -41,7 +41,7 @@ def test_quadratic_space():
         emb = build_odd_so(d)
         j = emb.gram()
         assert len(j) == 2 * d + 1
-        assert mat_eq(j, transpose(j))
+        assert j == transpose(j)
         assert det(j) != 0
 
 
@@ -79,8 +79,8 @@ def test_unipotent_elements_refuse_wrong_shapes():
             emb.n_element(w, u)
         with pytest.raises(ValueError, match="2 entries"):
             emb.n_bar_element(w, u)
-    assert mat_eq(emb.n_element([0, 0], zero), identity(5))
-    assert mat_eq(emb.n_bar_element([0, 0], zero), identity(5))
+    assert emb.n_element([0, 0], zero) == identity(5)
+    assert emb.n_bar_element([0, 0], zero) == identity(5)
 
 
 def test_mtilde_form_is_b_g():
@@ -101,7 +101,7 @@ def test_mtilde_form_is_b_g():
             assert in_g_prime(emb, g)
             # Bruhat factorization of a twisted-Levi element is trivial
             u1, mt, u2 = bruhat_factor(emb, g)
-            assert mat_eq(mt, g)
+            assert mt == g
 
 
 def test_identity_not_in_open_cell():
@@ -120,14 +120,14 @@ def test_rank_one_property_and_roundtrip():
             # symmetric part is exactly -(ell tensor ell)
             need = mat([[-ell[i] * ell[j] for j in range(d)]
                         for i in range(d)])
-            assert mat_eq(bg.sym_part(), need)
+            assert bg.sym_part() == need
             mt_form = m_tilde_of(emb, g)
             if mt_form is None:
                 assert not in_g_prime(emb, g)
                 continue
-            assert mat_eq(mt_form.gram, bg.gram)
+            assert mt_form.gram == bg.gram
             u1, mt, u2 = bruhat_factor(emb, g)
-            assert mat_eq(mat_mul(u1, mat_mul(mt, u2)), g)
+            assert mat_mul(u1, mat_mul(mt, u2)) == g
 
 
 @st.composite
@@ -157,16 +157,16 @@ def test_bruhat_round_trip_property(case):
     emb, g = case
     d = emb.d
     u1, mt, u2 = bruhat_factor(emb, g)
-    assert mat_eq(mat_mul(u1, mat_mul(mt, u2)), g)
+    assert mat_mul(u1, mat_mul(mt, u2)) == g
     for u in (u1, u2):
         w = [u[i][d] for i in range(d)]
         block = [[u[i][d + 1 + j] for j in range(d)] for i in range(d)]
-        assert mat_eq(u, emb.n_element(w, block))
+        assert u == emb.n_element(w, block)
     levi = {(i, j) for i in range(d) for j in range(d + 1, 2 * d + 1)}
     levi |= {(j, i) for i, j in levi} | {(d, d)}
     assert all(mt[i][j] == 0 for i in range(2 * d + 1)
                for j in range(2 * d + 1) if (i, j) not in levi)
-    assert mat_eq(b_of_g(emb, mt).gram, b_of_g(emb, g).gram)
+    assert b_of_g(emb, mt).gram == b_of_g(emb, g).gram
 
 
 def test_degenerate_ubar():
@@ -247,8 +247,8 @@ def test_membership_checked_once_per_public_entry(monkeypatch):
     scaled = [[F(1 if i == j else 0) for j in range(5)] for i in range(5)]
     scaled[0][0] = F(2)
     minus = [[F(-1 if i == j else 0) for j in range(5)] for i in range(5)]
-    # g^T Q g != Q; det(g) = -1; the wrong size, which mat_mul and mat_eq,
-    # zipping rows and columns, would not see
+    # g^T Q g != Q; det(g) = -1; the wrong size, which mat_mul, zipping rows
+    # and columns, would not see
     for bad in (mat(scaled), mat(minus), identity(3), other):
         for entry in entries:
             with pytest.raises(NotInGroupError):

@@ -9,20 +9,22 @@ from planch.field import LocalFieldSpec, QuadraticCharacter, gamma_star_trivial
 from planch.tempered import (CentralCharacterMismatch, OrthTriple, TempPoint,
                              appendix_constants,
                              central_quotient_relation_check, formal_degree_rhs,
-                             hii_rhs, orth_triple_of, parameter_of,
-                             plancherel_density, plancherel_density_chi)
+                             hii_rhs, orth_triple_of, plancherel_density,
+                             plancherel_density_chi)
 from planch.wdrep import WDAtom, WDRep
+
+from oracles import character_from_values
 
 SPEC3 = LocalFieldSpec(3, 3, 0)
 CHI0 = QuadraticCharacter.trivial(3)
 
 
 def test_parameter_of():
-    assert parameter_of(TempPoint.of((1, 0, 0))) == WDRep.of((0, 1))
+    assert TempPoint.of((1, 0, 0)).parameter() == WDRep.of((0, 1))
     u = F(1, 5)
-    assert parameter_of(TempPoint.of((1, u, 0), (1, -u, 0))) == \
+    assert TempPoint.of((1, u, 0), (1, -u, 0)).parameter() == \
         WDRep.of((u, 1), (-u, 1))
-    assert parameter_of(TempPoint.of((2, 0, 0))) == WDRep.of((0, 2))
+    assert TempPoint.of((2, 0, 0)).parameter() == WDRep.of((0, 2))
     # Weyl equivalence: permuted blocks give the same parameter
     pt1 = TempPoint.of((1, u, F(1, 7)), (2, 0, 0))
     pt2 = TempPoint.of((2, 0, 0), (1, u, F(1, 7)))
@@ -79,8 +81,8 @@ def test_plancherel_density_chi():
     with pytest.raises(CentralCharacterMismatch):
         plancherel_density_chi(TempPoint.of((1, F(1, 2), 0)), CHI0, SPEC3)
     # chi(-1) = -1 flips the sign for even d
-    ram = QuadraticCharacter.from_values(3, on_unit=-1, on_pi=1)
-    assert ram.value_at_minus_one() == -1
+    ram = character_from_values(3, on_unit=-1, on_pi=1)
+    assert ram(-1) == -1
     v0 = plancherel_density_chi(st, CHI0, SPEC3)
     v1 = plancherel_density_chi(st, ram, SPEC3)
     assert abs(v0 + v1) < 1e-12
@@ -156,11 +158,11 @@ def test_appendix_constants_invariants():
         assert total == t.d
         assert c.N <= c.S
         assert 2 * c.N == c.S + c.c  # pairs plus odd middles
-    odd = OrthTriple(symplectic=((WDAtom(F(0), 2), 1),))
-    for constants in (odd.weyl_orders, lambda: appendix_constants(odd)):
+    # an odd Is multiplicity is refused where the triple is built
+    for p in (1, 3):
         with pytest.raises(ValueError, match="^symplectic multiplicities must "
                                              "be even on the orthogonal locus$"):
-            constants()
+            OrthTriple(symplectic=((WDAtom(F(0), 2), p),))
 
 
 def _constants_by_group(t):

@@ -13,9 +13,10 @@ from planch.limitcheck import AffineAngle
 from planch.spectral import GeometricFactor, SpectralFunction, mod1
 from planch.wdrep import (SELF_DUAL_BOTH, SELF_DUAL_NONE,
                           SELF_DUAL_ORTHOGONAL, SELF_DUAL_SYMPLECTIC, WDAtom,
-                          WDRep, ad_atoms, ad_over_center_atoms,
-                          component_groups_brute_force, gamma_parts,
+                          WDRep, ad_atoms, ad_over_center_atoms, gamma_parts,
                           parse_rep_text, sp_sym2, sp_tensor, sp_wedge2)
+
+from oracles import component_groups_brute_force
 
 SPEC3 = LocalFieldSpec(3, 3, 0)
 

@@ -60,8 +60,8 @@ from .field import (LocalFieldSpec, gamma_star_trivial, gamma_trivial,
                     read_number)
 from .spectral import PoleError, as_fraction, mod1
 from .tempered import OrthTriple, appendix_constants, multiplicity_order
-from .wdrep import (WDRep, ad_over_center_atoms, gamma_parts, sym2_atoms,
-                    wedge2_atoms)
+from .wdrep import (WDRep, ad_over_center_atoms, from_numerators,
+                    gamma_parts, sym2_atoms, wedge2_atoms)
 
 
 class NonGenericPoint(ValueError):
@@ -1221,11 +1221,15 @@ def subtorus_twists(triple: OrthTriple, free: Sequence[Fraction]) -> list:
 
 
 def point_parameter(triple: OrthTriple, twists: Sequence[Fraction]) -> WDRep:
+    """Each block at its base angle plus its twist, built on numerators."""
     layout = triple.layout()
     if len(twists) != len(layout):
         raise ValueError("one twist per block required")
-    return WDRep.from_atom_list([(u + as_fraction(t), k)
-                                 for (k, u, _), t in zip(layout, twists)])
+    angles = [(u, as_fraction(t), k) for (k, u, _), t in zip(layout, twists)]
+    n = math.lcm(*(x.denominator for u, t, _ in angles for x in (u, t)))
+    return from_numerators([(u.numerator * (n // u.denominator)
+                             + t.numerator * (n // t.denominator), k)
+                            for u, t, k in angles], n)
 
 
 def eq13_values(triple: OrthTriple, free: Sequence[Fraction],

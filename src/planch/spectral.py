@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .field import read_number
-
 
 class PoleError(ArithmeticError):
     """Evaluation at a point where a denominator factor vanishes."""
@@ -48,6 +46,15 @@ def as_fraction(x) -> Fraction:
 def turn(num, den=None) -> Fraction:
     """An exact angle in turns, reduced to [0, 1)."""
     return mod1(Fraction(num, den) if den is not None else as_fraction(num))
+
+
+def reduced(cls, **fields):
+    """The frozen dataclass ``cls`` made of fields that already have the
+    form its ``__post_init__`` gives them, which is not run: angles are
+    ``Fraction``s in [0, 1), other numbers ``Fraction``s, sequences tuples."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 @dataclass(frozen=True, order=True)
@@ -83,11 +90,6 @@ class GeometricFactor:
         if self.sdir != 1:
             d["sdir"] = self.sdir
         return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GeometricFactor":
-        return cls(read_number(d["angle"]), read_number(d["shift"]),
-                   read_number(d.get("sdir", 1), int))
 
 
 def _sorted(factors: Iterable[GeometricFactor]) -> tuple:
@@ -150,11 +152,6 @@ class SpectralFunction:
         return SpectralFunction(self.unit_angle, self.qpow, self.exponent,
                                 _sorted(num), _sorted(den), self.q)
 
-    def is_one(self) -> bool:
-        f = self.normalize()
-        return (f.unit_angle == 0 and f.qpow == 0
-                and f.exponent == 0 and not f.num and not f.den)
-
     # -- orders and values ---------------------------------------------------
 
     def ord_zero_at_zero(self) -> int:
@@ -177,32 +174,36 @@ class SpectralFunction:
             if all(g.value(s, self.q) != 0 for g in self.num):
                 raise
             val = 0j
-        for g in self.num:
-            val *= g.value(s, self.q)
-        for g in self.den:
-            d = g.value(s, self.q)
-            if abs(d) < 1e-14:
-                raise PoleError(f"denominator factor {g} vanishes at s = {s}")
-            val /= d
+        for step, factors in ((1, self.num), (-1, self.den)):
+            prev = None
+            for g in factors:
+                if g is not prev:
+                    prev, v = g, g.value(s, self.q)
+                    if step < 0 and abs(v) < 1e-14:
+                        raise PoleError(
+                            f"denominator factor {g} vanishes at s = {s}")
+                val = val * v if step > 0 else val / v
         return val
 
     def _at_zero(self) -> tuple[int, complex]:
         """(n, c) with f(s) = c (s log q)^n (1 + O(s)) as s -> 0.
 
         A factor vanishing at 0, 1 - q^{-sdir s}, is sdir s log q (1 + O(s))
-        and contributes sdir to c; every other factor is evaluated at 0.
+        and contributes sdir to c; every other factor is evaluated at 0,
+        once for a run of one object (a repeated atom's factors, as
+        ``WDRep.gamma_factor`` shares them).
         """
         n, sign, c = 0, 1, self.scalar_value()
-        for g in self.num:
-            if g.vanishes_at_zero():
-                n, sign = n + 1, sign * g.sdir
-            else:
-                c *= g.value(0.0, self.q)
-        for g in self.den:
-            if g.vanishes_at_zero():
-                n, sign = n - 1, sign * g.sdir
-            else:
-                c /= g.value(0.0, self.q)
+        for step, factors in ((1, self.num), (-1, self.den)):
+            prev = None
+            for g in factors:
+                if g is not prev:
+                    prev, zero = g, g.vanishes_at_zero()
+                    v = None if zero else g.value(0.0, self.q)
+                if zero:
+                    n, sign = n + step, sign * g.sdir
+                else:
+                    c = c * v if step > 0 else c / v
         return n, sign * c
 
     def regularized_value(self) -> complex:

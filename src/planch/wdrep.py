@@ -10,6 +10,11 @@ generic angle type: the integer numerators k of the angles k/N of a public
 ``WDRep`` over one common denominator N, exact ``Fraction`` turns, affine
 angle forms, and the affine angles of a torus family packed into one integer
 each over its common denominator (``limitcheck.FactorProgram.compile``).
+
+A ``WDRep`` keeps those numerators and N as its ``_form``: one built from
+atoms derives it once, ``from_numerators`` is given it, so a plethysm chain
+and its gamma factor stay in integers and build each object from fields
+already reduced, equal to what the public constructors build.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence, Tuple
 
 from .field import LocalFieldSpec, read_number
-from .spectral import GeometricFactor, SpectralFunction, mod1, turn
+from .spectral import GeometricFactor, SpectralFunction, mod1, reduced, turn
 
 Atom = Tuple[object, int]  # (angle, sp-dimension)
 
@@ -118,10 +123,10 @@ def gamma_parts(atoms: Sequence[Atom], psi_level: int):
     the angles, r and 1 + r, so r and 1 + r are built once per size and
     shared by its atoms.  The integer sums of n*m + m - 1 and of m - 1 over
     the atoms give exponent, qpow = exponent / 2 and the half-integer part
-    of unit_angle with one ``Fraction`` each; unit_angle then adds each
-    size's angle sum times n*m + m - 1.  Per atom an exact call builds the
-    stored -u and one partial angle sum, nothing else.  No dict is keyed by
-    an angle: a ``Fraction`` hashes slowly.
+    of unit_angle with one ``Fraction`` each, and that part is added last to
+    the sizes' angle sums times n*m + m - 1: an int on integer numerators.
+    Per atom an exact call builds the stored -u and one partial angle sum,
+    nothing else.  No dict is keyed by an angle: a ``Fraction`` hashes slowly.
     """
     n = psi_level
     sizes = {}  # m -> [atom count, sum of the angles, r, 1 + r]
@@ -129,8 +134,7 @@ def gamma_parts(atoms: Sequence[Atom], psi_level: int):
     for (u, m) in atoms:
         acc = sizes.get(m)
         if acc is None:
-            r = Fraction(m - 1, 2)
-            acc = sizes[m] = [0, u, r, 1 + r]
+            acc = sizes[m] = [0, u, Fraction(m - 1, 2), Fraction(m + 1, 2)]
         else:
             acc[1] = acc[1] + u
         acc[0] += 1
@@ -138,9 +142,9 @@ def gamma_parts(atoms: Sequence[Atom], psi_level: int):
         den.append((-u, acc[3], -1))
     weights = sum(count * (n * m + m - 1) for m, (count, *_) in sizes.items())
     halves = sum(count * (m - 1) for m, (count, *_) in sizes.items())
-    unit = Fraction(halves, 2)
-    for m, (_, total, *_) in sizes.items():
-        unit = total * (n * m + m - 1) + unit
+    terms = [total * (n * m + m - 1) for m, (_, total, *_) in sizes.items()]
+    unit = sum(terms[1:], terms[0]) + Fraction(halves, 2) if terms else \
+        Fraction(0)
     return unit, Fraction(weights, 2), Fraction(weights), num, den
 
 
@@ -156,10 +160,6 @@ class WDAtom:
         object.__setattr__(self, "angle", turn(self.angle))
         if self.sp < 1:
             raise ValueError("Sp dimension must be >= 1")
-
-    @property
-    def dim(self) -> int:
-        return self.sp
 
     def is_self_dual(self) -> bool:
         return self.angle.denominator <= 2
@@ -177,33 +177,34 @@ def _key(atom: WDAtom):
     return (atom.sp, atom.angle)
 
 
-def _numerators(atoms: Sequence[WDAtom], calculus=list) -> tuple[list, int]:
-    """``calculus`` of the (k, sp) pairs of the atoms' angles k/N, and N,
-    the lcm of the angles' denominators."""
-    n = math.lcm(*(a.angle.denominator for a in atoms))
-    return calculus([(a.angle.numerator * (n // a.angle.denominator), a.sp)
-                     for a in atoms]), n
-
-
-def _from_numerators(pairs: Iterable[Atom], n: int) -> "WDRep":
-    """The WDRep of (k, sp) pairs with angles k/N, built in order: the ints
-    (sp, k mod N) order as ``_key`` does.  Equal pairs share one atom."""
-    atoms, prev = [], None
-    for key in sorted([(m, k % n) for k, m in pairs]):
+def from_numerators(pairs: Iterable[Atom], n: int, calculus=list) -> WDRep:
+    """The WDRep of ``calculus`` of (k, sp) pairs with angles k/N, built in
+    order: the ints (sp, k mod N) order as ``_key`` does.  Equal pairs share
+    one atom, and the pairs reduced mod N are its ``_form``."""
+    atoms, form, prev = [], [], None
+    for key in sorted([(m, k % n) for k, m in calculus(pairs)]):
         if key != prev:
-            prev, atom = key, WDAtom(Fraction(key[1], n), key[0])
+            prev, atom = key, reduced(WDAtom, angle=Fraction(key[1], n),
+                                      sp=key[0])
         atoms.append(atom)
-    rep = object.__new__(WDRep)
-    object.__setattr__(rep, "atoms", tuple(atoms))
-    return rep
+        form.append((key[1], key[0]))
+    return reduced(WDRep, atoms=tuple(atoms), _form=(form, n))
 
 
 @dataclass(frozen=True)
 class WDRep:
+    """A multiset of atoms in ``_key`` order, with ``_form``: the (k, sp)
+    numerators of their angles k/N in atom order, and N, never changed."""
+
     atoms: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "atoms", tuple(sorted(self.atoms, key=_key)))
+        atoms = tuple(sorted(self.atoms, key=_key))
+        n = math.lcm(*(a.angle.denominator for a in atoms))
+        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "_form", (
+            [(a.angle.numerator * (n // a.angle.denominator), a.sp)
+             for a in atoms], n))
 
     @classmethod
     def of(cls, *pairs) -> "WDRep":
@@ -213,9 +214,6 @@ class WDRep:
     def from_atom_list(cls, atoms: Iterable[Atom]) -> "WDRep":
         return cls(tuple(WDAtom(u, m) for (u, m) in atoms))
 
-    def atom_list(self) -> list[Atom]:
-        return [(a.angle, a.sp) for a in self.atoms]
-
     @property
     def dim(self) -> int:
         return sum(a.sp for a in self.atoms)
@@ -224,28 +222,30 @@ class WDRep:
         return WDRep(self.atoms + other.atoms)
 
     def dual(self) -> "WDRep":
-        return _from_numerators(*_numerators(self.atoms, dual_atoms))
+        return from_numerators(*self._form, dual_atoms)
 
     def tensor(self, other: "WDRep") -> "WDRep":
-        pairs, n = _numerators(self.atoms + other.atoms)
-        return _from_numerators(
-            tensor_atoms(pairs[:len(self.atoms)], pairs[len(self.atoms):]), n)
+        (a, n), (b, m) = self._form, other._form
+        lcm = math.lcm(n, m)
+        return from_numerators(tensor_atoms(
+            [(k * (lcm // n), sp) for k, sp in a],
+            [(k * (lcm // m), sp) for k, sp in b]), lcm)
 
     def sym2(self) -> "WDRep":
-        return _from_numerators(*_numerators(self.atoms, sym2_atoms))
+        return from_numerators(*self._form, sym2_atoms)
 
     def wedge2(self) -> "WDRep":
-        return _from_numerators(*_numerators(self.atoms, wedge2_atoms))
+        return from_numerators(*self._form, wedge2_atoms)
 
     def ad(self) -> "WDRep":
         """rho tensor rho-dual: the full adjoint of the ambient linear group."""
-        return _from_numerators(*_numerators(self.atoms, ad_atoms))
+        return from_numerators(*self._form, ad_atoms)
 
     def ad_over_center(self) -> "WDRep":
         """Adjoint on the trace-zero part: ad() minus one trivial atom."""
         if self.dim == 0:
             raise ValueError("adjoint of the zero representation")
-        return _from_numerators(*_numerators(self.atoms, ad_over_center_atoms))
+        return from_numerators(*self._form, ad_over_center_atoms)
 
     def determinant(self) -> Fraction:
         """Angle of the determinant character: sum of m * angle, mod 1."""
@@ -302,35 +302,30 @@ class WDRep:
 
     # -- local factors -------------------------------------------------------
 
-    def l_factor(self, spec: LocalFieldSpec) -> SpectralFunction:
-        den = tuple(GeometricFactor(a.angle, Fraction(a.sp - 1, 2))
-                    for a in self.atoms)
-        return SpectralFunction(den=den, q=spec.q)
-
-    def eps_factor(self, spec: LocalFieldSpec) -> SpectralFunction:
-        unit, qpow, exponent, _, _ = gamma_parts(self.atom_list(), spec.psi_level)
-        return SpectralFunction(unit_angle=unit, qpow=qpow, exponent=exponent,
-                                q=spec.q)
-
     def gamma_factor(self, spec: LocalFieldSpec) -> SpectralFunction:
         """gamma_parts on the numerators k of angles k/N gives the unit h/2 + K
-        (h = exponent - psi_level dim) of the angle (2 unit + h (N - 1)) / 2N.
-        A factor in num keeps its atom's angle; a repeated atom, its factors."""
-        pairs, n = _numerators(self.atoms)
+        (h = exponent - psi_level dim) of the angle (2 unit + h (N - 1)) / 2N,
+        reduced mod 1 in integers.  A num factor keeps its atom's angle, a den
+        factor takes an atom's angle (-k mod N) / N if there is one, a repeated
+        atom shares both, and no field is normalised again."""
+        pairs, n = self._form
         unit, qpow, exponent, num, den = gamma_parts(pairs, spec.psi_level)
         h = exponent.numerator - spec.psi_level * self.dim
-        unit = Fraction(unit.numerator * (2 // unit.denominator) + h * (n - 1),
-                        2 * n)
+        twice = unit.numerator * (2 // unit.denominator) + h * (n - 1)
+        angles = {k: a.angle for (k, _), a in zip(pairs, self.atoms)}
         factors, prev = [], None
         for a, (_, r, sd), (k, r1, sd1) in zip(self.atoms, num, den):
             if a is not prev:
-                prev, pair = a, (GeometricFactor(a.angle, r, sd),
-                                 GeometricFactor(Fraction(k % n, n), r1, sd1))
+                k %= n
+                prev, pair = a, (
+                    reduced(GeometricFactor, angle=a.angle, shift=r, sdir=sd),
+                    reduced(GeometricFactor, angle=angles[k] if k in angles
+                            else Fraction(k, n), shift=r1, sdir=sd1))
             factors.append(pair)
-        return SpectralFunction(
-            unit_angle=unit, qpow=qpow, exponent=exponent,
-            num=tuple(f for f, _ in factors), den=tuple(g for _, g in factors),
-            q=spec.q)
+        return reduced(
+            SpectralFunction, unit_angle=Fraction(twice % (2 * n), 2 * n),
+            qpow=qpow, exponent=exponent, num=tuple(f for f, _ in factors),
+            den=tuple(g for _, g in factors), q=spec.q)
 
     # -- serialization -------------------------------------------------------
 

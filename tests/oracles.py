@@ -8,11 +8,11 @@ import math
 from fractions import Fraction
 
 from planch.field import (FieldError, QuadraticCharacter, SquareClass,
-                          all_square_classes, smallest_nonresidue)
+                          all_square_classes, read_number, smallest_nonresidue)
 from planch.forms import BilForm, gamma_t_representative, mat
 from planch.limitcheck import AffineAngle, FactorProgram, _packed_atoms
-from planch.spectral import as_fraction
-from planch.wdrep import SELF_DUAL_ORTHOGONAL, WDRep
+from planch.spectral import GeometricFactor, SpectralFunction, as_fraction
+from planch.wdrep import SELF_DUAL_ORTHOGONAL, WDRep, gamma_parts
 
 
 def component_groups_brute_force(rep: WDRep) -> tuple[int, int]:
@@ -82,3 +82,32 @@ def compile_affine(atoms, spec, nfree: int,
     den = math.lcm(*(a.const.denominator for a, _ in atoms))
     return FactorProgram.compile(_packed_atoms(atoms, den), spec, nfree,
                                  regularize, den)
+
+
+def is_one(f: SpectralFunction) -> bool:
+    """f is the constant 1 once identical numerator and denominator factors
+    cancel."""
+    f = f.normalize()
+    return (f.unit_angle == 0 and f.qpow == 0
+            and f.exponent == 0 and not f.num and not f.den)
+
+
+def factor_from_dict(d: dict) -> GeometricFactor:
+    """The factor of one entry of ``SpectralFunction.to_dict``'s num or den."""
+    return GeometricFactor(read_number(d["angle"]), read_number(d["shift"]),
+                           read_number(d.get("sdir", 1), int))
+
+
+def l_factor(rep: WDRep, spec) -> SpectralFunction:
+    """L(s, rep): one factor 1 - e(u) q^{-(s + (m - 1)/2)} per atom in den."""
+    den = tuple(GeometricFactor(a.angle, Fraction(a.sp - 1, 2))
+                for a in rep.atoms)
+    return SpectralFunction(den=den, q=spec.q)
+
+
+def eps_factor(rep: WDRep, spec) -> SpectralFunction:
+    """eps(s, rep, psi): the monomial part of ``gamma_parts``."""
+    atoms = [(a.angle, a.sp) for a in rep.atoms]
+    unit, qpow, exponent, _, _ = gamma_parts(atoms, spec.psi_level)
+    return SpectralFunction(unit_angle=unit, qpow=qpow, exponent=exponent,
+                            q=spec.q)

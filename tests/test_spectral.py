@@ -11,7 +11,9 @@ from planch.field import LocalFieldSpec, gamma_trivial
 from planch.spectral import (GeometricFactor, OrderMismatchError, PoleError,
                              RegularizationError, SpectralFunction, mod1,
                              turn)
-from planch.wdrep import WDRep
+from planch.wdrep import WDAtom, WDRep
+
+from oracles import factor_from_dict, is_one
 
 SPEC3 = LocalFieldSpec(3, 3, 0)
 
@@ -30,10 +32,10 @@ def random_function(rng, q=3, max_factors=4):
 def test_multiply_and_normalize():
     rng = random.Random(0)
     f = random_function(rng)
-    assert f.multiply(f.inverse()).is_one()
+    assert is_one(f.multiply(f.inverse()))
     zeta = SpectralFunction.zeta(3)
     one_minus = SpectralFunction(num=(GeometricFactor(0, 0),), q=3)
-    assert zeta.multiply(one_minus).is_one()
+    assert is_one(zeta.multiply(one_minus))
     g = gamma_trivial(SPEC3)
     assert g.multiply(g).ord_zero_at_zero() == 2
 
@@ -245,12 +247,31 @@ def test_serialization_roundtrip():
         f = random_function(rng).normalize()
         d = f.to_dict()
         g = SpectralFunction(
-            num=tuple(GeometricFactor.from_dict(x) for x in d["num"]),
-            den=tuple(GeometricFactor.from_dict(x) for x in d["den"]),
+            num=tuple(factor_from_dict(x) for x in d["num"]),
+            den=tuple(factor_from_dict(x) for x in d["den"]),
             q=d["q"], exponent=F(d["exponent"]))
         for s in (0.3, 0.7 + 0.2j):
             want = complex(*d["scalar"]) * g.evaluate(s)
             assert abs(f.evaluate(s) - want) < 1e-12
+
+
+def test_public_constructors_still_normalise_and_check():
+    """``WDRep.gamma_factor`` and the plethysm build their objects from
+    reduced fields; the public constructors still reduce and refuse what
+    they are given."""
+    g = GeometricFactor(F(5, 4), 1)
+    assert g.angle == F(1, 4) and type(g.shift) is F
+    with pytest.raises(ValueError):
+        GeometricFactor(F(1, 3), 0, sdir=0)
+    f = SpectralFunction(unit_angle=F(3, 2), qpow=1, exponent=-2, num=[g])
+    assert f.unit_angle == F(1, 2) and f.num == (g,)
+    assert type(f.qpow) is F and type(f.exponent) is F
+    assert WDAtom(F(-1, 3), 2).angle == F(2, 3)
+    with pytest.raises(ValueError):
+        WDAtom(F(1, 3), 0)
+    rep = WDRep((WDAtom(F(7, 4)), WDAtom(F(1, 6), 2), WDAtom(F(-3, 4))))
+    assert [(a.angle, a.sp) for a in rep.atoms] \
+        == [(F(1, 4), 1), (F(3, 4), 1), (F(1, 6), 2)]
 
 
 def test_turn_helper():

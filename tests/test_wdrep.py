@@ -5,18 +5,20 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from planch.field import LocalFieldSpec, gamma_star_trivial, gamma_trivial
-from planch.limitcheck import AffineAngle
+from planch.limitcheck import AffineAngle, point_parameter
 from planch.spectral import GeometricFactor, SpectralFunction, mod1
+from planch.tempered import OrthTriple
 from planch.wdrep import (SELF_DUAL_BOTH, SELF_DUAL_NONE,
                           SELF_DUAL_ORTHOGONAL, SELF_DUAL_SYMPLECTIC, WDAtom,
                           WDRep, ad_atoms, ad_over_center_atoms, gamma_parts,
                           parse_rep_text, sp_sym2, sp_tensor, sp_wedge2)
 
-from oracles import component_groups_brute_force
+from oracles import (component_groups_brute_force, eps_factor, is_one,
+                     l_factor)
 
 SPEC3 = LocalFieldSpec(3, 3, 0)
 
@@ -128,7 +130,8 @@ def test_ad_over_center_atoms_drops_the_trivial_atom():
         rep = random_rep(rng)
         want = list(rep.ad().atoms)
         want.remove(WDAtom(F(0), 1))
-        assert WDRep.from_atom_list(ad_over_center_atoms(rep.atom_list())) \
+        atoms = [(a.angle, a.sp) for a in rep.atoms]
+        assert WDRep.from_atom_list(ad_over_center_atoms(atoms)) \
             == WDRep(tuple(want))
     for _ in range(300):
         nfree = rng.randint(0, 3)
@@ -151,9 +154,9 @@ def test_sym2_plus_wedge2_is_square():
 
 
 def test_l_factor_examples():
-    assert WDRep.of((0, 1)).l_factor(SPEC3).to_dict() == \
-        WDRep.of((0, 1)).l_factor(SPEC3).to_dict()
-    l = WDRep.of((0, 1)).l_factor(SPEC3)
+    assert l_factor(WDRep.of((0, 1)), SPEC3).to_dict() == \
+        l_factor(WDRep.of((0, 1)), SPEC3).to_dict()
+    l = l_factor(WDRep.of((0, 1)), SPEC3)
     assert abs(l.evaluate(1.0) - 1.5) < 1e-14  # zeta at 1
     g = WDRep.of((0, 1)).gamma_factor(SPEC3)
     triv = gamma_trivial(SPEC3)
@@ -169,7 +172,7 @@ def test_eps_is_monomial():
     rng = random.Random(2)
     for _ in range(50):
         r = random_rep(rng)
-        e = r.eps_factor(LocalFieldSpec(3, 3, rng.randint(-2, 2)))
+        e = eps_factor(r, LocalFieldSpec(3, 3, rng.randint(-2, 2)))
         assert not e.num and not e.den
 
 
@@ -213,7 +216,7 @@ def test_functional_equation_property(atoms, field, level, s):
     rho = WDRep.from_atom_list(atoms)
     g = rho.gamma_factor(spec)
     gd = rho.dual().gamma_factor(spec)
-    assert g.multiply(_reflect(gd)).is_one()
+    assert is_one(g.multiply(_reflect(gd)))
     s = complex(*s)
     assert abs(g.evaluate(s) * gd.evaluate(1 - s) - 1) < 1e-10
 
@@ -327,6 +330,155 @@ def test_exact_path_matches_a_fraction_reference(atoms, other, level, rnd):
     for x, y in ((again, rho), (again.sym2(), rho.sym2()),
                  (again.ad(), rho.ad())):
         assert x == y and hash(x) == hash(y)
+
+
+# -- the integer route against the public constructors ------------------------
+
+_ROUTE_ANGLES = st.one_of(st.fractions(-2, 2, max_denominator=60),
+                          st.integers(-1, 2))
+_ROUTE_FIELDS = ((2, 2), (2, 4), (3, 3), (5, 25), (7, 7))
+
+
+@st.composite
+def _route_atoms(draw):
+    """0 to 4 atoms of Sp size 1 to 4, angles of denominator <= 60 anywhere
+    in [-2, 2]; an atom may repeat an earlier one."""
+    atoms = []
+    for _ in range(draw(st.integers(0, 4))):
+        if atoms and draw(st.booleans()):
+            atoms.append(draw(st.sampled_from(atoms)))
+        else:
+            atoms.append((draw(_ROUTE_ANGLES), draw(st.integers(1, 4))))
+    return atoms
+
+
+@st.composite
+def _route_points(draw):
+    """A triple of up to two dual pairs, one symplectic and two orthogonal
+    atoms, with one twist per block of denominator <= 60 anywhere in [-2, 2]
+    (not only a subtorus point)."""
+    pairs, seen = [], set()
+    for _ in range(draw(st.integers(0, 2))):
+        a = WDAtom(draw(st.fractions(0, 1, max_denominator=60)),
+                   draw(st.integers(1, 2)))
+        if not (a.is_self_dual() or a in seen or a.dual() in seen):
+            pairs.append((a, 1))
+            seen |= {a, a.dual()}
+    symp = [(WDAtom(u, 2), 2)
+            for u in draw(st.lists(st.sampled_from((F(0), F(1, 2))),
+                                   max_size=1))]
+    orth = [(WDAtom(u, sp), draw(st.integers(1, 2)))
+            for u, sp in draw(st.lists(st.sampled_from(
+                ((F(0), 1), (F(1, 2), 1), (F(0), 3))), max_size=2,
+                unique=True))]
+    assume(pairs or symp or orth)
+    triple = OrthTriple(tuple(pairs), tuple(symp), tuple(orth))
+    n = len(triple.layout())
+    return triple, draw(st.lists(_ROUTE_ANGLES, min_size=n, max_size=n))
+
+
+def _outcome(call):
+    """call(), or the type of the ArithmeticError it raises: past the float
+    range of q^qpow both routes must raise alike."""
+    try:
+        return call()
+    except ArithmeticError as exc:
+        return type(exc)
+
+
+def _at_zero_by_factor(f):
+    """c of ``SpectralFunction._at_zero``, each factor valued on its own."""
+    sign, c = 1, f.scalar_value()
+    for g in f.num:
+        if g.vanishes_at_zero():
+            sign *= g.sdir
+        else:
+            c *= g.value(0.0, f.q)
+    for g in f.den:
+        if g.vanishes_at_zero():
+            sign *= g.sdir
+        else:
+            c /= g.value(0.0, f.q)
+    return sign * c
+
+
+def _evaluate_by_factor(f, s):
+    """``SpectralFunction.evaluate`` off its poles, each factor valued on its
+    own."""
+    u, p = f.unit_angle, f.qpow
+    val = cmath.exp(2j * math.pi * (u.numerator / u.denominator)) * \
+        float(f.q) ** (p.numerator / p.denominator - float(f.exponent) * s)
+    for g in f.num:
+        val *= g.value(s, f.q)
+    for g in f.den:
+        val /= g.value(s, f.q)
+    return val
+
+
+def _same_as_public(rep, atoms, spec):
+    """rep equals the rep of the Fraction atoms made by the public
+    constructors, and its gamma factor equals the per-atom reference made
+    by them: fields, hash, repr and to_dict, and bit for bit in value."""
+    want = WDRep.from_atom_list(atoms)
+    assert rep == want and hash(rep) == hash(want)
+    assert repr(rep) == repr(want) and rep.to_dict() == want.to_dict()
+    got, ref = rep.gamma_factor(spec), _ref_gamma(want.atoms, spec)
+    assert got == ref and hash(got) == hash(ref) and repr(got) == repr(ref)
+    assert _outcome(got.to_dict) == _outcome(ref.to_dict)
+    assert got.ord_zero_at_zero() == ref.ord_zero_at_zero()
+    assert _outcome(got.regularized_value) \
+        == _outcome(ref.regularized_value) \
+        == _outcome(lambda: _at_zero_by_factor(got))
+    for s in (0.3 + 0.7j, 0.8 - 0.5j):
+        assert _outcome(lambda: got.evaluate(s)) \
+            == _outcome(lambda: ref.evaluate(s)) \
+            == _outcome(lambda: _evaluate_by_factor(got, s))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(_route_atoms(), _route_atoms(), _route_points(), st.integers(-2, 2),
+       st.sampled_from(_ROUTE_FIELDS))
+def test_integer_route_matches_the_public_constructors(atoms, other, point,
+                                                       level, field):
+    """Each rep that the plethysm or ``point_parameter`` builds from integer
+    numerators, and each gamma factor built from reduced fields, is the
+    object that the public constructors build from Fraction atoms.  The
+    plethysm also runs on the dual and on the point's parameter, so a rep
+    whose numerators were left stale shows in its own plethysm and gamma
+    factor; a repeated atom shares its factors, so a value reused across
+    factors that are not one object shows against the per-factor values."""
+    spec = LocalFieldSpec(*field, level)
+    triple, twists = point
+    param = point_parameter(triple, twists)
+    _same_as_public(param, [(u + t, k) for (k, u, _), t
+                            in zip(triple.layout(), twists)], spec)
+    rho, sigma = WDRep.from_atom_list(atoms), WDRep.from_atom_list(other)
+    _same_as_public(rho, atoms, spec)
+    b = [(x.angle, x.sp) for x in sigma.atoms]
+    for rep in (rho, rho.dual(), param):
+        a = [(x.angle, x.sp) for x in rep.atoms]
+        dual = [(-u, m) for (u, m) in a]
+        ad = _ref_tensor(a, dual)
+        _same_as_public(rep.dual(), dual, spec)
+        _same_as_public(rep.tensor(sigma), _ref_tensor(a, b), spec)
+        _same_as_public(rep.sym2(), _ref_square(a, 1), spec)
+        _same_as_public(rep.wedge2(), _ref_square(a, 3), spec)
+        _same_as_public(rep.ad(), ad, spec)
+        if a:
+            ad.remove((F(0), 1))
+            _same_as_public(rep.ad_over_center(), ad, spec)
+
+
+def test_reps_of_both_routes_are_interchangeable_keys():
+    """A plethysm-built rep and a Fraction-built rep of the same atoms are
+    one set member and one dict key, whichever is stored first."""
+    rho = WDRep.of((F(1, 12), 2), (F(5, 12), 1), (F(1, 12), 2))
+    built = rho.sym2()
+    public = WDRep.from_atom_list(_ref_square(
+        [(x.angle, x.sp) for x in rho.atoms], 1))
+    assert built is not public and len({built, public}) == 1
+    assert {built: 1}[public] == 1 and {public: 2}[built] == 2
+    assert public in {rho.sym2()} and rho.dual().dual() in {rho}
 
 
 def _types(x):
